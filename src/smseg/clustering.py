@@ -8,8 +8,14 @@ region and are large enough to matter.
 
 Determinism contract: every reduction below has a fixed order (window
 sums accumulate f64 in row-major pixel order, per-cluster sums scatter in
-pixel order), so identical inputs give bitwise identical outputs no matter
-how the surrounding process is threaded.
+pixel order), and K-means scores pixels in row blocks whose size depends
+only on the number of centroids and a fixed byte budget, never on threads
+or the host, so identical inputs give bitwise identical outputs no matter
+how the surrounding process is threaded. The one exception is BLAS itself:
+OpenBLAS may round the corner tiles of a matrix product (last rows x last
+few columns) differently with other thread splits or row counts, so the
+tests check whole pipeline runs across thread counts and the blocked
+products against a single dense one.
 """
 
 from dataclasses import dataclass, field
@@ -18,6 +24,7 @@ import numpy as np
 
 _METRICS = ("cosine", "euclidean")
 _NORM_FLOOR = 1e-12
+_BLOCK_BYTES = 32 * 2 ** 20      # f64 similarity block budget of one K-means step
 
 
 @dataclass(frozen=True)
@@ -141,6 +148,10 @@ def kmeans(feats, seeds, cfg):
     ``kmeans_iters`` or when the objective improves by less than
     ``kmeans_tol``. Clusters that lose all members are dropped and ids
     compacted; no reseeding, so the run stays deterministic.
+
+    Pixels are scored against the centroids ``_BLOCK_BYTES // (8 * k)``
+    rows at a time (at least one), so memory stays O(block) instead of
+    O(pixels x k); the objective is still one sum over all pixels.
     """
     seed_rows = seeds.seeds if isinstance(seeds, SeedSet) else np.asarray(seeds)
     if len(seed_rows) == 0:
@@ -154,18 +165,24 @@ def kmeans(feats, seeds, cfg):
         cents = _normalize_rows(cents)
 
     trace = []
-    assign = None
+    assign = np.empty(len(x), dtype=np.int64)
+    chosen = np.empty(len(x))                 # similarity or d2 at the pick
+    sq_x = np.sum(x * x, axis=1)
     for it in range(cfg.kmeans_iters):
-        if cosine:
-            sims = x @ cents.T
-            assign = np.argmax(sims, axis=1)
-            obj = float(np.sum(1.0 - sims[np.arange(len(x)), assign]))
-        else:
-            d2 = (np.sum(x * x, axis=1)[:, None]
-                  - 2.0 * (x @ cents.T)
-                  + np.sum(cents * cents, axis=1)[None, :])
-            assign = np.argmin(d2, axis=1)
-            obj = float(np.sum(np.maximum(d2[np.arange(len(x)), assign], 0.0)))
+        rows = max(1, _BLOCK_BYTES // (8 * len(cents)))
+        sq_c = np.sum(cents * cents, axis=1)
+        for s in range(0, len(x), rows):
+            blk = x[s:s + rows] @ cents.T
+            if not cosine:            # (sq_x - 2 x.c) + sq_c, in place
+                blk *= 2.0
+                np.subtract(sq_x[s:s + rows, None], blk, out=blk)
+                blk += sq_c
+            pick = np.argmax(blk, axis=1) if cosine else np.argmin(blk, axis=1)
+            assign[s:s + rows] = pick
+            chosen[s:s + rows] = blk[np.arange(len(pick)), pick]
+            del blk                   # one block alive at a time
+        obj = float(np.sum(1.0 - chosen) if cosine
+                    else np.sum(np.maximum(chosen, 0.0)))
         trace.append(obj)
         if it > 0 and trace[-2] - obj < cfg.kmeans_tol:
             break
@@ -191,32 +208,17 @@ def kmeans(feats, seeds, cfg):
     )
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            # smaller root wins, keeps group ids deterministic
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 def fuse_masks(result, tau=0.9):
     """Merge clusters whose centroids agree in direction.
 
-    Pairs with centroid cosine >= ``tau`` are unioned transitively
-    (pairs scanned in ascending (i, j) order); each group's centroid is
-    the member-pixel-count-weighted mean of the original centroids,
+    Clusters are joined along every pair with centroid cosine >= ``tau``,
+    transitively (connected components of the thresholded similarity
+    graph, which do not depend on any scan order); each group's centroid
+    is the member-pixel-count-weighted mean of the original centroids,
     renormalized. Merge rounds repeat until no pair crosses ``tau``, so
     fusing the output again changes nothing. Groups are emitted in
-    ascending order of their smallest original cluster id.
+    ascending order of their smallest original cluster id, and group sums
+    add members in ascending id order.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
@@ -224,42 +226,39 @@ def fuse_masks(result, tau=0.9):
     if k < 1:
         raise ValueError("fuse_masks needs at least one cluster")
     assignments = result.assignments
-    pix_counts = np.bincount(assignments.ravel(), minlength=k).astype(np.float64)
-    base = np.asarray(result.centroids, dtype=np.float64)
+    weights = np.bincount(assignments.ravel(), minlength=k).astype(np.float64)
+    vecs = weights[:, None] * np.asarray(result.centroids, dtype=np.float64)
+    group_of = np.arange(k)                  # original cluster id -> group
 
-    groups = [[i] for i in range(k)]                 # original cluster ids
-    vecs = [pix_counts[i] * base[i] for i in range(k)]
-    weights = [pix_counts[i] for i in range(k)]
-
-    while len(groups) > 1:
-        cents = _normalize_rows(np.array([v / max(wt, 1.0) for v, wt in zip(vecs, weights)]))
-        sim = cents @ cents.T
-        uf = _UnionFind(len(groups))
-        any_merge = False
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                if sim[i, j] >= tau:
-                    uf.union(i, j)
-                    any_merge = True
-        if not any_merge:
+    while len(vecs) > 1:
+        cents = _normalize_rows(vecs / np.maximum(weights, 1.0)[:, None])
+        src, dst = np.nonzero(np.triu(cents @ cents.T >= tau, 1))
+        if len(src) == 0:
             break
-        buckets = {}
-        for idx in range(len(groups)):
-            buckets.setdefault(uf.find(idx), []).append(idx)
-        order = sorted(buckets.values(), key=lambda members: min(
-            min(groups[m]) for m in members))
-        groups = [sorted(sum((groups[m] for m in members), [])) for members in order]
-        vecs = [sum(vecs[m] for m in members) for members in order]
-        weights = [sum(weights[m] for m in members) for members in order]
+        # Min-label propagation with pointer jumping: every node ends up
+        # labelled with the smallest group index in its component. Group
+        # indices follow smallest original id, and np.unique keeps that.
+        labels = np.arange(len(vecs))
+        while True:
+            new = labels.copy()
+            np.minimum.at(new, src, labels[dst])
+            np.minimum.at(new, dst, labels[src])
+            new = new[new]
+            if np.array_equal(new, labels):
+                break
+            labels = new
+        roots, inverse = np.unique(labels, return_inverse=True)
+        sums = np.zeros((len(roots), vecs.shape[1]))
+        np.add.at(sums, inverse, vecs)
+        merged = np.zeros(len(sums))
+        np.add.at(merged, inverse, weights)
+        vecs, weights, group_of = sums, merged, inverse[group_of]
 
-    order = sorted(range(len(groups)), key=lambda g: min(groups[g]))
-    masks = np.zeros((len(groups), *assignments.shape), dtype=np.uint8)
-    cents_out = np.zeros((len(groups), base.shape[1]), dtype=np.float64)
-    for out_idx, g in enumerate(order):
-        masks[out_idx] = np.isin(assignments, groups[g]).astype(np.uint8)
-        mean = np.asarray(vecs[g]) / max(weights[g], 1.0)
-        cents_out[out_idx] = mean / max(np.linalg.norm(mean), _NORM_FLOOR)
-    return masks, cents_out.astype(np.float32)
+    labels = group_of[assignments]
+    masks = (labels[None] == np.arange(len(vecs))[:, None, None]).astype(np.uint8)
+    means = vecs / np.maximum(weights, 1.0)[:, None]
+    cents_out = [m / max(np.linalg.norm(m), _NORM_FLOOR) for m in means]
+    return masks, np.array(cents_out, dtype=np.float32)
 
 
 def restrict_candidates(masks, centroids, ignore_mask, min_area=16):

@@ -180,6 +180,16 @@ def _seen_targets(seen_labels, seen_ids, ignore_id):
     return targets
 
 
+def _remap_labels(labels, ids, fill):
+    """``{cid: j for j, cid in enumerate(ids)}.get(v, fill)`` for every label
+    v, as one sorted-key lookup: a repeated id keeps its last index."""
+    ids = np.asarray(ids, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
+    keys, last = np.unique(ids[::-1], return_index=True)
+    pos = np.minimum(np.searchsorted(keys, labels), len(keys) - 1)
+    return np.where(keys[pos] == labels, len(ids) - 1 - last[pos], fill)
+
+
 def _assignment_json(assignment, seen_count, k_seen):
     return {
         "pairs": [{"q": p.query, "t": p.target, "cost": p.cost, "group": p.group}
@@ -307,9 +317,7 @@ def run_pipeline(config, global_loss_hook=None):
             fused = mfe_forward(pyr, init_mfe_params(
                 c, groups=cfg.mfe_groups, seed=cfg.mfe_seed))
             logits = mfe_logits(fused, joint, temperature=cfg.temperature)
-            pseudo = seen_labels.astype(np.int64).copy()
-            remap = {cid: j for j, cid in enumerate(seen_ids)}
-            pseudo = np.vectorize(lambda v: remap.get(v, cfg.ignore_id))(pseudo)
+            pseudo = _remap_labels(seen_labels, seen_ids, cfg.ignore_id)
             for u in range(cand.count):
                 pseudo[cand.masks[u].astype(bool)] = joint.seen_count + u
             ce = cross_entropy_map(logits, pseudo, cfg.ignore_id)

@@ -130,3 +130,95 @@ def naive_semantic_map(scores, mask_logits, class_ids):
 def dyadic_matrix(rng, k, t, denom=64, hi=4096):
     """Random costs that are exact dyadic rationals: order-free f64 sums."""
     return rng.integers(0, hi, size=(k, t)).astype(np.float64) / denom
+
+
+def _unit_rows(x):
+    return x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
+
+
+def naive_lloyd(feats, seeds, iters, tol, metric):
+    """Unblocked Lloyd: the whole (pixels x centroids) score matrix per step.
+
+    Returns (assignments (H, W) int32, centroids (k, C) f32, objective
+    trace), with unused centroids dropped and ids compacted.
+    """
+    c, h, w = feats.shape
+    x = np.asarray(feats, dtype=np.float64).reshape(c, h * w).T
+    cents = np.asarray(seeds, dtype=np.float64).copy()
+    cosine = metric == "cosine"
+    if cosine:
+        x, cents = _unit_rows(x), _unit_rows(cents)
+    trace = []
+    for it in range(iters):
+        rows = np.arange(len(x))
+        if cosine:
+            sims = x @ cents.T
+            assign = np.argmax(sims, axis=1)
+            obj = float(np.sum(1.0 - sims[rows, assign]))
+        else:
+            d2 = (np.sum(x * x, axis=1)[:, None] - 2.0 * (x @ cents.T)
+                  + np.sum(cents * cents, axis=1)[None, :])
+            assign = np.argmin(d2, axis=1)
+            obj = float(np.sum(np.maximum(d2[rows, assign], 0.0)))
+        trace.append(obj)
+        if (it > 0 and trace[-2] - obj < tol) or it == iters - 1:
+            break
+        counts = np.bincount(assign, minlength=len(cents))
+        sums = np.zeros_like(cents)
+        np.add.at(sums, assign, x)
+        cents = sums[counts > 0] / counts[counts > 0, None]
+        if cosine:
+            cents = _unit_rows(cents)
+    used = np.flatnonzero(np.bincount(assign, minlength=len(cents)))
+    new_id = np.full(len(cents), -1, dtype=np.int64)
+    new_id[used] = np.arange(len(used))
+    return (new_id[assign].reshape(h, w).astype(np.int32),
+            cents[used].astype(np.float32), trace)
+
+
+def naive_fuse(assignments, centroids, tau):
+    """Union-find over an ascending (i, j) pair scan, repeated to a fixpoint.
+
+    Returns (masks (G, H, W) u8, centroids (G, C) f32), groups ordered by
+    their smallest original cluster id.
+    """
+    k = len(centroids)
+    counts = np.bincount(np.asarray(assignments).ravel(), minlength=k).astype(np.float64)
+    base = np.asarray(centroids, dtype=np.float64)
+    groups = [[i] for i in range(k)]
+    vecs = [counts[i] * base[i] for i in range(k)]
+    weights = [counts[i] for i in range(k)]
+
+    def find(parent, i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    while len(groups) > 1:
+        cents = _unit_rows(np.array([v / max(wt, 1.0) for v, wt in zip(vecs, weights)]))
+        sim = cents @ cents.T
+        parent = list(range(len(groups)))
+        merged = False
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                if sim[i, j] >= tau:
+                    ri, rj = find(parent, i), find(parent, j)
+                    parent[max(ri, rj)] = min(ri, rj)
+                    merged = True
+        if not merged:
+            break
+        buckets = {}
+        for g in range(len(groups)):
+            buckets.setdefault(find(parent, g), []).append(g)
+        members = sorted(buckets.values(), key=lambda ms: min(min(groups[m]) for m in ms))
+        groups = [sorted(sum((groups[m] for m in ms), [])) for ms in members]
+        vecs = [sum(vecs[m] for m in ms) for ms in members]
+        weights = [sum(weights[m] for m in ms) for ms in members]
+
+    masks = np.zeros((len(groups), *np.shape(assignments)), dtype=np.uint8)
+    cents_out = np.zeros((len(groups), base.shape[1]), dtype=np.float64)
+    for g in range(len(groups)):
+        masks[g] = np.isin(assignments, groups[g])
+        mean = np.asarray(vecs[g]) / max(weights[g], 1.0)
+        cents_out[g] = mean / max(np.linalg.norm(mean), 1e-12)
+    return masks, cents_out.astype(np.float32)

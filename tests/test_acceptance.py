@@ -332,6 +332,43 @@ def test_c09_pipeline_determinism_across_thread_counts(tmp_path):
     assert elapsed < 120.0
 
 
+def test_c11_pipeline_determinism_128_across_blas_threads(tmp_path):
+    # At 128 x 128 (1235 seeds) K-means scores pixels in several row
+    # blocks and BLAS splits each product over its threads, which c09's
+    # 64 x 64 single-block runs never reach.
+    start = time.time()
+    digests = {}
+    for seed in ("0", "1"):
+        for threads in ("1", "2"):
+            run_dir = tmp_path / f"s{seed}t{threads}"
+            code = subprocess.run(
+                [sys.executable, "-m", "smseg.cli", "gen-synth", "--seed", seed,
+                 "--size", "128", "--dim", "32", "--out-dir", str(run_dir)],
+                capture_output=True, text=True).returncode
+            assert code == 0
+            env = dict(os.environ, OMP_NUM_THREADS=threads,
+                       OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "smseg.cli", "pipeline", "--config",
+                 str(run_dir / "run.cfg")],
+                capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            blobs = {p.name: p.read_bytes()
+                     for p in sorted((run_dir / "out").glob("*.smtf"))}
+            assert blobs, "pipeline wrote no tensors"
+            digests[(seed, threads)] = blobs
+    for seed in ("0", "1"):
+        reference = digests[(seed, "1")]
+        blobs = digests[(seed, "2")]
+        assert blobs.keys() == reference.keys()
+        for name in reference:
+            assert blobs[name] == reference[name], (seed, name)
+    elapsed = time.time() - start
+    _report(11, "pipeline bitwise determinism at 128x128 across 1/2 BLAS threads",
+            True, f"({len(digests)} runs, {elapsed:.1f}s)")
+    assert elapsed < 60.0
+
+
 def test_c10_random_query_contract():
     start = time.time()
     qs = QuerySet.build(np.zeros((2, 8), dtype=np.float32))

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from smseg import clustering as cl
+from smseg.synth import gen_synth
 
-from oracles import naive_window_seeds, naive_window_starts
+from oracles import naive_fuse, naive_lloyd, naive_window_seeds, naive_window_starts
 
 
 def test_window_starts_match_stated_rule():
@@ -128,6 +131,128 @@ def test_kmeans_zero_seeds_error():
     with pytest.raises(ValueError):
         cl.kmeans(np.zeros((2, 4, 4), dtype=np.float32),
                   np.zeros((0, 2), dtype=np.float32), cfg)
+
+
+def _blob_features(h, w, dim=16, seed=0):
+    """An h x w crop of a synthetic blob fixture (4 blobs, small noise)."""
+    fix = gen_synth(seed=seed, blobs=4, seen=2, size=max(h, w), dim=dim)
+    return np.ascontiguousarray(fix.features[:, :h, :w])
+
+
+def _assert_lloyd_oracle(feats, seeds, cfg, exact_trace=True):
+    result = cl.kmeans(feats, seeds, cfg)
+    assign, cents, trace = naive_lloyd(feats, seeds, cfg.kmeans_iters,
+                                       cfg.kmeans_tol, cfg.metric)
+    assert result.assignments.dtype == np.int32
+    assert result.assignments.tobytes() == assign.tobytes()
+    assert result.centroids.tobytes() == cents.tobytes()
+    if exact_trace:
+        assert np.array(result.objective_trace).tobytes() == np.array(trace).tobytes()
+    else:
+        assert len(result.objective_trace) == len(trace)
+        assert np.allclose(result.objective_trace, trace, rtol=1e-12, atol=0.0)
+    return result
+
+
+def _assert_fuse_oracle(result, tau):
+    masks, cents = cl.fuse_masks(result, tau=tau)
+    expect_masks, expect_cents = naive_fuse(result.assignments, result.centroids, tau)
+    assert masks.dtype == np.uint8 and cents.dtype == np.float32
+    assert masks.shape == expect_masks.shape
+    assert masks.tobytes() == expect_masks.tobytes()
+    assert cents.tobytes() == expect_cents.tobytes()
+    return masks
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@pytest.mark.parametrize("h, w", [(100, 100), (128, 128), (96, 160)])
+def test_kmeans_and_fuse_bitwise_vs_dense_oracle(metric, h, w):
+    # 756, 1235 and 931 seeds: every map takes several row blocks, the
+    # last one partial, so blocked scoring must equal one dense product.
+    feats = _blob_features(h, w, seed=h + w)
+    cfg = cl.WindowConfig(window_sizes=(8, 16, 32), kmeans_iters=4, metric=metric)
+    seeds = cl.multi_scale_seeds(feats, cfg).seeds
+    rows = max(1, cl._BLOCK_BYTES // (8 * len(seeds)))
+    assert rows < h * w and (h * w) % rows != 0
+    result = _assert_lloyd_oracle(feats, seeds, cfg)
+    for tau in (0.9, 0.5):
+        _assert_fuse_oracle(result, tau)
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_kmeans_one_row_blocks_bitwise_vs_dense_oracle(metric, monkeypatch):
+    # When one row of scores outgrows the budget, blocks floor at one row.
+    # A one-row block is a matrix-vector product, which BLAS may sum in
+    # another order than the matrix product: the picks, and so centroids
+    # and masks, must still match bitwise, the objective to rounding.
+    feats = _blob_features(24, 20, seed=5)
+    cfg = cl.WindowConfig(window_sizes=(4, 8), kmeans_iters=5, metric=metric)
+    seeds = cl.multi_scale_seeds(feats, cfg).seeds
+    monkeypatch.setattr(cl, "_BLOCK_BYTES", 8 * len(seeds) - 1)
+    result = _assert_lloyd_oracle(feats, seeds, cfg, exact_trace=False)
+    _assert_fuse_oracle(result, 0.9)
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_kmeans_and_fuse_single_cluster_vs_oracle(metric):
+    feats = _blob_features(16, 16, seed=2)
+    cfg = cl.WindowConfig(window_sizes=(16,), kmeans_iters=3, metric=metric)
+    result = _assert_lloyd_oracle(feats, cl.multi_scale_seeds(feats, cfg).seeds, cfg)
+    assert result.centroids.shape[0] == 1
+    masks = _assert_fuse_oracle(result, 0.9)
+    assert masks.shape[0] == 1 and np.all(masks == 1)
+
+
+def test_fuse_merges_over_several_rounds_vs_oracle():
+    # tau is 21 degrees. Round 1 merges only a and b (20 degrees apart).
+    # e sits 19 degrees from their mean m1, off their plane, and 21.4 from
+    # each, so it joins in round 2. f sits 20.5 degrees from the mean m2 of
+    # a, b, e, along a fourth axis, and more than 21 from m1 and every
+    # member, so it joins in round 3. g points away and never merges.
+    deg = np.radians
+    tau = np.cos(deg(21.0))
+    t = np.arctan2(np.sin(deg(19.0)), 2 * np.cos(deg(10.0)) + np.cos(deg(19.0)))
+    m2 = np.array([np.cos(t), 0.0, np.sin(t), 0.0])
+    cents = np.array([
+        [np.cos(deg(10.0)), -np.sin(deg(10.0)), 0.0, 0.0],           # a
+        [np.cos(deg(10.0)), np.sin(deg(10.0)), 0.0, 0.0],            # b
+        [np.cos(deg(19.0)), 0.0, np.sin(deg(19.0)), 0.0],            # e
+        np.cos(deg(20.5)) * m2 + [0.0, 0.0, 0.0, np.sin(deg(20.5))],  # f
+        [-1.0, 0.0, 0.0, 0.0],                                       # g
+    ], dtype=np.float32)
+    assign = np.array([[0, 1, 2, 3, 4]])
+
+    def over_tau(vecs):
+        unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+        return np.triu(unit @ unit.T >= tau, 1)
+
+    c64 = cents.astype(np.float64)
+    assert np.argwhere(over_tau(c64)).tolist() == [[0, 1]]
+    m1 = c64[0] + c64[1]
+    assert np.argwhere(over_tau(np.stack([m1, c64[2], c64[3]]))).tolist() == [[0, 1]]
+    assert over_tau(np.stack([m1 + c64[2], c64[3]]))[0, 1]
+    masks = _assert_fuse_oracle(_cluster_result(assign, cents), tau)
+    assert masks.tolist() == [[[1, 1, 1, 1, 0]], [[0, 0, 0, 0, 1]]]
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_kmeans_peak_memory_bounded_by_block_budget(metric):
+    # 128 x 128 pixels, 1235 seeds: the dense score matrix would be
+    # 16384 * 1235 * 8 bytes = 154 MiB.
+    feats = _blob_features(128, 128, dim=16, seed=1)
+    cfg = cl.WindowConfig(window_sizes=(8, 16, 32), kmeans_iters=3, metric=metric)
+    seeds = cl.multi_scale_seeds(feats, cfg)
+    pixels, dense = 128 * 128, 128 * 128 * len(seeds) * 8
+    tracemalloc.start()
+    try:
+        cl.kmeans(feats, seeds, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one score block plus its argmax and row index, and a few (P, C)
+    # copies of the pixels and (P,) vectors
+    bound = cl._BLOCK_BYTES * 5 // 4 + 4 * pixels * feats.shape[0] * 8 + 8 * pixels * 8
+    assert peak < bound < dense / 2, (peak, bound, dense)
 
 
 def _cluster_result(assign, cents):

@@ -4,8 +4,8 @@ import pytest
 from smseg import gen_synth, load_tensor, write_fixture
 from smseg.clustering import (WindowConfig, fuse_masks, kmeans,
                               multi_scale_seeds, restrict_candidates)
-from smseg.pipeline import (PipelineConfig, PipelineStageError, make_synth_run,
-                            run_pipeline)
+from smseg.pipeline import (PipelineConfig, PipelineStageError, _remap_labels,
+                            make_synth_run, run_pipeline)
 
 
 def test_gen_synth_deterministic():
@@ -121,6 +121,37 @@ def test_pipeline_global_loss_hook(tmp_path):
     result = run_pipeline(cfg, global_loss_hook=lambda fd, joint: 1.25)
     assert result.losses["mfe"] == pytest.approx(
         result.losses["mfe_ce"] + result.losses["mfe_focal"] + 1.25)
+
+
+def _dict_remap(labels, ids, fill):
+    """The definition: a dict from class id to its position in ``ids``."""
+    table = {cid: j for j, cid in enumerate(ids)}
+    return np.array([table.get(int(v), fill) for v in np.ravel(labels)],
+                    dtype=np.int64).reshape(np.shape(labels))
+
+
+@pytest.mark.parametrize("ids", [
+    (0, 1, 2),          # every listed id
+    (3, 7),             # 0-2 and 4-6 unlisted
+    (2, 5, 2, 0),       # 2 repeated: its last index (2) wins
+    (300, 0),           # an id beyond every label
+])
+def test_remap_labels_matches_dict_semantics(ids):
+    labels = np.array([[0, 1, 2, 3], [5, 7, 255, 254],
+                       [-1, -3, 256, 1000], [2, 2, 0, 300]])
+    got = _remap_labels(labels, ids, 255)
+    assert got.dtype == np.int64 and got.shape == labels.shape
+    assert np.array_equal(got, _dict_remap(labels, ids, 255))
+
+
+def test_remap_labels_cases():
+    labels = np.array([0, 1, 2, 4, -1, -4, 9, 255])
+    got = _remap_labels(labels, (1, 4, 1), 99)
+    # unlisted -> fill; repeated id 1 -> last index 2; negative and
+    # beyond-range labels -> fill, never wrapped onto the end of a table
+    assert got.tolist() == [99, 2, 99, 1, 99, 99, 99, 99]
+    as_u8 = _remap_labels(np.array([[1, 255]], dtype=np.uint8), (255, 1), 7)
+    assert as_u8.tolist() == [[1, 0]]
 
 
 def test_pipeline_stage_error_names_stage(tmp_path):
