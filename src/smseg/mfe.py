@@ -13,13 +13,17 @@ under gradcheck) and use fixed reduction orders, so outputs are bitwise
 reproducible.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .losses import (cosine_loss_grad, cross_entropy_map_grad, dice_loss_grad,
-                     bce_mask_grad, focal_loss_grad, iou_loss_grad, sigmoid)
+from .losses import (bce_mask, bce_mask_grad, class_similarity, cosine_loss,
+                     cosine_loss_grad, cross_entropy_map, cross_entropy_map_grad,
+                     dice_loss, dice_loss_grad, focal_loss, focal_loss_grad,
+                     iou_loss, iou_loss_grad, sigmoid)
 
 DEFAULT_TEMPERATURE = 0.07
 _NORM_FLOOR = 1e-12
@@ -146,17 +150,24 @@ def group_norm_vjp(x, gamma, groups, eps, dout):
     return dx.reshape(c, h, w), dgamma, dbeta
 
 
+@functools.lru_cache(maxsize=64)
 def _lin_weights(n_in, n_out):
-    """1-D bilinear weights, half-pixel centers, rows sum to 1."""
+    """1-D bilinear weights, half-pixel centers, rows sum to 1.
+
+    Cached per size pair and returned read-only, since every caller
+    shares the one array; callers ``astype`` a private copy.
+    """
     if n_in == n_out:
-        return np.eye(n_in, dtype=np.float64)
-    src = np.clip((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
-    lo = np.floor(src).astype(np.int64)
-    hi = np.minimum(lo + 1, n_in - 1)
-    frac = src - lo
-    mat = np.zeros((n_out, n_in), dtype=np.float64)
-    np.add.at(mat, (np.arange(n_out), lo), 1.0 - frac)
-    np.add.at(mat, (np.arange(n_out), hi), frac)
+        mat = np.eye(n_in, dtype=np.float64)
+    else:
+        src = np.clip((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
+        lo = np.floor(src).astype(np.int64)
+        hi = np.minimum(lo + 1, n_in - 1)
+        frac = src - lo
+        mat = np.zeros((n_out, n_in), dtype=np.float64)
+        np.add.at(mat, (np.arange(n_out), lo), 1.0 - frac)
+        np.add.at(mat, (np.arange(n_out), hi), frac)
+    mat.flags.writeable = False
     return mat
 
 
@@ -305,12 +316,13 @@ def _pyramid(arrays):
     return FeaturePyramid(f0=arrays["f0"], f1=arrays["f1"], f2=arrays["f2"])
 
 
+def _block_of(a, prefix=""):
+    return _to_block({**{k: a[prefix + k] for k in ("conv_w", "conv_b", "gn_gamma", "gn_beta")},
+                      "groups": a["_groups"]})
+
+
 def _mfe_params(arrays):
-    return MfeParams(blocks=tuple(
-        _to_block({**{k: arrays[f"b{i}_{k}"] for k in
-                      ("conv_w", "conv_b", "gn_gamma", "gn_beta")},
-                   "groups": arrays["_groups"]})
-        for i in range(3)))
+    return MfeParams(blocks=tuple(_block_of(arrays, f"b{i}_") for i in range(3)))
 
 
 def _well_conditioned(x, blk):
@@ -348,26 +360,32 @@ def _mfe_arrays_try(s, channels=2, size=8, groups=1):
     return arrays if ok else None
 
 
-def _mfe_value_and_grads(arrays, composite_dice):
+def _mfe_value(arrays, composite_dice):
+    fd = mfe_forward(_pyramid(arrays), _mfe_params(arrays))
+    if composite_dice:
+        value = 0.0
+        for c in range(fd.shape[0]):
+            value += dice_loss(sigmoid(fd[c]), arrays["_dice_y"][c])
+        return value
+    return float(np.sum(arrays["_probe"] * fd))
+
+
+def _mfe_grads(arrays, composite_dice):
     pyr, params = _pyramid(arrays), _mfe_params(arrays)
     fd, cache = _mfe_forward_cache(pyr, params)
     if composite_dice:
-        value = 0.0
         dfd = np.zeros_like(fd)
         for c in range(fd.shape[0]):
             m = sigmoid(fd[c])
-            v, dm = dice_loss_grad(m, arrays["_dice_y"][c])
-            value += v
-            dfd[c] = dm * m * (1.0 - m)
+            dfd[c] = dice_loss_grad(m, arrays["_dice_y"][c])[1] * m * (1.0 - m)
     else:
-        value = float(np.sum(arrays["_probe"] * fd))
         dfd = arrays["_probe"]
     (df0, df1, df2), dps = _mfe_vjp(cache, params, dfd)
     grads = {"f0": df0, "f1": df1, "f2": df2}
     for i, dp in enumerate(dps):
         for k, v in dp.items():
             grads[f"b{i}_{k}"] = v
-    return value, grads
+    return grads
 
 
 def _probe(seed, shape):
@@ -375,9 +393,16 @@ def _probe(seed, shape):
 
 
 def _build_case(op, seed):
-    """Returns (arrays, value_and_grads) for one gradcheck op."""
+    """Returns (arrays, value, grads) for one gradcheck op.
+
+    ``value(arrays)`` runs only the forward pass and returns the scalar
+    being differentiated; ``grads(arrays)`` returns its analytic gradient
+    with respect to each checked array, keyed like ``arrays``.
+    """
     if op in ("mfe", "mfe_dice"):
-        f = lambda a: _mfe_value_and_grads(a, op == "mfe_dice")
+        composite = op == "mfe_dice"
+        value = lambda a: _mfe_value(a, composite)
+        grads = lambda a: _mfe_grads(a, composite)
         for attempt in range(512):
             s = seed + 7919 * attempt
             arrays = _mfe_arrays_try(s)
@@ -390,8 +415,8 @@ def _build_case(op, seed):
                 arrays["_dice_y"] = (rng.uniform01(s, int(np.prod(size)),
                                                    start=5_000_000)
                                      .reshape(size) > 0.5).astype(np.float64)
-            if _grad_norms_clear(f(arrays)[1]):
-                return arrays, f
+            if _grad_norms_clear(grads(arrays)):
+                return arrays, value, grads
         raise RuntimeError(f"could not build a well-conditioned {op} fixture")
 
     if op == "conv":
@@ -401,11 +426,12 @@ def _build_case(op, seed):
                   "b": _draw(seed, 2, (c,), -0.3, 0.3),
                   "_probe": _probe(seed, (c, size, size))}
 
-        def f(a):
-            out = conv2d_3x3(a["x"], a["w"], a["b"])
+        def grads(a):
             dx, dw, db = conv2d_3x3_vjp(a["x"], a["w"], a["_probe"])
-            return float(np.sum(a["_probe"] * out)), {"x": dx, "w": dw, "b": db}
-        return arrays, f
+            return {"x": dx, "w": dw, "b": db}
+        return (arrays,
+                lambda a: float(np.sum(a["_probe"] * conv2d_3x3(a["x"], a["w"], a["b"]))),
+                grads)
 
     if op == "group_norm":
         c, size, groups = 4, 4, 2
@@ -414,45 +440,40 @@ def _build_case(op, seed):
                   "beta": _draw(seed, 2, (c,), -0.3, 0.3),
                   "_probe": _probe(seed, (c, size, size))}
 
-        def f(a):
-            out = group_norm(a["x"], a["gamma"], a["beta"], groups)
+        def grads(a):
             dx, dgamma, dbeta = group_norm_vjp(a["x"], a["gamma"], groups,
                                                1e-5, a["_probe"])
-            return (float(np.sum(a["_probe"] * out)),
-                    {"x": dx, "gamma": dgamma, "beta": dbeta})
-        return arrays, f
+            return {"x": dx, "gamma": dgamma, "beta": dbeta}
+        return (arrays,
+                lambda a: float(np.sum(a["_probe"] * group_norm(
+                    a["x"], a["gamma"], a["beta"], groups))),
+                grads)
 
     if op == "bilinear":
         arrays = {"x": _draw(seed, 0, (2, 3, 4)), "_probe": _probe(seed, (2, 5, 7))}
-
-        def f(a):
-            out = bilinear_resize(a["x"], 5, 7)
-            return (float(np.sum(a["_probe"] * out)),
-                    {"x": bilinear_resize_vjp(a["_probe"], 3, 4)})
-        return arrays, f
+        return (arrays,
+                lambda a: float(np.sum(a["_probe"] * bilinear_resize(a["x"], 5, 7))),
+                lambda a: {"x": bilinear_resize_vjp(a["_probe"], 3, 4)})
 
     if op == "relu":
         x = _draw(seed, 0, (4, 4), -1.0, 1.0)
         x = x + np.where(x >= 0, 0.1, -0.1)          # keep 0.1 clear of the kink
         arrays = {"x": x, "_probe": _probe(seed, (4, 4))}
-
-        def f(a):
-            return (float(np.sum(a["_probe"] * relu(a["x"]))),
-                    {"x": a["_probe"] * (a["x"] > 0)})
-        return arrays, f
+        return (arrays,
+                lambda a: float(np.sum(a["_probe"] * relu(a["x"]))),
+                lambda a: {"x": a["_probe"] * (a["x"] > 0)})
 
     if op == "dense_block":
         c, size, groups = 4, 4, 2
 
-        def f(a):
-            blk = _to_block({**{k: a[k] for k in
-                                ("conv_w", "conv_b", "gn_gamma", "gn_beta")},
-                             "groups": a["_groups"]})
-            out, cache = _dense_block_cache(a["x"], blk)
+        def value(a):
+            return float(np.sum(a["_probe"] * dense_block(a["x"], _block_of(a))))
+
+        def grads(a):
+            blk = _block_of(a)
+            _, cache = _dense_block_cache(a["x"], blk)
             dx, dp = _dense_block_vjp(cache, blk, a["_probe"])
-            grads = {"x": dx}
-            grads.update(dp)
-            return float(np.sum(a["_probe"] * out)), grads
+            return {"x": dx, **dp}
 
         for attempt in range(512):
             s = seed + 7919 * attempt
@@ -463,27 +484,27 @@ def _build_case(op, seed):
             arrays = {"x": x, "_probe": 0.5 * _probe(s, (c, size, size)),
                       "_groups": groups}
             arrays.update({k: v for k, v in p.items() if k != "groups"})
-            if _grad_norms_clear(f(arrays)[1]):
-                return arrays, f
+            if _grad_norms_clear(grads(arrays)):
+                return arrays, value, grads
         raise RuntimeError("could not build a well-conditioned dense_block fixture")
 
     if op == "dice":
         arrays = {"m": _draw(seed, 0, (8, 8), 0.05, 0.95),
                   "_y": (_draw(seed, 1, (8, 8), 0, 1) > 0.5).astype(np.float64)}
-        return arrays, lambda a: (lambda v, g: (v, {"m": g}))(
-            *dice_loss_grad(a["m"], a["_y"]))
+        return (arrays, lambda a: dice_loss(a["m"], a["_y"]),
+                lambda a: {"m": dice_loss_grad(a["m"], a["_y"])[1]})
 
     if op == "iou":
         arrays = {"m": _draw(seed, 0, (8, 8), 0.05, 0.95),
                   "_y": (_draw(seed, 1, (8, 8), 0, 1) > 0.5).astype(np.float64)}
-        return arrays, lambda a: (lambda v, g: (v, {"m": g}))(
-            *iou_loss_grad(a["m"], a["_y"]))
+        return (arrays, lambda a: iou_loss(a["m"], a["_y"]),
+                lambda a: {"m": iou_loss_grad(a["m"], a["_y"])[1]})
 
     if op == "bce":
         arrays = {"x": _draw(seed, 0, (8, 8), -2.0, 2.0),
                   "_y": (_draw(seed, 1, (8, 8), 0, 1) > 0.5).astype(np.float64)}
-        return arrays, lambda a: (lambda v, g: (v, {"x": g}))(
-            *bce_mask_grad(a["x"], a["_y"]))
+        return (arrays, lambda a: bce_mask(a["x"], a["_y"]),
+                lambda a: {"x": bce_mask_grad(a["x"], a["_y"])[1]})
 
     if op == "focal":
         # probabilities kept off the clamp boundary: the target term's
@@ -491,23 +512,23 @@ def _build_case(op, seed):
         n = 12
         arrays = {"p": _draw(seed, 0, (n,), 0.15, 0.85)}
         target = int(rng.raw64(seed, 1, start=77)[0] % n)
-        return arrays, lambda a: (lambda v, g: (v, {"p": g}))(
-            *focal_loss_grad(a["p"], target))
+        return (arrays, lambda a: focal_loss(a["p"], target),
+                lambda a: {"p": focal_loss_grad(a["p"], target)[1]})
 
     if op == "cross_entropy":
         n, size = 5, 6
         labels = (rng.raw64(seed, size * size, start=33) % (n + 1)).astype(np.int64)
         labels = np.where(labels == n, 255, labels).reshape(size, size)
         arrays = {"x": _draw(seed, 0, (n, size, size), -2.0, 2.0), "_labels": labels}
-        return arrays, lambda a: (lambda v, g: (v, {"x": g}))(
-            *cross_entropy_map_grad(a["x"], a["_labels"], 255))
+        return (arrays, lambda a: cross_entropy_map(a["x"], a["_labels"], 255),
+                lambda a: {"x": cross_entropy_map_grad(a["x"], a["_labels"], 255)[1]})
 
     if op == "cosine":
         arrays = {"v": _draw(seed, 0, (3, 6), -1.0, 1.0),
                   "_c": _draw(seed, 1, (3, 6), -1.0, 1.0)}
         pairs = [(0, 1), (2, 0)]
-        return arrays, lambda a: (lambda v, g: (v, {"v": g}))(
-            *cosine_loss_grad(a["v"], a["_c"], pairs))
+        return (arrays, lambda a: cosine_loss(a["v"], a["_c"], pairs),
+                lambda a: {"v": cosine_loss_grad(a["v"], a["_c"], pairs)[1]})
 
     if op == "class_similarity":
         k, n, c = 3, 4, 6
@@ -515,11 +536,12 @@ def _build_case(op, seed):
                   "_e": _draw(seed, 1, (n, c), -1.0, 1.0),
                   "_probe": _probe(seed, (k, n))}
 
-        def f(a):
+        def grads(a):
             s = sigmoid(a["v"] @ a["_e"].T)
-            dv = (a["_probe"] * s * (1.0 - s)) @ a["_e"]
-            return float(np.sum(a["_probe"] * s)), {"v": dv}
-        return arrays, f
+            return {"v": (a["_probe"] * s * (1.0 - s)) @ a["_e"]}
+        return (arrays,
+                lambda a: float(np.sum(a["_probe"] * class_similarity(a["v"], a["_e"]))),
+                grads)
 
     raise ValueError(f"gradcheck does not support op {op!r}")
 
@@ -535,12 +557,19 @@ def grad_check(op, seed=0, step=1e-3):
     For each differentiable input array of ``op``, the full numeric
     gradient is assembled coordinate by coordinate in float64 and compared
     as |num - ana| / max(|num|, |ana|, 1e-8) with |.| the Euclidean norm
-    over that array; the maximum across arrays is returned.
+    over that array; the maximum across arrays is returned. The analytic
+    gradients are computed once; the 2N perturbed evaluations of an array
+    with N entries run the op's forward pass only.
+
+    A non-finite error on any array (NaN or inf in either gradient) is
+    returned as is, so it fails every ``err < bound`` test. ``step`` must
+    be finite and > 0, else ValueError.
     """
-    arrays, f = _build_case(op, seed)
-    _, analytic = f(arrays)
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, got {step!r}")
+    arrays, value, grads = _build_case(op, seed)
     worst = 0.0
-    for name, ana in analytic.items():
+    for name, ana in grads(arrays).items():
         arr = arrays[name]
         flat = arr.reshape(-1)
         ana_flat = np.asarray(ana, dtype=np.float64).reshape(-1)
@@ -548,12 +577,14 @@ def grad_check(op, seed=0, step=1e-3):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            fp = f(arrays)[0]
+            fp = value(arrays)
             flat[i] = orig - step
-            fm = f(arrays)[0]
+            fm = value(arrays)
             flat[i] = orig
             num[i] = (fp - fm) / (2.0 * step)
         err = (np.linalg.norm(num - ana_flat)
                / max(np.linalg.norm(num), np.linalg.norm(ana_flat), 1e-8))
+        if not math.isfinite(err):
+            return err
         worst = max(worst, err)
     return worst

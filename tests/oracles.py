@@ -222,3 +222,27 @@ def naive_fuse(assignments, centroids, tau):
         mean = np.asarray(vecs[g]) / max(weights[g], 1.0)
         cents_out[g] = mean / max(np.linalg.norm(mean), 1e-12)
     return masks, cents_out.astype(np.float32)
+
+
+def naive_grad_check(arrays, value_and_grads, step=1e-3):
+    """Central differences where every perturbed evaluation runs the full
+    value-and-gradients closure and keeps only the value; worst relative
+    error over the arrays the closure differentiates."""
+    _, analytic = value_and_grads(arrays)
+    worst = 0.0
+    for name, ana in analytic.items():
+        flat = arrays[name].reshape(-1)
+        ana_flat = np.asarray(ana, dtype=np.float64).reshape(-1)
+        num = np.zeros_like(ana_flat)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            fp = value_and_grads(arrays)[0]
+            flat[i] = orig - step
+            fm = value_and_grads(arrays)[0]
+            flat[i] = orig
+            num[i] = (fp - fm) / (2.0 * step)
+        err = (np.linalg.norm(num - ana_flat)
+               / max(np.linalg.norm(num), np.linalg.norm(ana_flat), 1e-8))
+        worst = max(worst, err)
+    return worst

@@ -127,6 +127,13 @@ def test_mfe_and_gradcheck(tmp_path, capsys):
     assert info["op"] == "mfe" and info["max_rel_err"] < 1e-4
 
 
+@pytest.mark.parametrize("step", ["0", "nan", "inf", "-1e-3"])
+def test_gradcheck_rejects_bad_step(capsys, step):
+    assert main(["gradcheck", "--op", "relu", f"--step={step}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "step must be finite and > 0" in captured.err
+
+
 def test_infer_and_eval(fixture_dir, capsys):
     d, fix = fixture_dir
     q = 4.0 * np.concatenate([fix.seen_embeddings.matrix,

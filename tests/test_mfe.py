@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from smseg import mfe
+from smseg import losses, mfe
+from smseg import rng as srng
 from smseg.embeddings import ClassEmbeddings, build_joint_embedding
 
-from oracles import naive_bilinear, naive_conv3x3
+from oracles import naive_bilinear, naive_conv3x3, naive_grad_check
 
 
 def test_conv_identity_kernel():
@@ -92,6 +95,32 @@ def test_bilinear_matches_naive_oracle():
     x = rng.standard_normal((3, 5, 3))
     assert np.allclose(mfe.bilinear_resize(x, 2, 7), naive_bilinear(x, 2, 7),
                        atol=1e-12)
+
+
+def test_lin_weights_cached_and_read_only():
+    for n_in, n_out in ((3, 5), (4, 4)):
+        w = mfe._lin_weights(n_in, n_out)
+        assert w is mfe._lin_weights(n_in, n_out)
+        with pytest.raises(ValueError):
+            w[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bilinear_bitwise_repeatable_with_cached_weights(dtype):
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((2, 3, 4)).astype(dtype)
+    dout = rng.standard_normal((2, 5, 7)).astype(dtype)
+
+    def run():
+        return [mfe.bilinear_resize(x, 5, 7), mfe.bilinear_resize(x, 3, 9),
+                mfe.bilinear_resize_vjp(dout, 3, 4)]
+
+    mfe._lin_weights.cache_clear()
+    fresh = run()
+    for _ in range(2):
+        for a, b in zip(fresh, run()):
+            assert b.dtype == dtype and b.flags.writeable
+            assert a.tobytes() == b.tobytes()
 
 
 def _random_block(rng, c=2, groups=2):
@@ -208,3 +237,102 @@ def test_grad_check_linear_op_is_tight():
 def test_grad_check_unknown_op():
     with pytest.raises(ValueError):
         mfe.grad_check("nope")
+
+
+def _value_before(op, seed):
+    """The value half of ``op``'s value-and-gradients closure as it was when
+    every evaluation also ran the backward pass: through the forward that
+    keeps the VJP cache, or the loss kernel's ``*_grad`` twin."""
+    def probed(a, out):
+        return float(np.sum(a["_probe"] * out))
+
+    def mfe_value(a):
+        fd, _ = mfe._mfe_forward_cache(mfe._pyramid(a), mfe._mfe_params(a))
+        if op == "mfe":
+            return probed(a, fd)
+        total = 0.0
+        for c in range(fd.shape[0]):
+            total += losses.dice_loss_grad(losses.sigmoid(fd[c]), a["_dice_y"][c])[0]
+        return total
+
+    def block(a):
+        return mfe.DenseBlockParams(conv_w=a["conv_w"], conv_b=a["conv_b"],
+                                    gn_gamma=a["gn_gamma"], gn_beta=a["gn_beta"],
+                                    groups=a["_groups"])
+
+    target = int(srng.raw64(seed, 1, start=77)[0] % 12)
+    return {
+        "conv": lambda a: probed(a, mfe.conv2d_3x3(a["x"], a["w"], a["b"])),
+        "group_norm": lambda a: probed(a, mfe.group_norm(a["x"], a["gamma"],
+                                                         a["beta"], 2)),
+        "bilinear": lambda a: probed(a, mfe.bilinear_resize(a["x"], 5, 7)),
+        "relu": lambda a: probed(a, mfe.relu(a["x"])),
+        "dense_block": lambda a: probed(a, mfe._dense_block_cache(a["x"], block(a))[0]),
+        "mfe": mfe_value,
+        "mfe_dice": mfe_value,
+        "dice": lambda a: losses.dice_loss_grad(a["m"], a["_y"])[0],
+        "iou": lambda a: losses.iou_loss_grad(a["m"], a["_y"])[0],
+        "bce": lambda a: losses.bce_mask_grad(a["x"], a["_y"])[0],
+        "focal": lambda a: losses.focal_loss_grad(a["p"], target)[0],
+        "cross_entropy": lambda a: losses.cross_entropy_map_grad(
+            a["x"], a["_labels"], 255)[0],
+        "cosine": lambda a: losses.cosine_loss_grad(a["v"], a["_c"], [(0, 1), (2, 0)])[0],
+        "class_similarity": lambda a: probed(a, losses.sigmoid(a["v"] @ a["_e"].T)),
+    }[op]
+
+
+@pytest.mark.parametrize("op", mfe.GRADCHECK_OPS)
+def test_value_closure_equals_full_closure_value(op):
+    arrays, value, grads = mfe._build_case(op, 0)
+    before = _value_before(op, 0)
+    assert float(value(arrays)).hex() == float(before(arrays)).hex()
+    flat = arrays[next(iter(grads(arrays)))].reshape(-1)
+    flat[0] += 1e-3
+    assert float(value(arrays)).hex() == float(before(arrays)).hex()
+
+
+@pytest.mark.parametrize("op", mfe.GRADCHECK_OPS)
+def test_grad_check_bitwise_equals_full_closure_loop(op):
+    for seed in (0, 1):
+        arrays, _, grads = mfe._build_case(op, seed)
+        before = _value_before(op, seed)
+        want = naive_grad_check(arrays, lambda a: (before(a), grads(a)), 1e-3)
+        assert float(mfe.grad_check(op, seed=seed)).hex() == float(want).hex(), seed
+
+
+def _poisoned(kernel, index, poison):
+    """``kernel`` with output ``index`` replaced by ``poison`` of a copy."""
+    def patched(*args):
+        out = list(kernel(*args))
+        out[index] = poison(np.array(out[index], dtype=np.float64))
+        return tuple(out)
+    return patched
+
+
+def _nan_first(g):
+    g.flat[0] = np.nan
+    return g
+
+
+@pytest.mark.parametrize("op, name, index, poison", [
+    ("bce", "bce_mask_grad", 1, lambda g: np.full_like(g, np.nan)),
+    ("dice", "dice_loss_grad", 1, _nan_first),
+    ("group_norm", "group_norm_vjp", 2, _nan_first),     # last of three arrays
+])
+def test_grad_check_fails_on_nan_analytic_gradient(op, name, index, poison,
+                                                   monkeypatch):
+    monkeypatch.setattr(mfe, name, _poisoned(getattr(mfe, name), index, poison))
+    err = mfe.grad_check(op, seed=0)
+    assert math.isnan(err) and not err < 1e-4
+
+
+def test_grad_check_fails_on_nan_value(monkeypatch):
+    monkeypatch.setattr(mfe, "bce_mask", lambda x, y: float("nan"))
+    err = mfe.grad_check("bce", seed=0)
+    assert math.isnan(err) and not err < 1e-4
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf")])
+def test_grad_check_rejects_bad_step(step):
+    with pytest.raises(ValueError, match="step"):
+        mfe.grad_check("relu", step=step)
