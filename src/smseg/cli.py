@@ -8,6 +8,7 @@ paths resolved against the JSON file's directory.
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -187,6 +188,8 @@ def _cmd_mfe(args):
 
 def _cmd_gradcheck(args):
     err = grad_check(args.op, seed=args.seed, step=args.step)
+    if not math.isfinite(err):
+        raise ValueError(f"gradcheck {args.op}: relative error is {err}")
     print(json.dumps({"op": args.op, "seed": args.seed, "step": args.step,
                       "max_rel_err": err}))
 

@@ -9,12 +9,21 @@ output.
 
 The solve runs in two phases. Phase one is a shortest-augmenting-path
 Kuhn-Munkres over targets (float64 potentials) that yields the optimal
-total. Phase two canonicalizes: it fixes pairs greedily in (query,
-target) order, keeping a pair only when some completion still reaches the
-optimal total. Totals are compared with ``math.fsum`` (correctly rounded,
-order independent), so the equality test is robust to summation order.
-Phase two prunes candidates by reduced cost using phase one's dual
-potentials and rescans without pruning if the pruned pass comes up empty.
+total and optimal duals: u per target and v <= 0 per query, with v = 0 on
+every query phase one leaves unmatched. Under those duals the optimal
+assignments are exactly the matchings that use only tight edges (reduced
+cost within ``rc_tol`` of zero), cover every target and cover every query
+whose dual is negative (Crouse, IEEE TAES 2016). Phase two makes that
+graph square with K - T dummy columns, each tight to every query whose
+dual may be zero, and canonicalizes: in ascending query order, each query
+takes the smallest real column it can reach by an alternating cycle
+through the queries not yet fixed, found by one breadth-first search in
+the tight graph, or stays on a dummy. Totals are compared with
+``math.fsum`` (correctly rounded, order independent). If the chosen pairs
+do not reach phase one's total, which a tolerance-tight edge can cause,
+the re-solve path decides instead: it fixes pairs greedily in (query,
+target) order and keeps a pair only when a full re-solve of the rest
+still reaches the optimal total.
 
 ``split_match`` runs the solver independently for the seen and candidate
 query groups and concatenates the results into one assignment, so a pair
@@ -117,30 +126,17 @@ def _min_completion(cost, rows, cols):
     return math.fsum(entries), entries
 
 
-def hungarian(cost, group="combined"):
-    """Min-cost injective target->query assignment with lexicographic ties.
+def _resolve_phase_two(cost, best_total, reduced, rc_tol):
+    """Canonicalize by re-solves: the reference path and the fallback.
 
-    ``cost`` is (K queries, T targets) with T <= K and finite entries.
-    T = 0 yields an empty assignment with every query unmatched.
+    Fixes pairs greedily in (query, target) order and keeps a pair only
+    when an optimal ``_lsa`` completion of the remaining targets still
+    reaches ``best_total`` (compared with ``math.fsum``). Candidates are
+    pruned by reduced cost first and rescanned without pruning if the
+    pruned pass comes up empty. Returns the (q, t, cost) pairs in
+    discovery order.
     """
-    cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2:
-        raise ValueError(f"cost matrix must be rank 2, got shape {cost.shape}")
     k, t = cost.shape
-    if t > k:
-        raise ValueError(f"{t} targets exceed {k} queries")
-    if cost.size and not np.isfinite(cost).all():
-        raise ValueError("cost matrix contains non-finite entries")
-    if t == 0:
-        return Assignment(pairs=[], group=group,
-                          unmatched_queries=list(range(k))).validate()
-
-    col_of_row, u_t, v_q = _lsa(cost.T)
-    best_total = math.fsum(float(cost[col_of_row[i], i]) for i in range(t))
-    # reduced cost of (query q, target i) under phase-one potentials
-    reduced = cost - v_q[:, None] - u_t[None, :]
-    rc_tol = 1e-9 * (1.0 + float(np.abs(cost).max()))
-
     fixed = []                        # (q, t, cost) in discovery order
     fixed_costs = []
     rem_q = list(range(k))
@@ -183,6 +179,98 @@ def hungarian(cost, group="combined"):
         fixed_costs.append(float(cost[q, tt]))
         rem_q.remove(q)
         rem_t.remove(tt)
+    return fixed
+
+
+def _tight_phase_two(cost, col_of_row, v_q, reduced, rc_tol):
+    """Lexicographically smallest optimum among the tight-edge matchings.
+
+    The problem is made square with K - T dummy columns (indices >= T),
+    each tight to every query whose dual may be zero. Starting from phase
+    one's matching, queries are fixed in ascending order; query q takes
+    the smallest real column it can get by rotating an alternating cycle
+    through unfixed queries, or stays on a dummy. Returns (q, t, cost)
+    pairs in query order, or None when a starting edge is not tight.
+    """
+    k, t = cost.shape
+    tight = np.empty((k, k), dtype=bool)
+    tight[:, :t] = reduced <= rc_tol
+    tight[:, t:] = (v_q >= -rc_tol)[:, None]
+    mate = np.full(k, -1, dtype=np.int64)          # column of each query
+    mate[col_of_row] = np.arange(t)
+    mate[mate < 0] = np.arange(t, k)
+    if not tight[np.arange(k), mate].all():
+        return None
+    owner = np.empty(k, dtype=np.int64)            # query of each column
+    owner[mate] = np.arange(k)
+    fixed = np.zeros(k, dtype=bool)
+    nxt = np.empty(k, dtype=np.int64)
+
+    for q in range(k):
+        # real columns q could take: tight, and held by an unfixed query
+        cands = np.flatnonzero(tight[q, :t] & ~fixed[owner[:t]])
+        if cands.size and cands[0] != mate[q]:
+            # reverse BFS: a reaches b when a can take b's column
+            seen = fixed.copy()                    # fixed queries never move
+            seen[q] = True
+            frontier = np.array([q])
+            while frontier.size and not seen[owner[cands[0]]]:
+                sub = tight[:, mate[frontier]]
+                new = np.flatnonzero(sub.any(axis=1) & ~seen)
+                seen[new] = True
+                nxt[new] = frontier[sub[new].argmax(axis=1)]
+                frontier = new
+            reached = cands[seen[owner[cands]]]
+            if reached.size and reached[0] != mate[q]:
+                path = [q]
+                a = int(owner[reached[0]])
+                while a != q:
+                    path.append(a)
+                    a = int(nxt[a])
+                mate[path] = mate[np.roll(path, -1)]
+                owner[mate[path]] = path
+        fixed[q] = True
+
+    return [(q, int(mate[q]), float(cost[q, mate[q]]))
+            for q in range(k) if mate[q] < t]
+
+
+def hungarian(cost, group="combined"):
+    """Min-cost injective target->query assignment with lexicographic ties.
+
+    ``cost`` is (K queries, T targets) with T <= K and finite entries.
+    T = 0 yields an empty assignment with every query unmatched. Among all
+    optimal assignments (totals compared with ``math.fsum``) the one whose
+    pairs, sorted by query, form the lexicographically smallest sequence
+    is returned.
+
+    Phase one (``_lsa`` over targets) yields the optimal total and dual
+    potentials. Phase two searches the tight-edge subgraph under those
+    duals, made square by dummy columns (``_tight_phase_two``). If its
+    pairs do not reach phase one's ``fsum`` total, the re-solve path
+    (``_resolve_phase_two``) decides instead.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2:
+        raise ValueError(f"cost matrix must be rank 2, got shape {cost.shape}")
+    k, t = cost.shape
+    if t > k:
+        raise ValueError(f"{t} targets exceed {k} queries")
+    if cost.size and not np.isfinite(cost).all():
+        raise ValueError("cost matrix contains non-finite entries")
+    if t == 0:
+        return Assignment(pairs=[], group=group,
+                          unmatched_queries=list(range(k))).validate()
+
+    col_of_row, u_t, v_q = _lsa(cost.T)
+    best_total = math.fsum(float(cost[col_of_row[i], i]) for i in range(t))
+    # reduced cost of (query q, target i) under phase-one potentials
+    reduced = cost - v_q[:, None] - u_t[None, :]
+    rc_tol = 1e-9 * (1.0 + float(np.abs(cost).max()))
+
+    fixed = _tight_phase_two(cost, col_of_row, v_q, reduced, rc_tol)
+    if fixed is None or math.fsum(c for _, _, c in fixed) != best_total:
+        fixed = _resolve_phase_two(cost, best_total, reduced, rc_tol)
 
     pairs = [Pair(q, tt, c, group) for q, tt, c in sorted(fixed)]
     matched = {p.query for p in pairs}

@@ -134,6 +134,16 @@ def test_gradcheck_rejects_bad_step(capsys, step):
     assert captured.out == "" and "step must be finite and > 0" in captured.err
 
 
+def test_gradcheck_non_finite_error_exits_1(capsys, monkeypatch):
+    def nan_grad(x, y):
+        return 0.0, np.full_like(x, np.nan)
+    monkeypatch.setattr("smseg.mfe.bce_mask_grad", nan_grad)
+    assert main(["gradcheck", "--op", "bce"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bce" in captured.err and "nan" in captured.err
+
+
 def test_infer_and_eval(fixture_dir, capsys):
     d, fix = fixture_dir
     q = 4.0 * np.concatenate([fix.seen_embeddings.matrix,

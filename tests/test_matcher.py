@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from smseg import losses as L
+from smseg import matcher as M
 from smseg.embeddings import ClassEmbeddings, build_joint_embedding
 from smseg.matcher import Assignment, Pair, hungarian, split_match
 
@@ -62,6 +64,91 @@ def test_random_ties_match_reference():
         assert a.total_cost == best
         assert tuple((p.query, p.target) for p in a.pairs) == \
             lexicographic_optimum(cost)
+
+
+def _resolve_pairs(cost):
+    """Pairs of the re-solve phase two, run on hungarian's phase one."""
+    col_of_row, u_t, v_q = M._lsa(cost.T)
+    best = math.fsum(float(cost[col_of_row[i], i]) for i in range(cost.shape[1]))
+    reduced = cost - v_q[:, None] - u_t[None, :]
+    rc_tol = 1e-9 * (1.0 + float(np.abs(cost).max()))
+    return sorted((q, t) for q, t, _ in
+                  M._resolve_phase_two(cost, best, reduced, rc_tol))
+
+
+def test_tight_phase_two_equals_resolves(monkeypatch):
+    resolve, fallbacks = M._resolve_phase_two, []
+
+    def spy(*args):
+        fallbacks.append(args[0])
+        return resolve(*args)
+
+    monkeypatch.setattr(M, "_resolve_phase_two", spy)
+    rng = np.random.default_rng(8)
+    for i in range(300):
+        k = int(rng.integers(1, 31))
+        t = int(rng.integers(1, min(k, 15) + 1))
+        kind = i % 4
+        if kind == 0:                                      # quarter grid
+            cost = np.rint(4.0 * rng.random((k, t))) / 4.0
+        elif kind == 1:
+            cost = rng.integers(0, 3, size=(k, t)).astype(np.float64)
+        else:
+            cost = rng.random((k, t))
+            if kind == 3:                                  # duplicated rows
+                cost = cost[np.sort(rng.integers(0, k, size=k))]
+        got = [(p.query, p.target) for p in hungarian(cost).pairs]
+        # exact arithmetic: the tight-graph search decides without fallback
+        assert kind > 1 or not fallbacks, (kind, cost)
+        assert got == _resolve_pairs(cost), (kind, cost)
+        fallbacks.clear()
+
+
+def test_tight_phase_two_small_ties_vs_reference():
+    rng = np.random.default_rng(9)
+    for i in range(300):
+        k = int(rng.integers(1, 7))
+        t = int(rng.integers(1, k + 1))
+        if i % 2:
+            cost = rng.integers(0, 3, size=(k, t)).astype(np.float64)
+        else:
+            cost = np.rint(4.0 * rng.random((k, t))) / 4.0
+        got = tuple((p.query, p.target) for p in hungarian(cost).pairs)
+        assert got == lexicographic_optimum(cost), cost
+
+
+def test_fsum_mismatch_falls_back_to_resolves(monkeypatch):
+    # both assignments are tight under rc_tol, but only the second one
+    # reaches the optimal fsum total
+    cost = np.array([[1e-7, 1e3], [0.0, 1e3 + 1e-7]])
+    calls = {"resolve": 0, "hungarian": 0}
+    resolve, solve = M._resolve_phase_two, M.hungarian
+
+    def spy_resolve(*args):
+        calls["resolve"] += 1
+        return resolve(*args)
+
+    def spy_hungarian(*args, **kwargs):
+        calls["hungarian"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(M, "_resolve_phase_two", spy_resolve)
+    monkeypatch.setattr(M, "hungarian", spy_hungarian)
+    a = M.hungarian(cost)
+    assert calls == {"resolve": 1, "hungarian": 1}
+    assert [(p.query, p.target) for p in a.pairs] == [(0, 1), (1, 0)]
+
+
+def test_pair_fields_are_python_scalars():
+    rng = np.random.default_rng(10)
+    for cost in (rng.integers(0, 2, size=(6, 4)).astype(np.float64),
+                 rng.random((6, 4))):
+        for p in hungarian(cost).pairs:
+            assert type(p.query) is int and type(p.target) is int
+            assert type(p.cost) is float
+    joint, ps, pu, st, ct = _random_group_fixture(rng, 4, 3, 2, 2)
+    a = split_match(ps, pu, st, ct, joint, L.CostWeights())
+    json.dumps([p._asdict() for p in a.pairs])
 
 
 def test_determinism():
