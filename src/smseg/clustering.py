@@ -7,15 +7,20 @@ point the same way, then keep only masks that live inside the unannotated
 region and are large enough to matter.
 
 Determinism contract: every reduction below has a fixed order (window
-sums accumulate f64 in row-major pixel order, per-cluster sums scatter in
+sums accumulate f64 in row-major pixel order, per-cluster sums add in
 pixel order), and K-means scores pixels in row blocks whose size depends
 only on the number of centroids and a fixed byte budget, never on threads
-or the host, so identical inputs give bitwise identical outputs no matter
-how the surrounding process is threaded. The one exception is BLAS itself:
-OpenBLAS may round the corner tiles of a matrix product (last rows x last
-few columns) differently with other thread splits or row counts, so the
-tests check whole pipeline runs across thread counts and the blocked
-products against a single dense one.
+or the host. K-means picks do not depend on BLAS either. A pick is defined
+in float64: the centroid of largest similarity (smallest d2) under a dot
+that adds channels in order, the first index among exact ties. A float32
+BLAS product only proposes it. The proposal stands when its lead over the
+runner-up exceeds a bound on the product's rounding error, which holds
+for any order BLAS sums in; every other pixel is rescored by the
+fixed-order dot over the centroids within that bound. So identical inputs
+give bitwise identical outputs however the surrounding process is
+threaded. The one BLAS product in this module whose rounding can still
+reach an output is the centroid similarity that ``fuse_masks`` compares
+with ``tau``.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +29,8 @@ import numpy as np
 
 _METRICS = ("cosine", "euclidean")
 _NORM_FLOOR = 1e-12
-_BLOCK_BYTES = 32 * 2 ** 20      # f64 similarity block budget of one K-means step
+_BLOCK_BYTES = 8 * 2 ** 20       # f32 proposal block budget of one K-means step
+_U32, _U64 = 2.0 ** -24, 2.0 ** -53    # unit roundoffs
 
 
 @dataclass(frozen=True)
@@ -139,6 +145,134 @@ def _normalize_rows(x):
     return x / np.maximum(norms, _NORM_FLOOR)
 
 
+def _group_sums(group, rows, n):
+    """(n, C) per-group sums of ``rows``, each group added in row order."""
+    return np.stack([np.bincount(group, weights=col, minlength=n)
+                     for col in rows.T], axis=1)
+
+
+@dataclass(frozen=True)
+class _Pixels:
+    """What one ``kmeans`` run knows about its pixels."""
+
+    x_t: np.ndarray                      # (C, P) f64, channel-major
+    x32: np.ndarray                      # (P, D) f32 proposal rows: x, or [x, 1]
+    sq_x: np.ndarray                     # (P,) |x|^2
+    norm: np.ndarray                     # (P,) |x~|, the proposal row's norm
+    live: np.ndarray                     # (P,) bool, x~ has a nonzero entry
+    cosine: bool
+
+
+def _propose(x32, c32):
+    """Float32 scores of one row block against every centroid."""
+    return x32 @ c32.T
+
+
+def _margins(px, sq_c):
+    """Per-pixel gap by which a float32 proposal is certainly the pick.
+
+    For D-wide proposal rows, in any summation order, |x~.c~ - fl32(x~.c~)|
+    <= eps = gamma_{D+2} |x~| max|c~| (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 3.1), plus 2^-149 D (|x~| + max|c~| + 1)
+    for subnormal rounding unless x~ is zero. The margin is 2.5 eps: the
+    errors of two scores plus half an eps, which covers any float64 dot,
+    the fixed-order one included. Euclidean adds the float64 rounding of
+    (sq_x - 2 dot) + sq_c. Where float32 could overflow, the margin is
+    infinite and every centroid is a candidate.
+    """
+    width, top_sq = px.x32.shape[1], np.max(sq_c)
+    norm_c = np.sqrt(top_sq if px.cosine else top_sq + 0.25 * top_sq ** 2)  # max |c~|
+    gamma = (width + 2) * _U32 / (1.0 - (width + 2) * _U32)
+    margin = 2.5 * (gamma * px.norm * norm_c
+                    + px.live * (2.0 ** -149 * width * (px.norm + norm_c + 1.0)))
+    if not px.cosine:
+        margin += 4.0 * _U64 * (np.sqrt(px.sq_x) + np.sqrt(top_sq)) ** 2
+    margin[(px.norm + 1.0) * (norm_c + 1.0) >= 2.0 ** 126] = np.inf
+    return margin
+
+
+def _score(px, r, c_t, j, sq_c):
+    """Similarity (cosine) or d2 (euclidean) of pixels ``r`` to centroids ``j``.
+
+    ``c_t`` is the (C, k) channel-major centroids. The dot adds one channel
+    at a time in channel order with plain elementwise multiplies and adds,
+    so no BLAS kernel, thread split or operand layout can move a bit of it
+    (``np.einsum`` sums in a layout-dependent order).
+    """
+    d = px.x_t[0, r] * c_t[0, j]
+    for q in range(1, len(c_t)):
+        d += px.x_t[q, r] * c_t[q, j]
+    return d if px.cosine else (px.sq_x[r] - 2.0 * d) + sq_c[j]
+
+
+def _rescore(px, pairs, c_t, sq_c, assign):
+    """Set each listed pixel's pick to its exact best candidate.
+
+    ``pairs`` holds (pixels, centroids) arrays, pixels ascending and each
+    pixel's centroids ascending. The pick is the first index among exact
+    maxima of the similarity (minima of d2).
+    """
+    pix = np.concatenate([p for p, _ in pairs])
+    cols = np.concatenate([c for _, c in pairs])
+    val = _score(px, pix, c_t, cols, sq_c)
+    if not px.cosine:
+        val = -val
+    starts = np.flatnonzero(np.diff(pix, prepend=-1))
+    best = np.repeat(np.maximum.reduceat(val, starts), np.diff(starts, append=len(pix)))
+    hits = np.where(val == best, np.arange(len(val)), len(val))
+    assign[pix[starts]] = cols[np.minimum.reduceat(hits, starts)]
+
+
+def _assign_step(px, cents, assign):
+    """One Lloyd assignment: propose in float32, certify, rescore the rest.
+
+    Fills ``assign`` with each pixel's pick and returns its similarity or
+    d2 there. Uncertain pixels' candidate pairs are held until about
+    ``hold`` of them accumulate, so rescoring memory stays bounded even
+    when every pixel is uncertain.
+    """
+    k = len(cents)
+    sq_c = np.sum(cents * cents, axis=1)
+    with np.errstate(over="ignore"):
+        c32 = (cents if px.cosine                  # euclidean: x.c - |c|^2/2
+               else np.column_stack([cents, -0.5 * sq_c])).astype(np.float32)
+    c_t = np.ascontiguousarray(cents.T)
+    margin = _margins(px, sq_c)
+    rows = max(1, _BLOCK_BYTES // (4 * k))
+    hold = _BLOCK_BYTES // 64
+    step = max(1, hold // k)                  # uncertain pixels per batch
+    pairs, held = [], 0
+    for s in range(0, len(assign), rows):
+        blk = slice(s, s + rows)
+        # float32 overflow only hits pixels whose margin is infinite
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = _propose(px.x32[blk], c32)
+            pick = np.argmax(scores, axis=1)
+            at = np.arange(len(pick))
+            top = scores[at, pick]
+            scores[at, pick] = -np.inf
+            gap = top.astype(np.float64) - np.max(scores, axis=1)
+            scores[at, pick] = top
+            m = margin[blk]
+            floor = top - m
+        assign[blk] = pick
+        # A zero margin is an all-zero pixel: every score is exactly zero
+        # and argmax already took the first index.
+        unsure = np.flatnonzero(~(gap > m) & (m > 0))
+        for a in range(0, len(unsure), step):
+            u = unsure[a:a + step]
+            near, cols = np.nonzero(~(scores[u] < floor[u, None]))
+            pairs.append((s + u[near], cols))
+            held += len(cols)
+            if held > hold:
+                _rescore(px, pairs, c_t, sq_c, assign)
+                pairs, held = [], 0
+        del scores                            # one block alive at a time
+    if pairs:
+        _rescore(px, pairs, c_t, sq_c, assign)
+    return _score(px, slice(None), c_t, assign, sq_c)
+
+
 def kmeans(feats, seeds, cfg):
     """Lloyd iterations initialized at the given seeds.
 
@@ -147,11 +281,17 @@ def kmeans(feats, seeds, cfg):
     sum(1 - cos). Euclidean uses squared distance. Iteration stops at
     ``kmeans_iters`` or when the objective improves by less than
     ``kmeans_tol``. Clusters that lose all members are dropped and ids
-    compacted; no reseeding, so the run stays deterministic.
+    compacted; no reseeding, so the run stays deterministic. ``feats``
+    and ``seeds`` must be finite (ValueError otherwise).
 
-    Pixels are scored against the centroids ``_BLOCK_BYTES // (8 * k)``
-    rows at a time (at least one), so memory stays O(block) instead of
-    O(pixels x k); the objective is still one sum over all pixels.
+    Each pixel takes the centroid of largest float64 similarity (smallest
+    d2) under a fixed-order dot, the first index among exact ties, so of
+    equal seeds only the first ever takes pixels. A float32 product
+    proposes the pick for ``_BLOCK_BYTES // (4 * k)`` pixels at a time (at
+    least one), a rounding bound certifies it, and the few uncertified
+    pixels are rescored in float64 (see the module docstring). The
+    objective sums the fixed-order scores at the picks; centroid sums add
+    in pixel order.
     """
     seed_rows = seeds.seeds if isinstance(seeds, SeedSet) else np.asarray(seeds)
     if len(seed_rows) == 0:
@@ -159,28 +299,29 @@ def kmeans(feats, seeds, cfg):
     c, h, w = np.asarray(feats).shape
     x = np.asarray(feats, dtype=np.float64).reshape(c, h * w).T   # (P, C)
     cents = np.asarray(seed_rows, dtype=np.float64).copy()
+    for name, arr in (("feats", x), ("seeds", cents)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"kmeans {name} must be finite, got NaN or inf")
     cosine = cfg.metric == "cosine"
     if cosine:
         x = _normalize_rows(x)
         cents = _normalize_rows(cents)
+    # A later copy of a centroid ties with the first everywhere and never
+    # takes a pixel, so copies are dropped before they are scored.
+    cents = cents[np.sort(np.unique(cents, axis=0, return_index=True)[1])]
 
+    sq_x = np.sum(x * x, axis=1)
+    x32 = np.empty((len(x), c if cosine else c + 1), dtype=np.float32)
+    x32[:, :c] = x
+    if not cosine:
+        x32[:, c] = 1.0
+    px = _Pixels(x_t=x.T, x32=x32, sq_x=sq_x,
+                 norm=np.sqrt(sq_x if cosine else sq_x + 1.0),
+                 live=np.any(x, axis=1) | (not cosine), cosine=cosine)
     trace = []
     assign = np.empty(len(x), dtype=np.int64)
-    chosen = np.empty(len(x))                 # similarity or d2 at the pick
-    sq_x = np.sum(x * x, axis=1)
     for it in range(cfg.kmeans_iters):
-        rows = max(1, _BLOCK_BYTES // (8 * len(cents)))
-        sq_c = np.sum(cents * cents, axis=1)
-        for s in range(0, len(x), rows):
-            blk = x[s:s + rows] @ cents.T
-            if not cosine:            # (sq_x - 2 x.c) + sq_c, in place
-                blk *= 2.0
-                np.subtract(sq_x[s:s + rows, None], blk, out=blk)
-                blk += sq_c
-            pick = np.argmax(blk, axis=1) if cosine else np.argmin(blk, axis=1)
-            assign[s:s + rows] = pick
-            chosen[s:s + rows] = blk[np.arange(len(pick)), pick]
-            del blk                   # one block alive at a time
+        chosen = _assign_step(px, cents, assign)
         obj = float(np.sum(1.0 - chosen) if cosine
                     else np.sum(np.maximum(chosen, 0.0)))
         trace.append(obj)
@@ -189,8 +330,7 @@ def kmeans(feats, seeds, cfg):
         if it == cfg.kmeans_iters - 1:
             break
         counts = np.bincount(assign, minlength=len(cents))
-        sums = np.zeros_like(cents)
-        np.add.at(sums, assign, x)
+        sums = _group_sums(assign, x, len(cents))
         keep = counts > 0
         cents = sums[keep] / counts[keep, None]
         if cosine:
@@ -248,11 +388,9 @@ def fuse_masks(result, tau=0.9):
                 break
             labels = new
         roots, inverse = np.unique(labels, return_inverse=True)
-        sums = np.zeros((len(roots), vecs.shape[1]))
-        np.add.at(sums, inverse, vecs)
-        merged = np.zeros(len(sums))
-        np.add.at(merged, inverse, weights)
-        vecs, weights, group_of = sums, merged, inverse[group_of]
+        vecs = _group_sums(inverse, vecs, len(roots))
+        weights = np.bincount(inverse, weights=weights, minlength=len(roots))
+        group_of = inverse[group_of]
 
     labels = group_of[assignments]
     masks = (labels[None] == np.arange(len(vecs))[:, None, None]).astype(np.uint8)

@@ -184,3 +184,17 @@ def test_cli_error_exit_code(tmp_path, capsys):
                  "--out-assign", str(tmp_path / "a"),
                  "--out-centroids", str(tmp_path / "c")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cluster_non_finite_features_exit_1(fixture_dir, capsys, bad):
+    d, _ = fixture_dir
+    blob = (d / "O.smtf").read_bytes()
+    (d / "bad.smtf").write_bytes(blob[:-4] + np.array(bad, dtype="<f4").tobytes())
+    assert main(["cluster", "--features", str(d / "bad.smtf"),
+                 "--out-assign", str(d / "a.smtf"),
+                 "--out-centroids", str(d / "c.smtf")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "NaN or Inf" in captured.err
+    assert not (d / "a.smtf").exists()

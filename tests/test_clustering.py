@@ -139,18 +139,17 @@ def _blob_features(h, w, dim=16, seed=0):
     return np.ascontiguousarray(fix.features[:, :h, :w])
 
 
-def _assert_lloyd_oracle(feats, seeds, cfg, exact_trace=True):
+def _assert_lloyd_oracle(feats, seeds, cfg):
+    # The objective adds a fixed-order dot per pixel where the oracle reads
+    # a BLAS product, so it is compared to rounding; the rest bitwise.
     result = cl.kmeans(feats, seeds, cfg)
     assign, cents, trace = naive_lloyd(feats, seeds, cfg.kmeans_iters,
                                        cfg.kmeans_tol, cfg.metric)
     assert result.assignments.dtype == np.int32
     assert result.assignments.tobytes() == assign.tobytes()
     assert result.centroids.tobytes() == cents.tobytes()
-    if exact_trace:
-        assert np.array(result.objective_trace).tobytes() == np.array(trace).tobytes()
-    else:
-        assert len(result.objective_trace) == len(trace)
-        assert np.allclose(result.objective_trace, trace, rtol=1e-12, atol=0.0)
+    assert len(result.objective_trace) == len(trace)
+    assert np.allclose(result.objective_trace, trace, rtol=1e-12, atol=0.0)
     return result
 
 
@@ -172,7 +171,7 @@ def test_kmeans_and_fuse_bitwise_vs_dense_oracle(metric, h, w):
     feats = _blob_features(h, w, seed=h + w)
     cfg = cl.WindowConfig(window_sizes=(8, 16, 32), kmeans_iters=4, metric=metric)
     seeds = cl.multi_scale_seeds(feats, cfg).seeds
-    rows = max(1, cl._BLOCK_BYTES // (8 * len(seeds)))
+    rows = max(1, cl._BLOCK_BYTES // (4 * len(seeds)))
     assert rows < h * w and (h * w) % rows != 0
     result = _assert_lloyd_oracle(feats, seeds, cfg)
     for tau in (0.9, 0.5):
@@ -189,7 +188,7 @@ def test_kmeans_one_row_blocks_bitwise_vs_dense_oracle(metric, monkeypatch):
     cfg = cl.WindowConfig(window_sizes=(4, 8), kmeans_iters=5, metric=metric)
     seeds = cl.multi_scale_seeds(feats, cfg).seeds
     monkeypatch.setattr(cl, "_BLOCK_BYTES", 8 * len(seeds) - 1)
-    result = _assert_lloyd_oracle(feats, seeds, cfg, exact_trace=False)
+    result = _assert_lloyd_oracle(feats, seeds, cfg)
     _assert_fuse_oracle(result, 0.9)
 
 
@@ -333,3 +332,94 @@ def test_restrict_shape_mismatch():
         cl.restrict_candidates(np.zeros((1, 4, 4), np.uint8),
                                np.zeros((1, 2), np.float32),
                                np.zeros((5, 5), np.uint8))
+
+
+@pytest.mark.parametrize("where, bad", [("feats", np.nan), ("feats", np.inf),
+                                        ("feats", -np.inf), ("seeds", np.nan),
+                                        ("seeds", np.inf)])
+def test_kmeans_rejects_non_finite_inputs(where, bad):
+    rng = np.random.default_rng(12)
+    feats = rng.standard_normal((3, 6, 6)).astype(np.float32)
+    seeds = rng.standard_normal((4, 3)).astype(np.float32)
+    (feats[1, 2, 3:4] if where == "feats" else seeds[2, 1:2])[:] = bad
+    for metric in ("cosine", "euclidean"):
+        cfg = cl.WindowConfig(window_sizes=(2,), metric=metric)
+        with pytest.raises(ValueError, match=where):
+            cl.kmeans(feats, seeds, cfg)
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_kmeans_proposal_noise_keeps_oracle_picks(metric, monkeypatch):
+    # Moving every float32 proposal by up to 4 ulp, which is more than any
+    # other BLAS split or kernel could, changes the proposal's own argmax
+    # on some pixels but no pick, centroid or iteration count.
+    feats = _blob_features(128, 128, seed=7)
+    cfg = cl.WindowConfig(window_sizes=(8, 16, 32), kmeans_iters=4, metric=metric)
+    seeds = cl.multi_scale_seeds(feats, cfg).seeds
+    rng = np.random.default_rng(20)
+    clean, flips = cl._propose, []
+
+    def noisy(x32, c32):
+        scores = clean(x32, c32)
+        ulps = rng.integers(-4, 5, size=scores.shape).astype(np.float32)
+        moved = scores + ulps * np.spacing(scores)
+        flips.append(np.count_nonzero(np.argmax(moved, 1) != np.argmax(scores, 1)))
+        return moved
+
+    monkeypatch.setattr(cl, "_propose", noisy)
+    _assert_lloyd_oracle(feats, seeds, cfg)
+    assert sum(flips) > 0
+
+
+@pytest.mark.parametrize("metric, seeds, winner", [
+    # cos(2e-6) and cos(1e-6) both round to 1.0 in float32
+    ("cosine", [[np.cos(2e-6), np.sin(2e-6)], [np.cos(1e-6), np.sin(1e-6)]], 1),
+    # x.c - |c|^2/2 is exactly 0.5 in float32 for both; d2 is 2^-30, 2^-32
+    ("euclidean", [[1.0 + 2.0 ** -15, 0.0], [1.0 + 2.0 ** -16, 0.0]], 1),
+    # mirror images: exact ties in float64 too, so the first index wins
+    ("cosine", [[0.6, -0.8], [0.6, 0.8]], 0),
+    ("euclidean", [[1.0, 1.0], [1.0, -1.0]], 0),
+])
+def test_kmeans_float32_ties_are_rescored(metric, seeds, winner, monkeypatch):
+    seeds = np.array(seeds)
+    feats = np.array([1.0, 0.0]).reshape(2, 1, 1)
+    aug = seeds if metric == "cosine" else np.column_stack(
+        [seeds, -0.5 * np.sum(seeds * seeds, axis=1)])
+    proposal = cl._propose(np.float32([[1.0, 0.0, 1.0][:aug.shape[1]]]),
+                           aug.astype(np.float32))
+    assert proposal[0, 0] == proposal[0, 1]
+    rescored, real = [], cl._rescore
+    monkeypatch.setattr(cl, "_rescore", lambda *a: rescored.append(1) or real(*a))
+    cfg = cl.WindowConfig(window_sizes=(1,), kmeans_iters=1, metric=metric)
+    result = _assert_lloyd_oracle(feats, seeds, cfg)
+    assert rescored
+    pick = seeds[winner] / (np.linalg.norm(seeds[winner]) if metric == "cosine" else 1.0)
+    assert result.centroids.tobytes() == pick.astype(np.float32)[None].tobytes()
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_kmeans_duplicate_seeds_keep_first_index(metric):
+    # A later copy ties with the first everywhere, so it never takes a
+    # pixel: the run equals the one without copies, bit for bit.
+    feats = _blob_features(24, 20, seed=3)
+    cfg = cl.WindowConfig(window_sizes=(4, 8), kmeans_iters=5, metric=metric)
+    unique = cl.multi_scale_seeds(feats, cfg).seeds[::3]
+    copies = np.concatenate([unique, unique[::-1], unique[::2]])
+    result = _assert_lloyd_oracle(feats, copies, cfg)
+    alone = cl.kmeans(feats, unique, cfg)
+    assert result.assignments.tobytes() == alone.assignments.tobytes()
+    assert result.centroids.tobytes() == alone.centroids.tobytes()
+    assert result.objective_trace == alone.objective_trace
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_kmeans_flat_map_never_rescores(metric, monkeypatch):
+    # Every window seed of a flat map is the same vector; scoring the
+    # copies would leave every pixel tied across all of them.
+    feats = np.full((4, 32, 32), 0.25, dtype=np.float32)
+    cfg = cl.WindowConfig(window_sizes=(4, 8), kmeans_iters=3, metric=metric)
+    seeds = cl.multi_scale_seeds(feats, cfg)
+    assert len(seeds) > 1 and np.all(seeds.seeds == seeds.seeds[0])
+    monkeypatch.setattr(cl, "_rescore", lambda *a: pytest.fail("rescored"))
+    result = cl.kmeans(feats, seeds, cfg)
+    assert result.centroids.shape[0] == 1 and np.all(result.assignments == 0)
