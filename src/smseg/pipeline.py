@@ -7,12 +7,17 @@ intermediates into the output directory (SMTF for arrays, JSON for
 assignments/metrics), and a stage failure is re-raised as
 :class:`PipelineStageError` carrying the stage name. Given fixed seeds
 the whole run is bitwise reproducible, including the written files.
+
+Each stage with a CLI subcommand is one function here (``cluster``,
+``fuse``, ``embed``, ``match``, ``loss``, ``infer``): ``run_pipeline``
+calls them in order and ``smseg.cli`` calls one per subcommand. The
+config keys are declared once, as ``PipelineConfig`` fields.
 """
 
 import configparser
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,111 +59,107 @@ def _ints(text):
     return tuple(int(t) for t in str(text).replace(" ", "").split(",") if t != "")
 
 
+def _bool(text):
+    """configparser's boolean states: 1/yes/true/on and 0/no/false/off."""
+    state = configparser.ConfigParser.BOOLEAN_STATES.get(text.lower())
+    if state is None:
+        raise ValueError(f"not a boolean: {text!r}")
+    return state
+
+
+def _key(section, key, default, parse=str):
+    """A config field read from ``key`` under ``[section]`` by ``parse``."""
+    return field(default=default, metadata={"ini": (section, key, parse)})
+
+
 @dataclass
 class PipelineConfig:
-    # inputs (paths are resolved against base_dir)
-    features: str = ""
-    seen_labels: str = ""
-    ignore_mask: str = ""            # optional; derived from seen_labels otherwise
-    seen_embeddings: str = ""
-    unseen_embeddings: str = ""      # optional; enables unseen classes at inference
-    gt_labels: str = ""              # optional; enables evaluation
-    candidate_embeddings: str = ""   # optional external region embeddings
+    # inputs, resolved against base_dir; those with a comment are optional
+    features: str = _key("inputs", "features", "")
+    seen_labels: str = _key("inputs", "seen_labels", "")
+    ignore_mask: str = _key("inputs", "ignore_mask", "")        # else from seen_labels
+    seen_embeddings: str = _key("inputs", "seen_embeddings", "")
+    unseen_embeddings: str = _key("inputs", "unseen_embeddings", "")  # unseen classes
+    gt_labels: str = _key("inputs", "gt_labels", "")            # enables evaluation
+    candidate_embeddings: str = _key("inputs", "candidate_embeddings", "")  # external
     # clustering / fusion
-    windows: tuple = (8, 16, 32)
-    kmeans_iters: int = 10
-    kmeans_tol: float = 1e-4
-    metric: str = "cosine"
-    tau: float = 0.9
-    min_area: int = 16
-    # matching
-    weights: CostWeights = field(default_factory=CostWeights)
-    # decoder
-    decoder_mode: str = "oracle"     # "oracle" builds queries from embeddings
-    decoder_params: str = ""
-    queries: str = ""
-    ksplit: tuple = ()
-    layers: int = 1
-    query_scale: float = 4.0
+    windows: tuple = _key("clustering", "windows", WindowConfig.window_sizes, _ints)
+    kmeans_iters: int = _key("clustering", "iters", WindowConfig.kmeans_iters, int)
+    kmeans_tol: float = _key("clustering", "tol", WindowConfig.kmeans_tol, float)
+    metric: str = _key("clustering", "metric", WindowConfig.metric)
+    tau: float = _key("fusion", "tau", 0.9, float)
+    min_area: int = _key("fusion", "min_area", 16, int)
+    # matching: the fields of CostWeights, read back by ``weights``
+    w_cls: float = _key("matching", "w_cls", CostWeights.w_cls, float)
+    w_bce: float = _key("matching", "w_bce", CostWeights.w_bce, float)
+    w_dice: float = _key("matching", "w_dice", CostWeights.w_dice, float)
+    focal_alpha: float = _key("matching", "focal_alpha", CostWeights.focal_alpha, float)
+    focal_gamma: float = _key("matching", "focal_gamma", CostWeights.focal_gamma, float)
+    use_iou_in_loss: bool = _key("matching", "use_iou", CostWeights.use_iou_in_loss, _bool)
+    # decoder; "oracle" builds queries from embeddings, "file" reads them
+    decoder_mode: str = _key("decoder", "mode", "oracle")
+    decoder_params: str = _key("decoder", "params", "")
+    queries: str = _key("decoder", "queries", "")
+    ksplit: tuple = _key("decoder", "ksplit", (), _ints)
+    layers: int = _key("decoder", "layers", 1, int)
+    query_scale: float = _key("decoder", "query_scale", 4.0, float)
     # inference
-    random_queries: int = 50
-    rq_seed: int = 0
-    rq_sigma: float = 0.02
+    random_queries: int = _key("inference", "random_queries", 50, int)
+    rq_seed: int = _key("inference", "seed", 0, int)
+    rq_sigma: float = _key("inference", "sigma", 0.02, float)
     # optional fusion-block loss branch
-    mfe_enabled: bool = False
-    mfe_groups: int = 8
-    mfe_seed: int = 0
-    temperature: float = 0.07
+    mfe_enabled: bool = _key("mfe", "enabled", False, _bool)
+    mfe_groups: int = _key("mfe", "groups", 8, int)
+    mfe_seed: int = _key("mfe", "seed", 0, int)
+    temperature: float = _key("mfe", "temperature", 0.07, float)
     # eval
-    num_classes: int = 0
-    seen_ids: tuple = ()
-    unseen_ids: tuple = ()
-    ignore_id: int = 255
-    percent: bool = True
+    num_classes: int = _key("eval", "num_classes", 0, int)
+    seen_ids: tuple = _key("eval", "seen_ids", (), _ints)
+    unseen_ids: tuple = _key("eval", "unseen_ids", (), _ints)
+    ignore_id: int = _key("eval", "ignore_id", 255, int)
+    percent: bool = _key("eval", "percent", True, _bool)
     # output
-    out_dir: str = "out"
+    out_dir: str = _key("output", "dir", "out")
     base_dir: str = "."
 
     @classmethod
+    def declared(cls):
+        """{(section, key): (field name, parser)} for every config key."""
+        return {f.metadata["ini"][:2]: (f.name, f.metadata["ini"][2])
+                for f in fields(cls) if f.metadata}
+
+    @classmethod
     def from_file(cls, path):
+        """Read a config file. An unknown section or key, or a value its
+        parser rejects, raises ValueError naming it; an empty value keeps
+        the field's default."""
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        read = parser.read(path)
-        if not read:
+        if not parser.read(path):
             raise FileNotFoundError(path)
-        base = Path(path).resolve().parent
-        cfg = cls(base_dir=str(base))
+        declared = cls.declared()
+        values = {"base_dir": str(Path(path).resolve().parent)}
+        for section in parser.sections():
+            if section not in {s for s, _ in declared}:
+                raise ValueError(f"{path}: unknown config section [{section}]")
+            for key, text in parser.items(section):
+                if (section, key) not in declared:
+                    raise ValueError(f"{path}: unknown config key {key!r} in [{section}]")
+                name, parse = declared[section, key]
+                if not text:
+                    continue
+                try:
+                    values[name] = parse(text)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: [{section}] {key}: {exc}") from exc
+        return cls(**values)
 
-        def get(section, key, default=None):
-            if parser.has_option(section, key):
-                return parser.get(section, key)
-            return default
-
-        for key in ("features", "seen_labels", "ignore_mask", "seen_embeddings",
-                    "unseen_embeddings", "gt_labels", "candidate_embeddings"):
-            setattr(cfg, key, get("inputs", key, ""))
-        if get("clustering", "windows"):
-            cfg.windows = _ints(get("clustering", "windows"))
-        cfg.kmeans_iters = int(get("clustering", "iters", cfg.kmeans_iters))
-        cfg.kmeans_tol = float(get("clustering", "tol", cfg.kmeans_tol))
-        cfg.metric = get("clustering", "metric", cfg.metric)
-        cfg.tau = float(get("fusion", "tau", cfg.tau))
-        cfg.min_area = int(get("fusion", "min_area", cfg.min_area))
-        cfg.weights = CostWeights(
-            w_cls=float(get("matching", "w_cls", 1.0)),
-            w_bce=float(get("matching", "w_bce", 1.0)),
-            w_dice=float(get("matching", "w_dice", 1.0)),
-            focal_alpha=float(get("matching", "focal_alpha", 0.25)),
-            focal_gamma=float(get("matching", "focal_gamma", 2.0)),
-            use_iou_in_loss=str(get("matching", "use_iou", "true")).lower() == "true",
-        )
-        cfg.decoder_mode = get("decoder", "mode", cfg.decoder_mode)
-        cfg.decoder_params = get("decoder", "params", "")
-        cfg.queries = get("decoder", "queries", "")
-        if get("decoder", "ksplit"):
-            cfg.ksplit = _ints(get("decoder", "ksplit"))
-        cfg.layers = int(get("decoder", "layers", cfg.layers))
-        cfg.query_scale = float(get("decoder", "query_scale", cfg.query_scale))
-        cfg.random_queries = int(get("inference", "random_queries", cfg.random_queries))
-        cfg.rq_seed = int(get("inference", "seed", cfg.rq_seed))
-        cfg.rq_sigma = float(get("inference", "sigma", cfg.rq_sigma))
-        cfg.mfe_enabled = str(get("mfe", "enabled", "false")).lower() == "true"
-        cfg.mfe_groups = int(get("mfe", "groups", cfg.mfe_groups))
-        cfg.mfe_seed = int(get("mfe", "seed", cfg.mfe_seed))
-        cfg.temperature = float(get("mfe", "temperature", cfg.temperature))
-        cfg.num_classes = int(get("eval", "num_classes", 0))
-        cfg.seen_ids = _ints(get("eval", "seen_ids", ""))
-        cfg.unseen_ids = _ints(get("eval", "unseen_ids", ""))
-        cfg.ignore_id = int(get("eval", "ignore_id", cfg.ignore_id))
-        cfg.percent = str(get("eval", "percent", "true")).lower() == "true"
-        cfg.out_dir = get("output", "dir", cfg.out_dir)
-        return cfg
+    @property
+    def weights(self):
+        return CostWeights(**{f.name: getattr(self, f.name) for f in fields(CostWeights)})
 
     def path(self, name):
         value = getattr(self, name)
-        if not value:
-            return None
-        p = Path(value)
-        return p if p.is_absolute() else Path(self.base_dir) / p
+        return Path(self.base_dir) / value if value else None
 
 
 @dataclass
@@ -190,15 +191,81 @@ def _remap_labels(labels, ids, fill):
     return np.where(keys[pos] == labels, len(ids) - 1 - last[pos], fill)
 
 
-def _assignment_json(assignment, seen_count, k_seen):
-    return {
+# Stage functions: ``run_pipeline`` calls them in order and each CLI
+# subcommand calls one. They reach the library through this module's own
+# imports, so a wrapper put on ``smseg.pipeline.kmeans`` sees every call.
+
+def cluster(feats, windows, iters, tol, metric):
+    """Multi-window seeds refined by Lloyd iterations: a ClusterResult."""
+    wcfg = WindowConfig(window_sizes=windows, kmeans_iters=iters, kmeans_tol=tol,
+                        metric=metric)
+    return kmeans(feats, multi_scale_seeds(feats, wcfg), wcfg)
+
+
+def fuse(clusters, ignore, tau, min_area):
+    """Merge clusters above similarity ``tau``, then keep their parts in the
+    ignore region, as stages "fuse" and "restrict": (fused count, candidates)."""
+    with _stage("fuse"):
+        masks, cents = fuse_masks(clusters, tau=tau)
+    with _stage("restrict"):
+        return len(masks), restrict_candidates(masks, cents, ignore,
+                                               min_area=min_area)
+
+
+def embed(feats, masks, external):
+    """Candidate rows: the ``external`` SMTF file's, renormalized, or else
+    each of the (U, H, W) ``masks`` (None only with ``external``) pooled."""
+    if external:
+        return load_candidate_embeddings(
+            external, expected_count=None if masks is None else len(masks),
+            expected_width=feats.shape[0])
+    if masks is None:
+        raise ValueError("embed needs masks when no external embeddings are given")
+    return pool_region_embeddings(feats, masks)
+
+
+def match(v, m, k_seen, seen_targets, cand_targets, joint, weights):
+    """Split matching of queries [0, k_seen) to the seen targets and the
+    rest to the candidate targets: (Assignment, assign.json payload)."""
+    assignment = split_match((v[:k_seen], m[:k_seen]), (v[k_seen:], m[k_seen:]),
+                             seen_targets, cand_targets, joint, weights)
+    return assignment, {
         "pairs": [{"q": p.query, "t": p.target, "cost": p.cost, "group": p.group}
                   for p in assignment.pairs],
         "unmatched": list(assignment.unmatched_queries),
         "total_cost": assignment.total_cost,
-        "seen_count": seen_count,
+        "seen_count": joint.seen_count,
         "k_seen": k_seen,
     }
+
+
+def loss(v, m, k_seen, targets, assignment, joint, weights):
+    """Matched, cosine and split-matching losses of ``assignment`` over the
+    stacked (joint id, mask) ``targets``, seen before candidate."""
+    matched = matched_loss(assignment, class_similarity(v, joint), m, targets, weights)
+    t_seen = sum(1 for cid, _ in targets if cid < joint.seen_count)
+    cand_pairs = [(p.query - k_seen, p.target - t_seen)
+                  for p in assignment.pairs if p.group == "candidate"]
+    cos = cosine_loss(v[k_seen:], joint.matrix[joint.seen_count:], cand_pairs)
+    return {"matched": matched, "cosine": cos, "sm": sm_loss(matched, cos)}
+
+
+def infer(queries, feats, params, class_matrix, class_ids, random_queries, seed,
+          sigma):
+    """Decode with random queries injected and read out a label map over
+    ``class_ids``, one per row of ``class_matrix``: (query matrix, labels)."""
+    queries = inject_random_queries(queries, k_r=random_queries, seed=seed,
+                                    sigma=sigma)
+    preds = decode(queries, feats, params)
+    labels = assemble_semantic_map(class_similarity(preds.v, class_matrix), preds.m,
+                                   class_ids, ())
+    return queries.matrix, labels
+
+
+def decoder_params(path, layers):
+    """DecoderParams from a (3, C, C) SMTF tensor holding Wq, Wk, Wv."""
+    pm = load_tensor(path)
+    return DecoderParams(wq=pm[0], wk=pm[1], wv=pm[2], layers=layers)
 
 
 def run_pipeline(config, global_loss_hook=None):
@@ -209,18 +276,18 @@ def run_pipeline(config, global_loss_hook=None):
     """
     cfg = PipelineConfig.from_file(config) if not isinstance(
         config, PipelineConfig) else config
+    weights = cfg.weights
     out = Path(cfg.base_dir) / cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     artifacts = {}
 
-    def emit(name, array):
+    def emit(name, value):
+        """Write an array as SMTF, or a *.json payload as JSON."""
         path = out / name
-        save_tensor(array, path)
-        artifacts[name] = str(path)
-
-    def emit_json(name, payload):
-        path = out / name
-        path.write_text(json.dumps(payload, indent=2) + "\n")
+        if name.endswith(".json"):
+            path.write_text(json.dumps(value, indent=2) + "\n")
+        else:
+            save_tensor(value, path)
         artifacts[name] = str(path)
 
     with _stage("load-inputs"):
@@ -230,41 +297,29 @@ def run_pipeline(config, global_loss_hook=None):
             ignore = load_tensor(cfg.path("ignore_mask"))
         else:
             ignore = (seen_labels == cfg.ignore_id).astype(np.uint8)
-        seen_ids = cfg.seen_ids or tuple(range(load_tensor(
-            cfg.path("seen_embeddings")).shape[0]))
-        seen_bank = ClassEmbeddings.from_matrix(
-            load_tensor(cfg.path("seen_embeddings")), seen_ids)
-        unseen_bank = None
+        seen_matrix = load_tensor(cfg.path("seen_embeddings"))
+        seen_ids = cfg.seen_ids or tuple(range(len(seen_matrix)))
+        seen_bank = ClassEmbeddings.from_matrix(seen_matrix, seen_ids)
+        unseen_matrix, unseen_ids = np.zeros((0, seen_bank.width), np.float32), ()
         if cfg.path("unseen_embeddings"):
+            unseen_matrix = load_tensor(cfg.path("unseen_embeddings"))
             unseen_ids = cfg.unseen_ids or tuple(range(
-                len(seen_ids), len(seen_ids) + load_tensor(
-                    cfg.path("unseen_embeddings")).shape[0]))
-            unseen_bank = ClassEmbeddings.from_matrix(
-                load_tensor(cfg.path("unseen_embeddings")), unseen_ids)
+                len(seen_ids), len(seen_ids) + len(unseen_matrix)))
+        unseen_bank = ClassEmbeddings.from_matrix(unseen_matrix, unseen_ids)
 
     with _stage("cluster"):
-        wcfg = WindowConfig(window_sizes=cfg.windows, kmeans_iters=cfg.kmeans_iters,
-                            kmeans_tol=cfg.kmeans_tol, metric=cfg.metric)
-        clusters = kmeans(feats, multi_scale_seeds(feats, wcfg), wcfg)
+        clusters = cluster(feats, cfg.windows, cfg.kmeans_iters, cfg.kmeans_tol,
+                           cfg.metric)
         emit("cluster_assign.smtf", clusters.assignments.astype(np.float32))
         emit("cluster_centroids.smtf", clusters.centroids)
 
-    with _stage("fuse"):
-        fused_masks, fused_cents = fuse_masks(clusters, tau=cfg.tau)
-
+    _, cand = fuse(clusters, ignore, cfg.tau, cfg.min_area)
     with _stage("restrict"):
-        cand = restrict_candidates(fused_masks, fused_cents, ignore,
-                                   min_area=cfg.min_area)
         if cand.count:
             emit("Yu.smtf", cand.masks)
 
     with _stage("embed"):
-        if cfg.path("candidate_embeddings"):
-            cand_rows = load_candidate_embeddings(
-                cfg.path("candidate_embeddings"), expected_count=cand.count,
-                expected_width=seen_bank.width)
-        else:
-            cand_rows = pool_region_embeddings(feats, cand)
+        cand_rows = embed(feats, cand.masks, cfg.path("candidate_embeddings"))
         joint = build_joint_embedding(seen_bank, cand_rows)
         if cand.count:
             emit("Cu.smtf", cand_rows)
@@ -280,8 +335,7 @@ def run_pipeline(config, global_loss_hook=None):
             stacked = load_tensor(cfg.path("queries"))
             k_seen, k_cand = cfg.ksplit if cfg.ksplit else (len(stacked), 0)
             queries = QuerySet.build(stacked[:k_seen], stacked[k_seen:k_seen + k_cand])
-            pm = load_tensor(cfg.path("decoder_params"))
-            params = DecoderParams(wq=pm[0], wk=pm[1], wv=pm[2], layers=cfg.layers)
+            params = decoder_params(cfg.path("decoder_params"), cfg.layers)
         else:
             raise ValueError(f"unknown decoder mode {cfg.decoder_mode!r}")
         preds = decode(queries, feats, params)
@@ -292,23 +346,13 @@ def run_pipeline(config, global_loss_hook=None):
         seen_targets = _seen_targets(seen_labels, seen_ids, cfg.ignore_id)
         cand_targets = [(joint.seen_count + u, cand.masks[u].astype(np.float64))
                         for u in range(cand.count)]
-        assignment = split_match(preds.seen, preds.cand, seen_targets,
-                                 cand_targets, joint, cfg.weights)
-        emit_json("assign.json", _assignment_json(assignment, joint.seen_count,
-                                                  preds.k_seen))
+        assignment, payload = match(preds.v, preds.m, preds.k_seen, seen_targets,
+                                    cand_targets, joint, weights)
+        emit("assign.json", payload)
 
     with _stage("loss"):
-        v_all = preds.v
-        m_all = preds.m
-        s_all = class_similarity(v_all, joint)
-        targets = seen_targets + cand_targets
-        matched = matched_loss(assignment, s_all, m_all, targets, cfg.weights)
-        t_seen = len(seen_targets)
-        cand_pairs = [(p.query - preds.k_seen, p.target - t_seen)
-                      for p in assignment.pairs if p.group == "candidate"]
-        cos = cosine_loss(preds.cand[0], cand_rows, cand_pairs)
-        losses = {"matched": matched, "cosine": cos,
-                  "sm": sm_loss(matched, cos)}
+        losses = loss(preds.v, preds.m, preds.k_seen, seen_targets + cand_targets,
+                      assignment, joint, weights)
         if cfg.mfe_enabled:
             c, h, w = feats.shape
             pyr = FeaturePyramid(f0=bilinear_resize(feats, h // 4, w // 4),
@@ -322,41 +366,32 @@ def run_pipeline(config, global_loss_hook=None):
                 pseudo[cand.masks[u].astype(bool)] = joint.seen_count + u
             ce = cross_entropy_map(logits, pseudo, cfg.ignore_id)
             foc = focal_map(logits, pseudo, cfg.ignore_id,
-                            cfg.weights.focal_alpha, cfg.weights.focal_gamma)
+                            weights.focal_alpha, weights.focal_gamma)
             hook = global_loss_hook(fused, joint) if global_loss_hook else None
-            losses["mfe_ce"] = ce
-            losses["mfe_focal"] = foc
-            losses["mfe"] = mfe_loss(ce, foc, hook)
+            losses.update(mfe_ce=ce, mfe_focal=foc, mfe=mfe_loss(ce, foc, hook))
             emit("Fd.smtf", fused)
         losses["total"] = total_loss(losses["sm"], losses.get("mfe", 0.0))
-        emit_json("loss.json", losses)
+        emit("loss.json", losses)
 
     with _stage("infer"):
-        infer_qs = inject_random_queries(queries, k_r=cfg.random_queries,
-                                         seed=cfg.rq_seed, sigma=cfg.rq_sigma)
-        emit("queries.smtf", infer_qs.matrix)
-        infer_preds = decode(infer_qs, feats, params)
-        if unseen_bank is not None:
-            class_matrix = np.concatenate([seen_bank.matrix, unseen_bank.matrix])
-            ids = (seen_bank.class_ids, unseen_bank.class_ids)
-        else:
-            class_matrix = seen_bank.matrix
-            ids = (seen_bank.class_ids, ())
-        scores = class_similarity(infer_preds.v, class_matrix)
-        labels = assemble_semantic_map(scores, infer_preds.m, ids[0], ids[1])
+        query_matrix, labels = infer(
+            queries, feats, params,
+            np.concatenate([seen_bank.matrix, unseen_bank.matrix]),
+            seen_bank.class_ids + unseen_bank.class_ids, cfg.random_queries,
+            cfg.rq_seed, cfg.rq_sigma)
+        emit("queries.smtf", query_matrix)
         emit("labels.smtf", labels)
 
     report = None
     if cfg.path("gt_labels"):
         with _stage("eval"):
             gt = load_tensor(cfg.path("gt_labels"))
-            n = cfg.num_classes or (len(seen_ids) + (unseen_bank.count
-                                                     if unseen_bank else 0))
-            ecfg = EvalConfig(num_classes=n, seen_ids=seen_ids,
-                              unseen_ids=unseen_bank.class_ids if unseen_bank else (),
-                              ignore_id=cfg.ignore_id)
+            ecfg = EvalConfig(
+                num_classes=cfg.num_classes or seen_bank.count + unseen_bank.count,
+                seen_ids=seen_ids, unseen_ids=unseen_bank.class_ids,
+                ignore_id=cfg.ignore_id)
             report = evaluate(labels, gt, ecfg, percent=cfg.percent)
-            emit_json("report.json", report.to_dict())
+            emit("report.json", report.to_dict())
 
     return PipelineResult(report=report, losses=losses, assignment=assignment,
                           candidate_count=cand.count, artifacts=artifacts)

@@ -1,0 +1,157 @@
+"""The CLI subcommands run the pipeline's own stage functions: chained by
+hand they reproduce run_pipeline's files, and their input errors exit 1."""
+
+import json
+
+import numpy as np
+import pytest
+
+from smseg import ClassEmbeddings, gen_synth, load_tensor, save_tensor, write_fixture
+from smseg.cli import main
+from smseg.decoder import DecoderParams
+from smseg.pipeline import run_pipeline
+
+
+def _run(capsys, *argv):
+    assert main([str(a) for a in argv]) == 0
+    return capsys.readouterr().out
+
+
+def _write_targets(path, targets):
+    """Save each (joint id, mask) as SMTF next to a targets JSON at ``path``."""
+    entries = []
+    for cid, mask in targets:
+        name = f"{path.stem}_{cid}.smtf"
+        save_tensor(mask.astype(np.uint8), path.parent / name)
+        entries.append({"class_id": cid, "mask": name})
+    path.write_text(json.dumps({"targets": entries}))
+
+
+def test_cli_chain_equals_pipeline(tmp_path, capsys):
+    fix = gen_synth(seed=0, blobs=4, seen=2, size=64, dim=16)
+    paths = write_fixture(fix, tmp_path)
+    with open(paths["config"], "a") as fh:
+        fh.write("[mfe]\nenabled = true\n")
+    result = run_pipeline(paths["config"])
+    assert result.candidate_count >= 2 and "Fd.smtf" in result.artifacts
+    pipe, cli = tmp_path / "out", tmp_path / "cli"
+    cli.mkdir()
+
+    _run(capsys, "cluster", "--features", paths["features"],
+         "--out-assign", cli / "cluster_assign.smtf",
+         "--out-centroids", cli / "cluster_centroids.smtf")
+    _run(capsys, "fuse", "--assign", cli / "cluster_assign.smtf",
+         "--centroids", cli / "cluster_centroids.smtf",
+         "--ignore", paths["ignore_mask"],
+         "--out-masks", cli / "Yu.smtf", "--out-centroids", cli / "Cu_raw.smtf")
+    _run(capsys, "embed", "--features", paths["features"],
+         "--masks", cli / "Yu.smtf", "--out", cli / "Cu.smtf")
+
+    seen = ClassEmbeddings.from_matrix(fix.seen_embeddings.matrix, fix.seen_ids)
+    joint = np.concatenate([seen.matrix, load_tensor(cli / "Cu.smtf")])
+    save_tensor(joint, cli / "E.smtf")
+    seen_targets = [(j, fix.seen_labels == cid) for j, cid in enumerate(fix.seen_ids)
+                    if (fix.seen_labels == cid).any()]
+    cand_targets = [(seen.count + u, mask)
+                    for u, mask in enumerate(load_tensor(cli / "Yu.smtf"))]
+    _write_targets(cli / "seen.json", seen_targets)
+    _write_targets(cli / "cand.json", cand_targets)
+    _write_targets(cli / "all.json", seen_targets + cand_targets)
+    _run(capsys, "match", "--pred-class", pipe / "V.smtf", "--pred-masks", pipe / "M.smtf",
+         "--embeds", cli / "E.smtf", "--seen-targets", cli / "seen.json",
+         "--cand-targets", cli / "cand.json",
+         "--ksplit", f"{seen.count},{len(cand_targets)}", "--out", cli / "assign.json")
+    _run(capsys, "loss", "--pred-class", pipe / "V.smtf", "--pred-masks", pipe / "M.smtf",
+         "--embeds", cli / "E.smtf", "--targets", cli / "all.json",
+         "--assignment", cli / "assign.json", "--out", cli / "loss.json")
+
+    save_tensor(4.0 * joint, cli / "Q.smtf")                # oracle queries
+    dec = DecoderParams.zeros(joint.shape[1])
+    save_tensor(np.stack([dec.wq, dec.wk, dec.wv]), cli / "dec.smtf")
+    save_tensor(np.concatenate([seen.matrix, fix.unseen_embeddings.matrix]),
+                cli / "E_full.smtf")
+    _run(capsys, "infer", "--features", paths["features"], "--queries", cli / "Q.smtf",
+         "--decoder", cli / "dec.smtf", "--embeds", cli / "E_full.smtf",
+         "--class-ids", "0,1,2,3,4", "--out", cli / "labels.smtf")
+    _run(capsys, "eval", "--pred", cli / "labels.smtf", "--gt", paths["gt"],
+         "--classes", "5", "--seen", "0,1,2", "--unseen", "3,4",
+         "--out", cli / "report.json")
+
+    for name in ("cluster_assign.smtf", "cluster_centroids.smtf", "Yu.smtf", "Cu.smtf",
+                 "E.smtf", "labels.smtf", "assign.json", "report.json"):
+        assert (cli / name).read_bytes() == (pipe / name).read_bytes(), name
+    # the pipeline's loss.json adds the fusion-block terms and the total
+    cli_loss = json.loads((cli / "loss.json").read_text())
+    pipe_loss = json.loads((pipe / "loss.json").read_text())
+    assert set(cli_loss) == {"matched", "cosine", "sm"}
+    assert cli_loss == {key: pipe_loss[key] for key in cli_loss}
+
+
+@pytest.fixture()
+def bank(tmp_path):
+    """Two seen classes, one query and one target mask per class."""
+    width = 4
+    e = np.eye(2, width, dtype=np.float32)
+    save_tensor(e, tmp_path / "E.smtf")
+    save_tensor(8.0 * (2.0 * e - e.sum(0)), tmp_path / "V.smtf")
+    masks = np.zeros((2, 4, 4), dtype=np.float32)
+    masks[0, 0] = masks[1, 1] = 1.0
+    save_tensor(20.0 * (2 * masks - 1), tmp_path / "M.smtf")
+    _write_targets(tmp_path / "seen.json", [(0, masks[0]), (1, masks[1])])
+    return tmp_path
+
+
+def test_match_without_candidate_targets(bank, capsys):
+    # no --cand-targets and no --seen-count: every embedding row is seen
+    out = _run(capsys, "match", "--pred-class", bank / "V.smtf",
+               "--pred-masks", bank / "M.smtf", "--embeds", bank / "E.smtf",
+               "--seen-targets", bank / "seen.json", "--ksplit", "2,0",
+               "--out", bank / "assign.json")
+    assert json.loads(out)["pairs"] == 2
+    raw = json.loads((bank / "assign.json").read_text())
+    assert raw["seen_count"] == 2 and raw["k_seen"] == 2
+    assert {(p["q"], p["t"], p["group"]) for p in raw["pairs"]} == {
+        (0, 0, "seen"), (1, 1, "seen")}
+    out = _run(capsys, "loss", "--pred-class", bank / "V.smtf",
+               "--pred-masks", bank / "M.smtf", "--embeds", bank / "E.smtf",
+               "--targets", bank / "seen.json", "--assignment", bank / "assign.json",
+               "--out", bank / "loss.json")
+    losses = json.loads(out)
+    assert losses["cosine"] == 0.0 and losses["sm"] == losses["matched"] < 0.1
+
+
+def _bad_mfe_params(d):
+    for level, size in enumerate((1, 2, 4)):
+        save_tensor(np.ones((2, size, size), dtype=np.float32), d / f"f{level}.smtf")
+    save_tensor(np.ones((3, 5), dtype=np.float32), d / "p.smtf")
+    return ["mfe", "--f0", d / "f0.smtf", "--f1", d / "f1.smtf", "--f2", d / "f2.smtf",
+            "--params", d / "p.smtf", "--out", d / "Fd.smtf"]
+
+
+def _no_seen_count(d):
+    (d / "assign.json").write_text(json.dumps({"pairs": [], "unmatched": [0, 1]}))
+    return ["loss", "--pred-class", d / "V.smtf", "--pred-masks", d / "M.smtf",
+            "--embeds", d / "E.smtf", "--targets", d / "seen.json",
+            "--assignment", d / "assign.json", "--out", d / "loss.json"]
+
+
+def _match(d, *extra):
+    return ["match", "--pred-class", d / "V.smtf", "--pred-masks", d / "M.smtf",
+            "--embeds", d / "E.smtf", "--seen-targets", d / "seen.json",
+            "--out", d / "assign.json", *extra]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda d: ["embed", "--features", d / "V.smtf", "--out", d / "Cu.smtf"],
+     "needs masks"),
+    (lambda d: _match(d, "--ksplit", "1,2"), "does not cover"),
+    (lambda d: _match(d, "--ksplit", "2,0", "--seen-count", "3"), "exceeds"),
+    (_no_seen_count, "lacks seen_count"),
+    (_bad_mfe_params, "params must be"),
+], ids=["embed-no-masks", "match-ksplit", "match-seen-count", "loss-seen-count",
+        "mfe-params"])
+def test_input_errors_exit_1(bank, capsys, argv, message):
+    assert main([str(a) for a in argv(bank)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err

@@ -1,0 +1,102 @@
+"""The config declaration: PipelineConfig fields carry their [section] key
+and parser, and from_file, the README and the CLI defaults follow it."""
+
+import configparser
+from pathlib import Path
+
+import pytest
+
+from smseg import gen_synth, write_fixture
+from smseg.cli import build_parser
+from smseg.pipeline import PipelineConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _config(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return path
+
+
+def test_readme_config_block_lists_every_declared_key(tmp_path):
+    block = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read_string(block)
+    listed = {(section, key) for section in parser.sections()
+              for key in parser[section]}
+    assert listed == set(PipelineConfig.declared())
+    cfg, default = PipelineConfig.from_file(_config(tmp_path, block)), PipelineConfig()
+    examples = {"num_classes", "seen_ids", "unseen_ids"}
+    for (section, key), (name, _) in PipelineConfig.declared().items():
+        if section != "inputs" and key not in examples:
+            assert getattr(cfg, name) == getattr(default, name), (section, key)
+
+
+@pytest.mark.parametrize("text, name", [
+    ("[clustering]\nwindow = 4,8\n", "window"),
+    ("[clustering]\niters = 5\n[fusoin]\ntau = 0.5\n", "fusoin"),
+    ("[inputs]\nfeatures = O.smtf\nfeature = O.smtf\n", "feature"),
+])
+def test_unknown_section_or_key_is_named(tmp_path, text, name):
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        PipelineConfig.from_file(_config(tmp_path, text))
+
+
+@pytest.mark.parametrize("section, key, field", [
+    ("matching", "use_iou", "use_iou_in_loss"),
+    ("mfe", "enabled", "mfe_enabled"),
+    ("eval", "percent", "percent"),
+])
+def test_boolean_keys_take_configparser_states(tmp_path, section, key, field):
+    for text, state in [("1", True), ("yes", True), ("True", True), ("on", True),
+                        ("0", False), ("no", False), ("false", False), ("OFF", False)]:
+        cfg = PipelineConfig.from_file(_config(tmp_path, f"[{section}]\n{key} = {text}\n"))
+        assert getattr(cfg, field) is state, text
+    for text in ("2", "maybe", "enabled", "t"):
+        with pytest.raises(ValueError, match=rf"\[{section}\] {key}: not a boolean"):
+            PipelineConfig.from_file(_config(tmp_path, f"[{section}]\n{key} = {text}\n"))
+
+
+def test_bad_value_names_its_key(tmp_path):
+    with pytest.raises(ValueError, match=r"\[clustering\] iters"):
+        PipelineConfig.from_file(_config(tmp_path, "[clustering]\niters = ten\n"))
+
+
+def test_values_parse_and_empty_values_keep_defaults(tmp_path):
+    cfg = PipelineConfig.from_file(_config(tmp_path, (
+        "[clustering]\nwindows = 4, 8\niters =\n"
+        "[matching]\nfocal_gamma = 1.5\n"
+        "[decoder]\nksplit = 3,2\n"
+        "[inputs]\ncandidate_embeddings =      ; none\n")))
+    default = PipelineConfig()
+    assert cfg.windows == (4, 8) and cfg.kmeans_iters == default.kmeans_iters
+    assert cfg.weights.focal_gamma == 1.5 and cfg.weights.w_cls == default.w_cls
+    assert cfg.ksplit == (3, 2) and cfg.candidate_embeddings == ""
+    assert cfg.base_dir == str(tmp_path.resolve())
+
+
+def test_fixture_config_takes_an_appended_mfe_section(tmp_path):
+    # benchmark and test fixtures enable the fusion-block branch by appending
+    # an [mfe] section, so write_fixture's run.cfg must not hold one
+    paths = write_fixture(gen_synth(seed=0, size=32, dim=8), tmp_path)
+    text = Path(paths["config"]).read_text()
+    assert "[mfe]" not in text
+    cfg = PipelineConfig.from_file(_config(tmp_path, text + "[mfe]\nenabled = true\n"))
+    assert cfg.mfe_enabled and cfg.seen_ids == (0, 1, 2) and cfg.unseen_ids == (3, 4)
+
+
+def test_cli_defaults_are_the_config_defaults():
+    parser, default = build_parser(), PipelineConfig()
+    args = parser.parse_args(["cluster", "--features", "f", "--out-assign", "a",
+                              "--out-centroids", "c"])
+    assert (args.windows, args.iters, args.tol, args.metric) == (
+        default.windows, default.kmeans_iters, default.kmeans_tol, default.metric)
+    args = parser.parse_args(["fuse", "--assign", "a", "--centroids", "c",
+                              "--ignore", "i", "--out-masks", "m",
+                              "--out-centroids", "c"])
+    assert (args.tau, args.min_area) == (default.tau, default.min_area)
+    args = parser.parse_args(["infer", "--features", "f", "--queries", "q",
+                              "--decoder", "d", "--embeds", "e", "--out", "o"])
+    assert (args.layers, args.random_queries, args.seed, args.sigma) == (
+        default.layers, default.random_queries, default.rq_seed, default.rq_sigma)
