@@ -7,6 +7,7 @@ paths resolved against the JSON file's directory.
 """
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -29,6 +30,8 @@ from .synth import gen_synth, write_fixture
 from .tensor_store import load_tensor, save_tensor
 
 DEFAULTS = PipelineConfig()
+# gen_synth parameters exposed as gen-synth flags, with gen_synth's defaults
+SYNTH_FLAGS = ("seed", "blobs", "seen", "size", "dim", "noise")
 
 
 def _write_json(path, payload):
@@ -172,8 +175,7 @@ def _cmd_eval(args):
 
 
 def _cmd_gen_synth(args):
-    fix = gen_synth(seed=args.seed, blobs=args.blobs, seen=args.seen,
-                    size=args.size, dim=args.dim, noise=args.noise)
+    fix = gen_synth(**{name: getattr(args, name) for name in SYNTH_FLAGS})
     paths = write_fixture(fix, args.out_dir)
     print(json.dumps(paths, indent=2))
 
@@ -258,12 +260,10 @@ def build_parser():
 
     p = command("gen-synth", _cmd_gen_synth, "write a deterministic blob fixture",
                 "--out-dir")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--blobs", type=int, default=4)
-    p.add_argument("--seen", type=int, default=2)
-    p.add_argument("--size", type=int, default=64)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--noise", type=float, default=0.05)
+    synth_params = inspect.signature(gen_synth).parameters
+    for name in SYNTH_FLAGS:
+        default = synth_params[name].default
+        p.add_argument(f"--{name}", type=type(default), default=default)
 
     command("pipeline", _cmd_pipeline, "run every stage from a config file", "--config")
     return parser

@@ -25,6 +25,18 @@ the re-solve path decides instead: it fixes pairs greedily in (query,
 target) order and keeps a pair only when a full re-solve of the rest
 still reaches the optimal total.
 
+Phase one is warm-started (Jonker & Volgenant, Computing 1987): u starts
+at each target's minimum cost and v at 0, and each target in turn takes
+the first free query at that minimum, so on tied costs the augmenting
+search runs for few targets or none. The start is feasible, tight on its
+matched edges and zero on every query dual, so the duals phase one ends
+with have the properties above. Any optimal duals describe the same set
+of optimal matchings (complementary slackness), so phase two's answer
+does not depend on where phase one started. With C = max|cost| the duals
+stay within |u| <= C and -2C <= v <= 0, so reduced costs stay within 4C;
+``hungarian`` rejects costs beyond float64 max / (T + 2), which keeps
+them and every total of T entries finite.
+
 ``split_match`` runs the solver independently for the seen and candidate
 query groups and concatenates the results into one assignment, so a pair
 can never link a query to the other group's targets.
@@ -71,17 +83,33 @@ class Assignment:
 def _lsa(cost):
     """Shortest-augmenting-path assignment over rows of ``cost`` (n <= m).
 
-    Returns (col_of_row, row_potentials, col_potentials). Ports the
-    classic O(n^2 m) potential formulation; the virtual column sits at
-    index m.
+    Returns (col_of_row, row_potentials, col_potentials). Warm start
+    (Jonker & Volgenant, Computing 1987): each row's potential is its
+    minimum, every column's is 0, and in row order each row takes the
+    first free column whose cost equals that minimum. Then the classic
+    O(n^2 m) potential loop (virtual column at index m) augments only the
+    rows the start left free. The start already holds the loop's
+    invariants (feasible potentials, every matched edge exactly tight), and
+    column potentials change only on columns a search visits, each of them
+    matched, so the potentials returned are optimal duals with v <= 0
+    everywhere and v = 0 on every free column.
     """
     a = np.asarray(cost, dtype=np.float64)
     n, m = a.shape
     u = np.zeros(n + 1)
+    u[:n] = a.min(axis=1)
     v = np.zeros(m + 1)
     p = np.full(m + 1, n)            # matched row per column, n = free
-    way = np.zeros(m + 1, dtype=np.int64)
+    at_min = a == u[:n, None]
+    left = []                        # rows the greedy start leaves free
     for i in range(n):
+        j = np.flatnonzero(at_min[i] & (p[:m] == n))
+        if j.size:
+            p[j[0]] = i
+        else:
+            left.append(i)
+    way = np.zeros(m + 1, dtype=np.int64)
+    for i in left:
         p[m] = i
         j0 = m
         minv = np.full(m + 1, np.inf)
@@ -109,10 +137,9 @@ def _lsa(cost):
             j1 = int(way[j0])
             p[j0] = p[j1]
             j0 = j1
-    col_of_row = np.full(n, -1, dtype=np.int64)
-    for j in range(m):
-        if p[j] != n:
-            col_of_row[p[j]] = j
+    cols = np.flatnonzero(p[:m] < n)
+    col_of_row = np.empty(n, dtype=np.int64)
+    col_of_row[p[cols]] = cols
     return col_of_row, u[:n], v[:m]
 
 
@@ -238,7 +265,8 @@ def _tight_phase_two(cost, col_of_row, v_q, reduced, rc_tol):
 def hungarian(cost, group="combined"):
     """Min-cost injective target->query assignment with lexicographic ties.
 
-    ``cost`` is (K queries, T targets) with T <= K and finite entries.
+    ``cost`` is (K queries, T targets) with T <= K and finite entries of
+    magnitude at most float64 max / (T + 2); larger ones raise ValueError.
     T = 0 yields an empty assignment with every query unmatched. Among all
     optimal assignments (totals compared with ``math.fsum``) the one whose
     pairs, sorted by query, form the lexicographically smallest sequence
@@ -261,12 +289,19 @@ def hungarian(cost, group="combined"):
     if t == 0:
         return Assignment(pairs=[], group=group,
                           unmatched_queries=list(range(k))).validate()
+    # reduced costs stay within 4 max|cost| and totals within T max|cost|
+    c_max = float(np.abs(cost).max())
+    limit = np.finfo(np.float64).max / (t + 2)
+    if c_max > limit:
+        raise ValueError(
+            f"cost magnitude {c_max:.6g} exceeds {limit:.6g} (float64 max / "
+            f"(T + 2) for T = {t} targets): reduced costs or totals would overflow")
 
     col_of_row, u_t, v_q = _lsa(cost.T)
     best_total = math.fsum(float(cost[col_of_row[i], i]) for i in range(t))
     # reduced cost of (query q, target i) under phase-one potentials
     reduced = cost - v_q[:, None] - u_t[None, :]
-    rc_tol = 1e-9 * (1.0 + float(np.abs(cost).max()))
+    rc_tol = 1e-9 * (1.0 + c_max)
 
     fixed = _tight_phase_two(cost, col_of_row, v_q, reduced, rc_tol)
     if fixed is None or math.fsum(c for _, _, c in fixed) != best_total:

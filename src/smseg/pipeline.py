@@ -397,10 +397,9 @@ def run_pipeline(config, global_loss_hook=None):
                           candidate_count=cand.count, artifacts=artifacts)
 
 
-def make_synth_run(out_dir, seed=0, blobs=4, seen=2, size=64, dim=16,
-                   noise=0.05):
-    """gen_synth + write_fixture, returning the config path for run_pipeline."""
-    fix = gen_synth(seed=seed, blobs=blobs, seen=seen, size=size, dim=dim,
-                    noise=noise)
+def make_synth_run(out_dir, **synth_args):
+    """gen_synth(**synth_args) + write_fixture, returning the config path
+    for run_pipeline and the fixture."""
+    fix = gen_synth(**synth_args)
     paths = write_fixture(fix, out_dir)
     return paths["config"], fix

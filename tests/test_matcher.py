@@ -1,5 +1,7 @@
 import json
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +104,88 @@ def test_tight_phase_two_equals_resolves(monkeypatch):
         assert kind > 1 or not fallbacks, (kind, cost)
         assert got == _resolve_pairs(cost), (kind, cost)
         fallbacks.clear()
+
+
+def _check_dual_certificate(cost, exact):
+    """Phase one on (K, T) ``cost``: feasible duals with v <= 0, v = 0 on
+    free queries, tight matched edges; returns the matched total."""
+    col_of_row, u, v = M._lsa(cost.T)             # solver rows = targets
+    k, t = cost.shape
+    c_max = float(np.abs(cost).max())
+    tol = 0.0 if exact else 1e-12 * (1.0 + c_max)
+    assert len(set(col_of_row.tolist())) == t
+    assert (u[None, :] + v[:, None] <= cost + tol).all()
+    assert (v <= 0.0).all()
+    free = np.ones(k, dtype=bool)
+    free[col_of_row] = False
+    assert (v[free] == 0.0).all()
+    matched = cost[col_of_row, np.arange(t)]
+    assert (np.abs(u + v[col_of_row] - matched) <= tol).all()
+    # the potential bounds behind hungarian's overflow limit
+    assert (np.abs(u) <= c_max * (1 + 1e-15)).all()
+    assert (v >= -2.0 * c_max * (1 + 1e-15)).all()
+    return math.fsum(matched.tolist())
+
+
+def test_lsa_dual_certificate():
+    rng = np.random.default_rng(11)
+    shared_min = 1.0 + np.rint(4.0 * rng.random((6, 4))) / 4.0
+    shared_min[2] = 0.0                    # every target's minimum at query 2
+    covered = 1.0 + rng.random((6, 4))
+    covered[[4, 0, 5, 1], np.arange(4)] = 0.5   # distinct minimum queries
+    cases = [
+        (np.rint(4.0 * rng.random((7, 4))) / 4.0, True),     # quarter grid
+        (rng.integers(0, 3, size=(6, 3)).astype(np.float64), True),
+        (rng.random((6, 4)), False),                         # continuous
+        (rng.random((5, 5)), False),                         # square
+        (rng.integers(0, 3, size=(5, 5)).astype(np.float64), True),
+        (rng.random((6, 1)), False),                         # k x 1
+        (np.array([[2.5]]), True),                           # 1 x 1
+        (shared_min, True),
+        (covered, False),
+    ]
+    for cost, exact in cases:
+        assert _check_dual_certificate(cost, exact) == \
+            brute_force_min_total(cost), cost
+    for cost, exact in ((np.rint(4.0 * rng.random((100, 50))) / 4.0, True),
+                        (rng.random((60, 30)), False)):
+        _check_dual_certificate(cost, exact)
+
+    # the greedy start leaves targets 1..3 to the search, which raises
+    # their duals above their row minima
+    _, u, _ = M._lsa(shared_min.T)
+    assert (u[1:] > shared_min.min(axis=0)[1:]).all()
+    # the start covers every target: duals stay at row minima and zero
+    _, u, v = M._lsa(covered.T)
+    assert (u == covered.min(axis=0)).all() and (v == 0.0).all()
+
+
+def test_match_tied_reference_pairs():
+    """Replay every pinned ``match-tied`` pair list of perfbench."""
+    ref_path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    ref = json.loads(ref_path.read_text())["match-tied"]
+    assert len(ref) == 256
+    for u in range(256):
+        raw = random.Random(f"match-tied/{u}").randbytes(100 * 50)
+        cost = np.rint(np.frombuffer(raw, dtype=np.uint8) * (4 / 255)).reshape(100, 50) / 4
+        pairs = sorted(hungarian(cost).pairs, key=lambda p: p.target)
+        assert [p.query for p in pairs] == ref[str(u)], u
+
+
+def test_overflowing_costs_rejected():
+    with pytest.raises(ValueError, match=r"cost magnitude 1e\+308 exceeds"):
+        hungarian(np.array([[1e308, -1e308], [-1e308, 1e308], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match=r"float64 max / \(T \+ 2\)"):
+        hungarian(np.full((2, 1), np.finfo(np.float64).max))
+    for t in (1, 2, 3):
+        b = np.finfo(np.float64).max / (t + 2)       # just inside the bound
+        rng = np.random.default_rng(t)
+        for _ in range(20):
+            cost = b * rng.choice([-1.0, -0.5, 0.0, 1.0], size=(t + 1, t))
+            cost[0, 0] = b
+            with np.errstate(all="raise"):
+                a = hungarian(cost)
+            assert a.total_cost == brute_force_min_total(cost), cost
 
 
 def test_tight_phase_two_small_ties_vs_reference():
