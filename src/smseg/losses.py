@@ -1,11 +1,15 @@
-"""Scalar cost and loss kernels for matching, training, and verification.
+"""Cost and loss kernels for matching, training, and verification.
 
 All kernels compute in float64 and return python floats. Probabilities are
 clamped to [1e-7, 1 - 1e-7] before any log. Overlap losses (dice, iou)
 share a +1.0 smoothing term in numerator and denominator so empty masks
-stay finite. Each differentiable kernel has a ``*_grad`` twin returning
-(value, gradient w.r.t. the kernel's direct input) for the finite-
-difference harness in :mod:`smseg.mfe`.
+stay finite. Focal, BCE and dice have one implementation each, a (K, T)
+term of K queries against T targets: ``match_cost_matrix`` and
+``matched_loss`` read it whole, ``focal_map`` reads the per-pixel focal
+parts, and ``focal_loss``, ``bce_mask`` and ``dice_loss`` are its 1 x 1
+case. Each differentiable kernel has a ``*_grad`` twin returning the plain
+kernel's value and its gradient w.r.t. the kernel's direct input, for the
+finite-difference harness in :mod:`smseg.mfe`.
 """
 
 import math
@@ -43,7 +47,7 @@ class CostMatrix:
 
 
 def _clamp(p):
-    return np.clip(np.asarray(p, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
+    return np.minimum(np.maximum(np.asarray(p, dtype=np.float64), PROB_EPS), 1.0 - PROB_EPS)
 
 
 def sigmoid(x):
@@ -66,12 +70,53 @@ def class_similarity(v, e):
     return sigmoid(v @ matrix.T)
 
 
+def _row(a):
+    return np.asarray(a, dtype=np.float64).reshape(1, -1)
+
+
+def _focal_parts(p, alpha, gamma):
+    """Per-channel focal terms of clamped ``p``: (as a negative, as the target)."""
+    p = _clamp(p)
+    return (-(1.0 - alpha) * p**gamma * np.log1p(-p),
+            -alpha * (1.0 - p)**gamma * np.log(p))
+
+
+def _focal_term(s, ids, alpha, gamma):
+    """(K, T) focal: all of row k's channels negatives but class ids[t]."""
+    neg, pos = _focal_parts(s, alpha, gamma)
+    ids = np.asarray(ids)
+    return neg.sum(axis=1)[:, None] - neg[:, ids] + pos[:, ids]
+
+
+def _bce_term(x, y):
+    """(K, T) mean BCE of logit rows x (K, P) on mask rows y (T, P)."""
+    softplus = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    return (softplus.sum(axis=1) / x.shape[1])[:, None] - (x @ y.T) / x.shape[1]
+
+
+def _dice_term(m, y, eps=SMOOTH_EPS):
+    """(K, T) dice of probability rows m (K, P) on mask rows y (T, P)."""
+    return 1.0 - (2.0 * (m @ y.T) + eps) / (
+        m.sum(axis=1)[:, None] + y.sum(axis=1)[None, :] + eps)
+
+
+def _weighted_costs(s, m_logits, targets, weights):
+    """(K, T) w_cls*focal + w_bce*bce + w_dice*dice of every query against
+    every (joint class id, mask) target."""
+    ids = [int(t[0]) for t in targets]
+    for cid in ids:
+        if not 0 <= cid < s.shape[1]:
+            raise ValueError(f"class id {cid} outside joint space {s.shape[1]}")
+    masks = np.stack([np.asarray(t[1], dtype=np.float64).ravel() for t in targets])
+    flat = np.asarray(m_logits, dtype=np.float64).reshape(len(s), -1)
+    return (weights.w_cls * _focal_term(s, ids, weights.focal_alpha, weights.focal_gamma)
+            + weights.w_bce * _bce_term(flat, masks)
+            + weights.w_dice * _dice_term(sigmoid(flat), masks))
+
+
 def dice_loss(m, y, eps=SMOOTH_EPS):
     """1 - (2*sum(m*y) + eps) / (sum(m) + sum(y) + eps)."""
-    m = np.asarray(m, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    inter = float(np.sum(m * y))
-    return 1.0 - (2.0 * inter + eps) / (float(np.sum(m)) + float(np.sum(y)) + eps)
+    return float(_dice_term(_row(m), _row(y), eps)[0, 0])
 
 
 def dice_loss_grad(m, y, eps=SMOOTH_EPS):
@@ -80,7 +125,7 @@ def dice_loss_grad(m, y, eps=SMOOTH_EPS):
     num = 2.0 * float(np.sum(m * y)) + eps
     den = float(np.sum(m)) + float(np.sum(y)) + eps
     grad = -(2.0 * y * den - num) / den**2
-    return 1.0 - num / den, grad
+    return dice_loss(m, y, eps), grad
 
 
 def iou_loss(m, y, eps=SMOOTH_EPS):
@@ -101,15 +146,12 @@ def iou_loss_grad(m, y, eps=SMOOTH_EPS):
     dnum = (m < y).astype(np.float64)
     dden = (m >= y).astype(np.float64)
     grad = -(dnum * den - num * dden) / den**2
-    return 1.0 - num / den, grad
+    return iou_loss(m, y, eps), grad
 
 
 def bce_mask(logits, y):
     """Mean per-pixel binary cross entropy, computed from logits stably."""
-    x = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    loss = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
-    return float(np.mean(loss))
+    return float(_bce_term(_row(logits), _row(y))[0, 0])
 
 
 def bce_mask_grad(logits, y):
@@ -126,32 +168,22 @@ def focal_loss(p, target, alpha=0.25, gamma=2.0):
     contributes -(1-alpha)*p^gamma*log(1-p). ``target=None`` means
     "no object": all channels are negatives.
     """
-    p = _clamp(p)
-    neg = -(1.0 - alpha) * p**gamma * np.log1p(-p)
-    total = float(np.sum(neg))
-    if target is not None:
-        if not 0 <= target < p.shape[-1]:
-            raise ValueError(f"target {target} outside {p.shape[-1]} channels")
-        pt = p[target]
-        total -= float(neg[target])
-        total += float(-alpha * (1.0 - pt)**gamma * math.log(pt))
-    return total
+    p = _row(p)
+    if target is None:
+        return float(_focal_parts(p, alpha, gamma)[0].sum())
+    if not 0 <= target < p.shape[1]:
+        raise ValueError(f"target {target} outside {p.shape[1]} channels")
+    return float(_focal_term(p, [target], alpha, gamma)[0, 0])
 
 
 def focal_loss_grad(p, target, alpha=0.25, gamma=2.0):
-    p = _clamp(p)
-    if gamma == 0.0:
-        grad = (1.0 - alpha) / (1.0 - p)
-    else:
-        grad = -(1.0 - alpha) * (gamma * p**(gamma - 1.0) * np.log1p(-p)
-                                 - p**gamma / (1.0 - p))
+    p = _clamp(p)                    # clamped, so p**(gamma - 1) stays finite at gamma 0
+    grad = -(1.0 - alpha) * (gamma * p**(gamma - 1.0) * np.log1p(-p)
+                             - p**gamma / (1.0 - p))
     if target is not None:
         pt = p[target]
-        if gamma == 0.0:
-            grad[target] = -alpha / pt
-        else:
-            grad[target] = (alpha * gamma * (1.0 - pt)**(gamma - 1.0) * math.log(pt)
-                            - alpha * (1.0 - pt)**gamma / pt)
+        grad[target] = (alpha * gamma * (1.0 - pt)**(gamma - 1.0) * math.log(pt)
+                        - alpha * (1.0 - pt)**gamma / pt)
     return focal_loss(p, target, alpha, gamma), grad
 
 
@@ -197,15 +229,13 @@ def focal_map(logits, labels, ignore_id=255, alpha=0.25, gamma=2.0):
     valid = (labels != ignore_id).ravel()
     if not valid.any():
         return 0.0
-    p = _clamp(sigmoid(logits.reshape(n, -1)[:, valid]))
+    p = sigmoid(logits.reshape(n, -1)[:, valid])
     lab = labels.ravel()[valid]
     if lab.min() < 0 or lab.max() >= n:
         raise ValueError(f"labels outside [0, {n})")
-    neg = -(1.0 - alpha) * p**gamma * np.log1p(-p)
-    hit = p[lab, np.arange(lab.size)]
-    per_pixel = neg.sum(axis=0) - neg[lab, np.arange(lab.size)]
-    per_pixel += -alpha * (1.0 - hit)**gamma * np.log(hit)
-    return float(np.mean(per_pixel))
+    neg, pos = _focal_parts(p, alpha, gamma)
+    cols = np.arange(lab.size)
+    return float(np.mean(neg.sum(axis=0) - neg[lab, cols] + pos[lab, cols]))
 
 
 def cosine_loss(v_rows, c_rows, pairs):
@@ -238,15 +268,6 @@ def cosine_loss_grad(v_rows, c_rows, pairs):
     return cosine_loss(v_rows, c_rows, pairs), grad
 
 
-def _pair_cost_terms(s_row, m_logits, class_id, mask, weights):
-    probs = sigmoid(m_logits)
-    return (
-        weights.w_cls * focal_loss(s_row, class_id, weights.focal_alpha, weights.focal_gamma),
-        weights.w_bce * bce_mask(m_logits, mask),
-        weights.w_dice * dice_loss(probs, mask),
-    )
-
-
 def match_cost_matrix(s, m_logits, targets, group, weights, seen_count):
     """Assignment costs: w_cls*focal + w_bce*bce + w_dice*dice per (k, t).
 
@@ -259,72 +280,47 @@ def match_cost_matrix(s, m_logits, targets, group, weights, seen_count):
     if not targets:
         raise ValueError("match_cost_matrix needs at least one target")
     s = np.asarray(s, dtype=np.float64)
-    m_logits = np.asarray(m_logits, dtype=np.float64)
-    k = s.shape[0]
-    if len(targets) > k:
-        raise ValueError(f"{len(targets)} targets exceed {k} queries in group {group!r}")
+    if len(targets) > len(s):
+        raise ValueError(f"{len(targets)} targets exceed {len(s)} queries in group {group!r}")
     ids = tuple(int(t[0]) for t in targets)
     for cid in ids:
         if group == "seen" and cid >= seen_count:
             raise ValueError(f"seen group given candidate class id {cid}")
         if group == "candidate" and cid < seen_count:
             raise ValueError(f"candidate group given seen class id {cid}")
-        if cid < 0 or cid >= s.shape[1]:
-            raise ValueError(f"class id {cid} outside joint space {s.shape[1]}")
-
-    p = _clamp(s)
-    alpha, gamma = weights.focal_alpha, weights.focal_gamma
-    neg = -(1.0 - alpha) * p**gamma * np.log1p(-p)
-    pos = -alpha * (1.0 - p)**gamma * np.log(p)
-    neg_total = neg.sum(axis=1)
-    id_arr = np.array(ids)
-    focal = neg_total[:, None] - neg[:, id_arr] + pos[:, id_arr]
-
-    masks = np.stack([np.asarray(t[1], dtype=np.float64).ravel() for t in targets])
-    flat = m_logits.reshape(k, -1)
-    npix = flat.shape[1]
-    softplus_mean = np.mean(np.maximum(flat, 0.0) + np.log1p(np.exp(-np.abs(flat))), axis=1)
-    bce = softplus_mean[:, None] - (flat @ masks.T) / npix
-
-    probs = sigmoid(flat)
-    inter = probs @ masks.T
-    dice = 1.0 - (2.0 * inter + SMOOTH_EPS) / (
-        probs.sum(axis=1)[:, None] + masks.sum(axis=1)[None, :] + SMOOTH_EPS)
-
-    values = weights.w_cls * focal + weights.w_bce * bce + weights.w_dice * dice
-    return CostMatrix(values=values, row_group=group, target_ids=ids)
+    return CostMatrix(values=_weighted_costs(s, m_logits, targets, weights),
+                      row_group=group, target_ids=ids)
 
 
 def matched_loss(assignment, s, m_logits, targets, weights):
     """Post-assignment training loss over all queries.
 
-    Matched pairs average w_cls*focal + w_bce*bce + w_dice*dice, plus
-    w_dice*iou when ``use_iou_in_loss`` (the iou term shares the mask-loss
-    weight). Unmatched queries average the all-negative ("no object")
-    focal term. Either mean is 0 over an empty set.
+    Matched pairs average their (query, target) entries of the same
+    w_cls*focal + w_bce*bce + w_dice*dice costs that ``match_cost_matrix``
+    builds, plus w_dice*iou when ``use_iou_in_loss`` (the iou term shares
+    the mask-loss weight). Unmatched queries average the all-negative
+    ("no object") focal term. Either mean is 0 over an empty set.
     """
     s = np.asarray(s, dtype=np.float64)
-    m_logits = np.asarray(m_logits, dtype=np.float64)
-    k = s.shape[0]
-    matched_total = 0.0
-    for pair in assignment.pairs:
-        q, t = pair.query, pair.target
-        if not (0 <= q < k and 0 <= t < len(targets)):
-            raise ValueError(f"assignment pair ({q}, {t}) out of range")
-        class_id, mask = targets[t]
-        terms = _pair_cost_terms(s[q], m_logits[q], class_id, mask, weights)
-        matched_total += sum(terms)
-        if weights.use_iou_in_loss:
-            matched_total += weights.w_dice * iou_loss(sigmoid(m_logits[q]), mask)
-    loss = matched_total / len(assignment.pairs) if assignment.pairs else 0.0
+    loss = 0.0
+    pairs = assignment.pairs
+    if pairs:
+        for pair in pairs:
+            if not (0 <= pair.query < len(s) and 0 <= pair.target < len(targets)):
+                raise ValueError(f"assignment pair ({pair.query}, {pair.target}) out of range")
+        costs = _weighted_costs(s, m_logits, targets, weights)
+        matched_total = 0.0
+        for pair in pairs:
+            matched_total += costs[pair.query, pair.target]
+            if weights.use_iou_in_loss:
+                matched_total += weights.w_dice * iou_loss(
+                    sigmoid(m_logits[pair.query]), targets[pair.target][1])
+        loss = float(matched_total) / len(pairs)
 
     unmatched = assignment.unmatched_queries
     if unmatched:
-        neg_total = 0.0
-        for q in unmatched:
-            neg_total += weights.w_cls * focal_loss(
-                s[q], None, weights.focal_alpha, weights.focal_gamma)
-        loss += neg_total / len(unmatched)
+        neg, _ = _focal_parts(s[unmatched], weights.focal_alpha, weights.focal_gamma)
+        loss += weights.w_cls * float(np.mean(neg.sum(axis=1)))
     return loss
 
 

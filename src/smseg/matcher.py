@@ -301,7 +301,7 @@ def hungarian(cost, group="combined"):
     best_total = math.fsum(float(cost[col_of_row[i], i]) for i in range(t))
     # reduced cost of (query q, target i) under phase-one potentials
     reduced = cost - v_q[:, None] - u_t[None, :]
-    rc_tol = 1e-9 * (1.0 + c_max)
+    rc_tol = 1e-9 * c_max            # no absolute floor: tiny costs keep their ties apart
 
     fixed = _tight_phase_two(cost, col_of_row, v_q, reduced, rc_tol)
     if fixed is None or math.fsum(c for _, _, c in fixed) != best_total:

@@ -196,8 +196,7 @@ def relu(x):
 
 def dense_block(x, p):
     """conv 3x3 -> group norm -> ReLU, shape preserving."""
-    return relu(group_norm(conv2d_3x3(x, p.conv_w, p.conv_b),
-                           p.gn_gamma, p.gn_beta, p.groups, p.eps))
+    return _dense_block_cache(x, p)[0]
 
 
 def _dense_block_cache(x, p):
@@ -216,11 +215,7 @@ def _dense_block_vjp(cache, p, dout):
 
 def mfe_forward(pyr, params):
     """Residual coarse-to-fine fusion into a map shaped like the finest level."""
-    a0 = dense_block(pyr.f0, params.blocks[0])
-    a01 = dense_block(pyr.f1, params.blocks[1]) + bilinear_resize(
-        a0, pyr.f1.shape[1], pyr.f1.shape[2])
-    return dense_block(pyr.f2, params.blocks[2]) + bilinear_resize(
-        a01, pyr.f2.shape[1], pyr.f2.shape[2])
+    return _mfe_forward_cache(pyr, params)[0]
 
 
 def _mfe_forward_cache(pyr, params):
@@ -332,8 +327,7 @@ def _well_conditioned(x, blk):
     well under the 1e-4 acceptance bound at step 1e-3: the first stops
     kink crossings, the second bounds the normalization curvature.
     """
-    conv_out = conv2d_3x3(x, blk.conv_w, blk.conv_b)
-    gn_out = group_norm(conv_out, blk.gn_gamma, blk.gn_beta, blk.groups, blk.eps)
+    _, (_, conv_out, gn_out) = _dense_block_cache(x, blk)
     var = conv_out.reshape(blk.groups, -1).var(axis=1)
     return np.abs(gn_out).min() >= _KINK_MARGIN and var.min() >= _VAR_MARGIN
 

@@ -265,3 +265,67 @@ def test_focal_map_matches_vector_kernel():
             p = L.sigmoid(logits[:, i, j])
             vals.append(L.focal_loss(p, int(labels[i, j])))
     assert abs(got - np.mean(vals)) < 1e-9
+
+
+def _cost_fixture(seed, k, t, hw, n_seen, n_cand):
+    """Class probabilities, mask logits and candidate-group targets."""
+    rng = np.random.default_rng(seed)
+    joint = _joint(n_seen, n_cand, n_seen + n_cand + 1)
+    v = rng.standard_normal((k, joint.matrix.shape[1])).astype(np.float32)
+    m = (2.0 * rng.standard_normal((k,) + hw)).astype(np.float32)
+    ids = rng.choice(np.arange(n_seen, n_seen + n_cand), size=t, replace=False)
+    targets = [(int(cid), (rng.random(hw) > 0.5).astype(np.float64)) for cid in ids]
+    return L.class_similarity(v, joint), m, targets, joint.seen_count
+
+
+COST_SHAPES = [(1, 1, (1, 1)), (3, 2, (4, 4)), (6, 5, (7, 5)), (9, 3, (16, 16))]
+
+
+@pytest.mark.parametrize("k,t,hw", COST_SHAPES)
+def test_matched_pair_loss_is_its_cost_entry_bitwise(k, t, hw):
+    s, m, targets, seen_count = _cost_fixture(k * 100 + t, k, t, hw, 2, t + 1)
+    w = L.CostWeights(w_cls=0.7, w_bce=1.3, w_dice=2.0, use_iou_in_loss=False)
+    costs = L.match_cost_matrix(s, m, targets, "candidate", w, seen_count).values
+    for q in range(k):
+        for tt in range(t):
+            one = Assignment(pairs=[Pair(q, tt, 0.0, "candidate")], group="candidate")
+            got = L.matched_loss(one, s, m, targets, w)
+            assert float(got).hex() == float(costs[q, tt]).hex(), (q, tt)
+
+
+@pytest.mark.parametrize("k,t,hw", COST_SHAPES)
+def test_scalar_kernels_are_their_one_by_one_cost_term_bitwise(k, t, hw):
+    s, m, targets, seen_count = _cost_fixture(k * 100 + t + 7, k, t, hw, 2, t + 1)
+    only = {"focal": L.CostWeights(w_cls=1.0, w_bce=0.0, w_dice=0.0),
+            "bce": L.CostWeights(w_cls=0.0, w_bce=1.0, w_dice=0.0),
+            "dice": L.CostWeights(w_cls=0.0, w_bce=0.0, w_dice=1.0)}
+    for q in range(k):
+        for cid, mask in targets:
+            kernels = {"focal": L.focal_loss(s[q], cid),
+                       "bce": L.bce_mask(m[q], mask),
+                       "dice": L.dice_loss(L.sigmoid(m[q]), mask)}
+            for term, w in only.items():
+                entry = L.match_cost_matrix(s[q:q + 1], m[q:q + 1], [(cid, mask)],
+                                            "candidate", w, seen_count).values[0, 0]
+                assert kernels[term].hex() == float(entry).hex(), (term, q, cid)
+
+
+def test_matched_loss_pair_out_of_range():
+    s, m, targets, _ = _cost_fixture(8, 3, 2, (3, 3), 2, 2)
+    w = L.CostWeights()
+    for q, t in ((3, 0), (-1, 0), (0, 2), (0, -1)):
+        bad = Assignment(pairs=[Pair(q, t, 0.0, "candidate")], group="candidate")
+        with pytest.raises(ValueError, match="out of range"):
+            L.matched_loss(bad, s, m, targets, w)
+    outside = [(s.shape[1], targets[0][1])]
+    one = Assignment(pairs=[Pair(0, 0, 0.0, "candidate")], group="candidate")
+    with pytest.raises(ValueError, match="outside joint space"):
+        L.matched_loss(one, s, m, outside, w)
+
+
+def test_focal_map_label_outside_classes():
+    logits = np.zeros((3, 2, 2))
+    for bad in (3, -1):
+        labels = np.array([[0, 1], [255, bad]])
+        with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+            L.focal_map(logits, labels, 255)

@@ -223,6 +223,28 @@ def test_fsum_mismatch_falls_back_to_resolves(monkeypatch):
     assert [(p.query, p.target) for p in a.pairs] == [(0, 1), (1, 0)]
 
 
+def test_tiny_costs_stay_on_tight_phase_two(monkeypatch):
+    # the tightness tolerance scales with max|cost|, so scaling every cost
+    # by a power of two changes neither the pairs nor the solve path
+    calls = []
+    resolve = M._resolve_phase_two
+    monkeypatch.setattr(M, "_resolve_phase_two",
+                        lambda *args: calls.append(1) or resolve(*args))
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        k = int(rng.integers(2, 13))
+        cost = rng.integers(0, 3, size=(k, int(rng.integers(1, k + 1)))).astype(np.float64)
+        want = [(p.query, p.target) for p in hungarian(cost).pairs]
+        for scale in (2.0**-40, 2.0**-1000):
+            got = hungarian(cost * scale)
+            assert [(p.query, p.target) for p in got.pairs] == want, (cost, scale)
+    assert calls == []
+    # all-zero costs: the tolerance is 0 and every edge stays exactly tight
+    a = hungarian(np.zeros((5, 3)))
+    assert [(p.query, p.target) for p in a.pairs] == [(0, 0), (1, 1), (2, 2)]
+    assert calls == []
+
+
 def test_pair_fields_are_python_scalars():
     rng = np.random.default_rng(10)
     for cost in (rng.integers(0, 2, size=(6, 4)).astype(np.float64),

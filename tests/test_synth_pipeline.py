@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -91,13 +93,13 @@ def test_pipeline_without_candidates(tmp_path):
 def test_pipeline_rerun_bitwise_identical(tmp_path):
     cfg_path, _ = make_synth_run(tmp_path / "fix", seed=0, size=32, dim=8)
     first = run_pipeline(cfg_path)
-    snapshots = {name: open(path, "rb").read()
+    snapshots = {name: Path(path).read_bytes()
                  for name, path in first.artifacts.items()
                  if name.endswith(".smtf")}
     second = run_pipeline(cfg_path)
     for name, path in second.artifacts.items():
         if name.endswith(".smtf"):
-            assert open(path, "rb").read() == snapshots[name], name
+            assert Path(path).read_bytes() == snapshots[name], name
 
 
 def test_pipeline_mfe_branch(tmp_path):
