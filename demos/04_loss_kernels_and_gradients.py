@@ -9,8 +9,8 @@ import math
 
 import numpy as np
 
-from smseg import bce_mask, dice_loss, focal_loss, iou_loss, cross_entropy_map
-from smseg.mfe import GRADCHECK_OPS, grad_check
+from smseg import (GRADCHECK_OPS, bce_mask, cross_entropy_map, dice_loss, focal_loss,
+                   grad_check, iou_loss)
 
 # dice on partially overlapping unit masks: 1 - (2*1 + 1)/(2 + 2 + 1) = 0.4
 m = np.array([1.0, 1.0, 0.0, 0.0])

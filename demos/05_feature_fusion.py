@@ -9,8 +9,8 @@ against the class-embedding bank.
 import numpy as np
 
 from smseg import (ClassEmbeddings, FeaturePyramid, build_joint_embedding,
-                   bilinear_resize, init_mfe_params, mfe_forward, mfe_logits)
-from smseg.mfe import grad_check
+                   bilinear_resize, grad_check, init_mfe_params, mfe_forward,
+                   mfe_logits)
 
 rng = np.random.default_rng(0)
 c = 8

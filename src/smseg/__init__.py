@@ -22,8 +22,8 @@ from .losses import (CostMatrix, CostWeights, bce_mask, class_similarity,
 from .matcher import Assignment, Pair, hungarian, split_match
 from .metrics import (EvalConfig, MetricsReport, confusion_matrix, evaluate,
                       hiou, iou_per_class, subset_miou)
-from .mfe import (DenseBlockParams, FeaturePyramid, MfeParams, bilinear_resize,
-                  conv2d_3x3, dense_block, grad_check, group_norm,
+from .mfe import (GRADCHECK_OPS, DenseBlockParams, FeaturePyramid, MfeParams,
+                  bilinear_resize, conv2d_3x3, dense_block, grad_check, group_norm,
                   init_mfe_params, mfe_forward, mfe_logits, relu)
 from .pipeline import (PipelineConfig, PipelineResult, PipelineStageError,
                        make_synth_run, run_pipeline)

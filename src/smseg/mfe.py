@@ -6,7 +6,9 @@ upsample, add to refined level 2. Each refinement is conv 3x3 -> group
 norm -> ReLU. The block is exercised forward plus through analytic
 gradients; ``grad_check`` compares those gradients against float64
 central differences and is the acceptance mechanism for numerical
-correctness, since no training loop lives here.
+correctness, since no training loop lives here. Its fixtures form a
+table of cases, one row per op: a seeded draw, the forward value and the
+analytic gradients (a VJP, or a loss kernel's ``*_grad`` twin).
 
 Forward ops preserve the input dtype (float32 in the pipeline, float64
 under gradcheck) and use fixed reduction orders, so outputs are bitwise
@@ -281,43 +283,40 @@ _VAR_MARGIN = 0.4
 _GRAD_NORM_FLOOR = 3e-3
 
 
-def _grad_norms_clear(grads):
-    return all(np.linalg.norm(np.asarray(g, dtype=np.float64)) >= _GRAD_NORM_FLOOR
-               for g in grads.values())
-
-
 def _draw(seed, stream, shape, lo=-1.0, hi=1.0):
     n = int(np.prod(shape))
     u = rng.uniform01(seed, n, start=stream * 1_000_003)
     return (lo + (hi - lo) * u).reshape(shape)
 
 
-def _block_params_from(seed, stream, channels, groups):
-    w = _draw(seed, stream, (channels, channels, 3, 3), -0.8, 0.8)
-    b = _draw(seed, stream + 1, (channels,), -0.3, 0.3)
-    gamma = _draw(seed, stream + 2, (channels,), 0.5, 1.5)
-    beta = _draw(seed, stream + 3, (channels,), -0.3, 0.3)
-    return {"conv_w": w, "conv_b": b, "gn_gamma": gamma, "gn_beta": beta,
-            "groups": groups}
+def _probe(seed, shape):
+    return _draw(seed, 999, shape, -1.0, 1.0)
 
 
-def _to_block(p):
-    return DenseBlockParams(conv_w=p["conv_w"], conv_b=p["conv_b"],
-                            gn_gamma=p["gn_gamma"], gn_beta=p["gn_beta"],
-                            groups=p["groups"])
+def _binary(seed, start, shape):
+    u = rng.uniform01(seed, int(np.prod(shape)), start=start).reshape(shape)
+    return (u > 0.5).astype(np.float64)
+
+
+def _draw_block(seed, stream, c, prefix=""):
+    """The arrays of one c-channel dense block, keyed ``{prefix}conv_w`` etc."""
+    return {prefix + "conv_w": _draw(seed, stream, (c, c, 3, 3), -0.8, 0.8),
+            prefix + "conv_b": _draw(seed, stream + 1, (c,), -0.3, 0.3),
+            prefix + "gn_gamma": _draw(seed, stream + 2, (c,), 0.5, 1.5),
+            prefix + "gn_beta": _draw(seed, stream + 3, (c,), -0.3, 0.3)}
+
+
+def _block(a, prefix=""):
+    return DenseBlockParams(a[prefix + "conv_w"], a[prefix + "conv_b"], a[prefix + "gn_gamma"],
+                            a[prefix + "gn_beta"], groups=a["_groups"])
 
 
 def _pyramid(arrays):
     return FeaturePyramid(f0=arrays["f0"], f1=arrays["f1"], f2=arrays["f2"])
 
 
-def _block_of(a, prefix=""):
-    return _to_block({**{k: a[prefix + k] for k in ("conv_w", "conv_b", "gn_gamma", "gn_beta")},
-                      "groups": a["_groups"]})
-
-
 def _mfe_params(arrays):
-    return MfeParams(blocks=tuple(_block_of(arrays, f"b{i}_") for i in range(3)))
+    return MfeParams(blocks=tuple(_block(arrays, f"b{i}_") for i in range(3)))
 
 
 def _well_conditioned(x, blk):
@@ -332,58 +331,156 @@ def _well_conditioned(x, blk):
     return np.abs(gn_out).min() >= _KINK_MARGIN and var.min() >= _VAR_MARGIN
 
 
-def _mfe_arrays_try(s, channels=2, size=8, groups=1):
-    """One draw of an MFE fixture; None when a block is badly conditioned.
+def _draw_dense_block(seed, c=4, size=4):
+    """One dense-block fixture; None when the block is badly conditioned."""
+    a = {"x": _draw(seed, 0, (c, size, size)), "_probe": 0.5 * _probe(seed, (c, size, size)),
+         "_groups": 2, **_draw_block(seed, 10, c)}
+    return a if _well_conditioned(a["x"], _block(a)) else None
+
+
+def _draw_mfe(seed, c=2, size=8, **target):
+    """One MFE fixture plus ``target``; None when a block is badly conditioned.
 
     Groups stay below the channel count: normalization cancels any
     per-group constant, so with one channel per group the conv bias would
     have an identically zero gradient and nothing left to verify.
     """
-    arrays = {"f0": _draw(s, 0, (channels, size // 4, size // 4)),
-              "f1": _draw(s, 1, (channels, size // 2, size // 2)),
-              "f2": _draw(s, 2, (channels, size, size)),
-              "_groups": groups}
+    a = {f"f{i}": _draw(seed, i, (c, n, n)) for i, n in enumerate((size // 4, size // 2, size))}
+    a["_groups"] = 1
     for i in range(3):
-        for k, v in _block_params_from(s, 10 + 10 * i, channels, groups).items():
-            if k != "groups":
-                arrays[f"b{i}_{k}"] = v
-    pyr, params = _pyramid(arrays), _mfe_params(arrays)
-    ok = all(_well_conditioned(x, blk) for x, blk in
-             ((pyr.f0, params.blocks[0]), (pyr.f1, params.blocks[1]),
-              (pyr.f2, params.blocks[2])))
-    return arrays if ok else None
+        a.update(_draw_block(seed, 10 + 10 * i, c, f"b{i}_"))
+    a.update(target)
+    levels = (a["f0"], a["f1"], a["f2"])
+    return a if all(map(_well_conditioned, levels, _mfe_params(a).blocks)) else None
 
 
-def _mfe_value(arrays, composite_dice):
-    fd = mfe_forward(_pyramid(arrays), _mfe_params(arrays))
-    if composite_dice:
-        value = 0.0
-        for c in range(fd.shape[0]):
-            value += dice_loss(sigmoid(fd[c]), arrays["_dice_y"][c])
-        return value
-    return float(np.sum(arrays["_probe"] * fd))
+def _draw_relu(seed):
+    x = _draw(seed, 0, (4, 4))                   # shifted 0.1 off the kink below
+    return {"x": x + np.where(x >= 0, 0.1, -0.1), "_probe": _probe(seed, (4, 4))}
 
 
-def _mfe_grads(arrays, composite_dice):
-    pyr, params = _pyramid(arrays), _mfe_params(arrays)
+def _draw_target(seed, key, lo, hi):
+    """An 8x8 prediction under ``key`` in [lo, hi) and a binary target ``_y``."""
+    return {key: _draw(seed, 0, (8, 8), lo, hi), "_y": _binary(seed, 1_000_003, (8, 8))}
+
+
+def _draw_labels(seed, n=5, size=6):
+    labels = (rng.raw64(seed, size * size, start=33) % (n + 1)).astype(np.int64)
+    labels = np.where(labels == n, 255, labels).reshape(size, size)
+    return {"x": _draw(seed, 0, (n, size, size), -2.0, 2.0), "_labels": labels}
+
+
+def _probed(forward, vjp):
+    """(value, grads) of sum(probe * forward(a)); grads are ``vjp(a, probe)``."""
+    return (lambda a: float(np.sum(a["_probe"] * forward(a))),
+            lambda a: vjp(a, a["_probe"]))
+
+
+def _conditioned(draw, value, grads):
+    """A row whose draw is also redrawn while a gradient's norm is under the floor."""
+    def clear(seed):
+        a = draw(seed)
+        if a is not None and all(np.linalg.norm(g) >= _GRAD_NORM_FLOOR
+                                 for g in grads(a).values()):
+            return a
+    return clear, value, grads
+
+
+def _dense_block_grads(a, dout):
+    blk = _block(a)
+    _, cache = _dense_block_cache(a["x"], blk)
+    dx, dp = _dense_block_vjp(cache, blk, dout)
+    return {"x": dx, **dp}
+
+
+def _mfe_grads(a, dfd):
+    """Gradients of a scalar of the fused map ``fd``, given its own as ``dfd(fd)``."""
+    pyr, params = _pyramid(a), _mfe_params(a)
     fd, cache = _mfe_forward_cache(pyr, params)
-    if composite_dice:
-        dfd = np.zeros_like(fd)
-        for c in range(fd.shape[0]):
-            m = sigmoid(fd[c])
-            dfd[c] = dice_loss_grad(m, arrays["_dice_y"][c])[1] * m * (1.0 - m)
-    else:
-        dfd = arrays["_probe"]
-    (df0, df1, df2), dps = _mfe_vjp(cache, params, dfd)
-    grads = {"f0": df0, "f1": df1, "f2": df2}
-    for i, dp in enumerate(dps):
-        for k, v in dp.items():
-            grads[f"b{i}_{k}"] = v
-    return grads
+    dfs, dps = _mfe_vjp(cache, params, dfd(fd))
+    return {**dict(zip(("f0", "f1", "f2"), dfs)),
+            **{f"b{i}_{k}": v for i, dp in enumerate(dps) for k, v in dp.items()}}
 
 
-def _probe(seed, shape):
-    return _draw(seed, 999, shape, -1.0, 1.0)
+def _dice_sum(a):
+    """Sum over channels of dice(sigmoid(fd[c]), _dice_y[c])."""
+    total = 0.0
+    for c, f in enumerate(mfe_forward(_pyramid(a), _mfe_params(a))):
+        total += dice_loss(sigmoid(f), a["_dice_y"][c])
+    return total
+
+
+def _dice_sum_dfd(a, fd):
+    dfd = np.zeros_like(fd)
+    for c, f in enumerate(fd):
+        m = sigmoid(f)
+        dfd[c] = dice_loss_grad(m, a["_dice_y"][c])[1] * m * (1.0 - m)
+    return dfd
+
+
+def _class_similarity_vjp(a, dout):
+    s = sigmoid(a["v"] @ a["_e"].T)
+    return {"v": (dout * s * (1.0 - s)) @ a["_e"]}
+
+
+# op -> (draw(seed), value(arrays), grads(arrays)), as ``_build_case`` returns
+# them. Keys that start with "_" are held fixed. Kernels are looked up when a
+# case runs, so a patched module attribute is the one checked.
+_CASES = {
+    "conv": (
+        lambda s: {"x": _draw(s, 0, (3, 5, 5)), "w": _draw(s, 1, (3, 3, 3, 3), -0.5, 0.5),
+                   "b": _draw(s, 2, (3,), -0.3, 0.3), "_probe": _probe(s, (3, 5, 5))},
+        *_probed(lambda a: conv2d_3x3(a["x"], a["w"], a["b"]),
+                 lambda a, d: dict(zip(("x", "w", "b"), conv2d_3x3_vjp(a["x"], a["w"], d))))),
+    "group_norm": (
+        lambda s: {"x": _draw(s, 0, (4, 4, 4)), "gamma": _draw(s, 1, (4,), 0.5, 1.5),
+                   "beta": _draw(s, 2, (4,), -0.3, 0.3), "_probe": _probe(s, (4, 4, 4))},
+        *_probed(lambda a: group_norm(a["x"], a["gamma"], a["beta"], 2),
+                 lambda a, d: dict(zip(("x", "gamma", "beta"),
+                                       group_norm_vjp(a["x"], a["gamma"], 2, 1e-5, d))))),
+    "bilinear": (lambda s: {"x": _draw(s, 0, (2, 3, 4)), "_probe": _probe(s, (2, 5, 7))},
+                 *_probed(lambda a: bilinear_resize(a["x"], 5, 7),
+                          lambda a, d: {"x": bilinear_resize_vjp(d, 3, 4)})),
+    "relu": (_draw_relu,
+             *_probed(lambda a: relu(a["x"]), lambda a, d: {"x": d * (a["x"] > 0)})),
+    "dense_block": _conditioned(
+        _draw_dense_block,
+        *_probed(lambda a: dense_block(a["x"], _block(a)), _dense_block_grads)),
+    "mfe": _conditioned(
+        lambda s: _draw_mfe(s, _probe=0.5 * _probe(s, (2, 8, 8))),
+        *_probed(lambda a: mfe_forward(_pyramid(a), _mfe_params(a)),
+                 lambda a, d: _mfe_grads(a, lambda fd: d))),
+    "mfe_dice": _conditioned(
+        lambda s: _draw_mfe(s, _dice_y=_binary(s, 5_000_000, (2, 8, 8))),
+        _dice_sum, lambda a: _mfe_grads(a, lambda fd: _dice_sum_dfd(a, fd))),
+    "dice": (lambda s: _draw_target(s, "m", 0.05, 0.95),
+             lambda a: dice_loss(a["m"], a["_y"]),
+             lambda a: {"m": dice_loss_grad(a["m"], a["_y"])[1]}),
+    "iou": (lambda s: _draw_target(s, "m", 0.05, 0.95),
+            lambda a: iou_loss(a["m"], a["_y"]),
+            lambda a: {"m": iou_loss_grad(a["m"], a["_y"])[1]}),
+    "bce": (lambda s: _draw_target(s, "x", -2.0, 2.0),
+            lambda a: bce_mask(a["x"], a["_y"]),
+            lambda a: {"x": bce_mask_grad(a["x"], a["_y"])[1]}),
+    # probabilities kept off the clamp boundary: the target term's
+    # curvature grows as 1/p^3, which central differences cannot track
+    "focal": (lambda s: {"p": _draw(s, 0, (12,), 0.15, 0.85),
+                         "_target": int(rng.raw64(s, 1, start=77)[0] % 12)},
+              lambda a: focal_loss(a["p"], a["_target"]),
+              lambda a: {"p": focal_loss_grad(a["p"], a["_target"])[1]}),
+    "cross_entropy": (_draw_labels,
+                      lambda a: cross_entropy_map(a["x"], a["_labels"], 255),
+                      lambda a: {"x": cross_entropy_map_grad(a["x"], a["_labels"], 255)[1]}),
+    "cosine": (lambda s: {"v": _draw(s, 0, (3, 6)), "_c": _draw(s, 1, (3, 6))},
+               lambda a: cosine_loss(a["v"], a["_c"], [(0, 1), (2, 0)]),
+               lambda a: {"v": cosine_loss_grad(a["v"], a["_c"], [(0, 1), (2, 0)])[1]}),
+    "class_similarity": (
+        lambda s: {"v": _draw(s, 0, (3, 6)), "_e": _draw(s, 1, (4, 6)),
+                   "_probe": _probe(s, (3, 4))},
+        *_probed(lambda a: class_similarity(a["v"], a["_e"]), _class_similarity_vjp)),
+}
+
+GRADCHECK_OPS = tuple(_CASES)
 
 
 def _build_case(op, seed):
@@ -391,158 +488,17 @@ def _build_case(op, seed):
 
     ``value(arrays)`` runs only the forward pass and returns the scalar
     being differentiated; ``grads(arrays)`` returns its analytic gradient
-    with respect to each checked array, keyed like ``arrays``.
+    with respect to each checked array, keyed like ``arrays``. A draw that
+    returns None is retried at ``seed + 7919 * attempt``.
     """
-    if op in ("mfe", "mfe_dice"):
-        composite = op == "mfe_dice"
-        value = lambda a: _mfe_value(a, composite)
-        grads = lambda a: _mfe_grads(a, composite)
-        for attempt in range(512):
-            s = seed + 7919 * attempt
-            arrays = _mfe_arrays_try(s)
-            if arrays is None:
-                continue
-            size = arrays["f2"].shape
-            if op == "mfe":
-                arrays["_probe"] = 0.5 * _probe(s, size)
-            else:
-                arrays["_dice_y"] = (rng.uniform01(s, int(np.prod(size)),
-                                                   start=5_000_000)
-                                     .reshape(size) > 0.5).astype(np.float64)
-            if _grad_norms_clear(grads(arrays)):
-                return arrays, value, grads
-        raise RuntimeError(f"could not build a well-conditioned {op} fixture")
-
-    if op == "conv":
-        c, size = 3, 5
-        arrays = {"x": _draw(seed, 0, (c, size, size)),
-                  "w": _draw(seed, 1, (c, c, 3, 3), -0.5, 0.5),
-                  "b": _draw(seed, 2, (c,), -0.3, 0.3),
-                  "_probe": _probe(seed, (c, size, size))}
-
-        def grads(a):
-            dx, dw, db = conv2d_3x3_vjp(a["x"], a["w"], a["_probe"])
-            return {"x": dx, "w": dw, "b": db}
-        return (arrays,
-                lambda a: float(np.sum(a["_probe"] * conv2d_3x3(a["x"], a["w"], a["b"]))),
-                grads)
-
-    if op == "group_norm":
-        c, size, groups = 4, 4, 2
-        arrays = {"x": _draw(seed, 0, (c, size, size)),
-                  "gamma": _draw(seed, 1, (c,), 0.5, 1.5),
-                  "beta": _draw(seed, 2, (c,), -0.3, 0.3),
-                  "_probe": _probe(seed, (c, size, size))}
-
-        def grads(a):
-            dx, dgamma, dbeta = group_norm_vjp(a["x"], a["gamma"], groups,
-                                               1e-5, a["_probe"])
-            return {"x": dx, "gamma": dgamma, "beta": dbeta}
-        return (arrays,
-                lambda a: float(np.sum(a["_probe"] * group_norm(
-                    a["x"], a["gamma"], a["beta"], groups))),
-                grads)
-
-    if op == "bilinear":
-        arrays = {"x": _draw(seed, 0, (2, 3, 4)), "_probe": _probe(seed, (2, 5, 7))}
-        return (arrays,
-                lambda a: float(np.sum(a["_probe"] * bilinear_resize(a["x"], 5, 7))),
-                lambda a: {"x": bilinear_resize_vjp(a["_probe"], 3, 4)})
-
-    if op == "relu":
-        x = _draw(seed, 0, (4, 4), -1.0, 1.0)
-        x = x + np.where(x >= 0, 0.1, -0.1)          # keep 0.1 clear of the kink
-        arrays = {"x": x, "_probe": _probe(seed, (4, 4))}
-        return (arrays,
-                lambda a: float(np.sum(a["_probe"] * relu(a["x"]))),
-                lambda a: {"x": a["_probe"] * (a["x"] > 0)})
-
-    if op == "dense_block":
-        c, size, groups = 4, 4, 2
-
-        def value(a):
-            return float(np.sum(a["_probe"] * dense_block(a["x"], _block_of(a))))
-
-        def grads(a):
-            blk = _block_of(a)
-            _, cache = _dense_block_cache(a["x"], blk)
-            dx, dp = _dense_block_vjp(cache, blk, a["_probe"])
-            return {"x": dx, **dp}
-
-        for attempt in range(512):
-            s = seed + 7919 * attempt
-            p = _block_params_from(s, 10, c, groups)
-            x = _draw(s, 0, (c, size, size))
-            if not _well_conditioned(x, _to_block(p)):
-                continue
-            arrays = {"x": x, "_probe": 0.5 * _probe(s, (c, size, size)),
-                      "_groups": groups}
-            arrays.update({k: v for k, v in p.items() if k != "groups"})
-            if _grad_norms_clear(grads(arrays)):
-                return arrays, value, grads
-        raise RuntimeError("could not build a well-conditioned dense_block fixture")
-
-    if op == "dice":
-        arrays = {"m": _draw(seed, 0, (8, 8), 0.05, 0.95),
-                  "_y": (_draw(seed, 1, (8, 8), 0, 1) > 0.5).astype(np.float64)}
-        return (arrays, lambda a: dice_loss(a["m"], a["_y"]),
-                lambda a: {"m": dice_loss_grad(a["m"], a["_y"])[1]})
-
-    if op == "iou":
-        arrays = {"m": _draw(seed, 0, (8, 8), 0.05, 0.95),
-                  "_y": (_draw(seed, 1, (8, 8), 0, 1) > 0.5).astype(np.float64)}
-        return (arrays, lambda a: iou_loss(a["m"], a["_y"]),
-                lambda a: {"m": iou_loss_grad(a["m"], a["_y"])[1]})
-
-    if op == "bce":
-        arrays = {"x": _draw(seed, 0, (8, 8), -2.0, 2.0),
-                  "_y": (_draw(seed, 1, (8, 8), 0, 1) > 0.5).astype(np.float64)}
-        return (arrays, lambda a: bce_mask(a["x"], a["_y"]),
-                lambda a: {"x": bce_mask_grad(a["x"], a["_y"])[1]})
-
-    if op == "focal":
-        # probabilities kept off the clamp boundary: the target term's
-        # curvature grows as 1/p^3, which central differences cannot track
-        n = 12
-        arrays = {"p": _draw(seed, 0, (n,), 0.15, 0.85)}
-        target = int(rng.raw64(seed, 1, start=77)[0] % n)
-        return (arrays, lambda a: focal_loss(a["p"], target),
-                lambda a: {"p": focal_loss_grad(a["p"], target)[1]})
-
-    if op == "cross_entropy":
-        n, size = 5, 6
-        labels = (rng.raw64(seed, size * size, start=33) % (n + 1)).astype(np.int64)
-        labels = np.where(labels == n, 255, labels).reshape(size, size)
-        arrays = {"x": _draw(seed, 0, (n, size, size), -2.0, 2.0), "_labels": labels}
-        return (arrays, lambda a: cross_entropy_map(a["x"], a["_labels"], 255),
-                lambda a: {"x": cross_entropy_map_grad(a["x"], a["_labels"], 255)[1]})
-
-    if op == "cosine":
-        arrays = {"v": _draw(seed, 0, (3, 6), -1.0, 1.0),
-                  "_c": _draw(seed, 1, (3, 6), -1.0, 1.0)}
-        pairs = [(0, 1), (2, 0)]
-        return (arrays, lambda a: cosine_loss(a["v"], a["_c"], pairs),
-                lambda a: {"v": cosine_loss_grad(a["v"], a["_c"], pairs)[1]})
-
-    if op == "class_similarity":
-        k, n, c = 3, 4, 6
-        arrays = {"v": _draw(seed, 0, (k, c), -1.0, 1.0),
-                  "_e": _draw(seed, 1, (n, c), -1.0, 1.0),
-                  "_probe": _probe(seed, (k, n))}
-
-        def grads(a):
-            s = sigmoid(a["v"] @ a["_e"].T)
-            return {"v": (a["_probe"] * s * (1.0 - s)) @ a["_e"]}
-        return (arrays,
-                lambda a: float(np.sum(a["_probe"] * class_similarity(a["v"], a["_e"]))),
-                grads)
-
-    raise ValueError(f"gradcheck does not support op {op!r}")
-
-
-GRADCHECK_OPS = ("conv", "group_norm", "bilinear", "relu", "dense_block",
-                 "mfe", "mfe_dice", "dice", "iou", "bce", "focal",
-                 "cross_entropy", "cosine", "class_similarity")
+    if op not in _CASES:
+        raise ValueError(f"gradcheck does not support op {op!r}")
+    draw, value, grads = _CASES[op]
+    for attempt in range(512):
+        arrays = draw(seed + 7919 * attempt)
+        if arrays is not None:
+            return arrays, value, grads
+    raise RuntimeError(f"could not build a well-conditioned {op} fixture")
 
 
 def grad_check(op, seed=0, step=1e-3):

@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import smseg
 from smseg import losses, mfe
 from smseg import rng as srng
 from smseg.embeddings import ClassEmbeddings, build_joint_embedding
@@ -336,3 +338,57 @@ def test_grad_check_fails_on_nan_value(monkeypatch):
 def test_grad_check_rejects_bad_step(step):
     with pytest.raises(ValueError, match="step"):
         mfe.grad_check("relu", step=step)
+
+
+def test_gradcheck_exported_from_package():
+    assert smseg.GRADCHECK_OPS is mfe.GRADCHECK_OPS
+    assert smseg.grad_check is mfe.grad_check
+
+
+# SHA-256 over seeds 0-19 of every ndarray in ``_build_case(op, seed)[0]``:
+# key, dtype, shape and bytes, in sorted key order. The draws are SplitMix64
+# followed by exact affine maps, so the digests hold on any host.
+FIXTURE_SHA256 = {
+    "conv": "0830b0ac906451cadc95052b7660111e011dd5c960c5ed3a3d4cf589606a18f4",
+    "group_norm": "cb9d77a7b051266625e6cad6cb3befea05bb63315f9f217808d8520a1c9d7422",
+    "bilinear": "0aa0f2fba95f0fe8a85be3753ecc388a6eaa6ccb4fc9543f0de3ad1e12188c30",
+    "relu": "b18db80e8813bf7e4a3c58e4873f466ad5af10d850ee6b885a75ebf4265cc905",
+    "dense_block": "527d251b97629dad6d7a6f79b1f85841b43893a87b1e486656b5d445de048164",
+    "mfe": "d8cf1b8452feca23631e1dfd598a33d7cfe094778b6dc193a842d9e78cda17a0",
+    "mfe_dice": "93269b617926ce5c13156bfaa336459c2042a4dd1574734ad571afef8f65402e",
+    "dice": "739eb264a40f59e6d867d7ea6c3e0d40aa1770fa9facd5cf89bd38af1681fb49",
+    "iou": "739eb264a40f59e6d867d7ea6c3e0d40aa1770fa9facd5cf89bd38af1681fb49",
+    "bce": "65ee5499699164a0e787a7b0e141bf59e570cf134a893588eab4330f40f1c941",
+    "focal": "d8ad15860731faed67857690ebfef079012724e50fa61642b27f0bf2934d96b5",
+    "cross_entropy": "339d13bd7ecf8e8b6d9c3e6d6e27ddf13b532004078b120f5df0061a40a0e69b",
+    "cosine": "8cd21828051cda02e630ebc4a12d4ab3155c970c2910acb95aee493927e6b261",
+    "class_similarity": "0bd076d5783c6b319f59535e9dc71d446e361f3de6473df773835234008ae958",
+}
+
+
+def _fixture_digest(op):
+    h = hashlib.sha256()
+    for seed in range(20):
+        arrays = mfe._build_case(op, seed)[0]
+        for key in sorted(arrays):
+            v = arrays[key]
+            if isinstance(v, np.ndarray):
+                for part in (key, v.dtype.str, repr(v.shape)):
+                    h.update(part.encode())
+                h.update(np.ascontiguousarray(v).tobytes())
+    return h.hexdigest()
+
+
+def test_gradcheck_fixtures_pinned():
+    assert mfe.GRADCHECK_OPS == tuple(FIXTURE_SHA256)
+    for op, want in FIXTURE_SHA256.items():
+        assert _fixture_digest(op) == want, op
+
+
+@pytest.mark.parametrize("op", ["dense_block", "mfe", "mfe_dice"])
+def test_build_case_gives_up_with_named_error(op, monkeypatch):
+    calls = []
+    monkeypatch.setattr(mfe, "_well_conditioned", lambda x, blk: calls.append(x) and False)
+    with pytest.raises(RuntimeError, match=f"well-conditioned {op} fixture"):
+        mfe._build_case(op, 0)
+    assert len(calls) == 512
