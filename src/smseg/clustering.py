@@ -23,6 +23,7 @@ reach an output is the centroid similarity that ``fuse_masks`` compares
 with ``tau``.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,11 +157,12 @@ class _Pixels:
     """What one ``kmeans`` run knows about its pixels."""
 
     x_t: np.ndarray                      # (C, P) f64, channel-major
-    x32: np.ndarray                      # (P, D) f32 proposal rows: x, or [x, 1]
+    x32: np.ndarray                      # (P, D) f32 proposal rows x~: s x, or [s x, 1]
     sq_x: np.ndarray                     # (P,) |x|^2
     norm: np.ndarray                     # (P,) |x~|, the proposal row's norm
     live: np.ndarray                     # (P,) bool, x~ has a nonzero entry
     cosine: bool
+    scale: float                         # s, the power of two x~ and c~ are scaled by
 
 
 def _propose(x32, c32):
@@ -168,17 +170,29 @@ def _propose(x32, c32):
     return x32 @ c32.T
 
 
+def _proposal_scale(sq_norms):
+    """The power of two nearest 1 / the largest row norm, in log2.
+
+    Rows and centroids scaled by it have norms of at most sqrt(2), so their
+    float32 products neither overflow nor flush to zero whatever the data's
+    magnitude. Unit-norm rows give 1, and so do all-zero (or overflowing)
+    ones.
+    """
+    top = math.sqrt(max(sq_norms))
+    return 2.0 ** -round(math.log2(top)) if 0 < top < math.inf else 1.0
+
+
 def _margins(px, sq_c):
     """Per-pixel gap by which a float32 proposal is certainly the pick.
 
-    For D-wide proposal rows, in any summation order, |x~.c~ - fl32(x~.c~)|
+    ``sq_c`` holds the squared norms of the scaled centroids s c. For
+    D-wide proposal rows, in any summation order, |x~.c~ - fl32(x~.c~)|
     <= eps = gamma_{D+2} |x~| max|c~| (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., 3.1), plus 2^-149 D (|x~| + max|c~| + 1)
     for subnormal rounding unless x~ is zero. The margin is 2.5 eps: the
     errors of two scores plus half an eps, which covers any float64 dot,
     the fixed-order one included. Euclidean adds the float64 rounding of
-    (sq_x - 2 dot) + sq_c. Where float32 could overflow, the margin is
-    infinite and every centroid is a candidate.
+    (sq_x - 2 dot) + sq_c, times s^2 like every score.
     """
     width, top_sq = px.x32.shape[1], np.max(sq_c)
     norm_c = np.sqrt(top_sq if px.cosine else top_sq + 0.25 * top_sq ** 2)  # max |c~|
@@ -186,8 +200,7 @@ def _margins(px, sq_c):
     margin = 2.5 * (gamma * px.norm * norm_c
                     + px.live * (2.0 ** -149 * width * (px.norm + norm_c + 1.0)))
     if not px.cosine:
-        margin += 4.0 * _U64 * (np.sqrt(px.sq_x) + np.sqrt(top_sq)) ** 2
-    margin[(px.norm + 1.0) * (norm_c + 1.0) >= 2.0 ** 126] = np.inf
+        margin += 4.0 * _U64 * (px.scale * np.sqrt(px.sq_x) + np.sqrt(top_sq)) ** 2
     return margin
 
 
@@ -233,28 +246,27 @@ def _assign_step(px, cents, assign):
     """
     k = len(cents)
     sq_c = np.sum(cents * cents, axis=1)
-    with np.errstate(over="ignore"):
-        c32 = (cents if px.cosine                  # euclidean: x.c - |c|^2/2
-               else np.column_stack([cents, -0.5 * sq_c])).astype(np.float32)
+    cs = px.scale * cents
+    sq_cs = np.sum(cs * cs, axis=1)
+    c32 = (cs if px.cosine                        # euclidean: s^2 (x.c - |c|^2/2)
+           else np.column_stack([cs, -0.5 * sq_cs])).astype(np.float32)
     c_t = np.ascontiguousarray(cents.T)
-    margin = _margins(px, sq_c)
+    margin = _margins(px, sq_cs)
     rows = max(1, _BLOCK_BYTES // (4 * k))
     hold = _BLOCK_BYTES // 64
     step = max(1, hold // k)                  # uncertain pixels per batch
     pairs, held = [], 0
     for s in range(0, len(assign), rows):
         blk = slice(s, s + rows)
-        # float32 overflow only hits pixels whose margin is infinite
-        with np.errstate(over="ignore", invalid="ignore"):
-            scores = _propose(px.x32[blk], c32)
-            pick = np.argmax(scores, axis=1)
-            at = np.arange(len(pick))
-            top = scores[at, pick]
-            scores[at, pick] = -np.inf
-            gap = top.astype(np.float64) - np.max(scores, axis=1)
-            scores[at, pick] = top
-            m = margin[blk]
-            floor = top - m
+        scores = _propose(px.x32[blk], c32)
+        pick = np.argmax(scores, axis=1)
+        at = np.arange(len(pick))
+        top = scores[at, pick]
+        scores[at, pick] = -np.inf
+        gap = top.astype(np.float64) - np.max(scores, axis=1)
+        scores[at, pick] = top
+        m = margin[blk]
+        floor = top - m
         assign[blk] = pick
         # A zero margin is an all-zero pixel: every score is exactly zero
         # and argmax already took the first index.
@@ -289,9 +301,11 @@ def kmeans(feats, seeds, cfg):
     equal seeds only the first ever takes pixels. A float32 product
     proposes the pick for ``_BLOCK_BYTES // (4 * k)`` pixels at a time (at
     least one), a rounding bound certifies it, and the few uncertified
-    pixels are rescored in float64 (see the module docstring). The
-    objective sums the fixed-order scores at the picks; centroid sums add
-    in pixel order.
+    pixels are rescored in float64 (see the module docstring). Pixels and
+    centroids enter the product scaled by one power of two taken from the
+    data (``_proposal_scale``), an exact scaling that keeps the float32
+    scores in range at any feature magnitude. The objective sums the
+    fixed-order scores at the picks; centroid sums add in pixel order.
     """
     seed_rows = seeds.seeds if isinstance(seeds, SeedSet) else np.asarray(seeds)
     if len(seed_rows) == 0:
@@ -311,13 +325,15 @@ def kmeans(feats, seeds, cfg):
     cents = cents[np.sort(np.unique(cents, axis=0, return_index=True)[1])]
 
     sq_x = np.sum(x * x, axis=1)
+    scale = _proposal_scale([np.max(sq_x), np.max(np.sum(cents * cents, axis=1))])
+    norm = scale * np.sqrt(sq_x)              # |s x|, at most sqrt(2)
     x32 = np.empty((len(x), c if cosine else c + 1), dtype=np.float32)
-    x32[:, :c] = x
+    x32[:, :c] = scale * x
     if not cosine:
         x32[:, c] = 1.0
     px = _Pixels(x_t=x.T, x32=x32, sq_x=sq_x,
-                 norm=np.sqrt(sq_x if cosine else sq_x + 1.0),
-                 live=np.any(x, axis=1) | (not cosine), cosine=cosine)
+                 norm=norm if cosine else np.sqrt(norm * norm + 1.0),
+                 live=np.any(x, axis=1) | (not cosine), cosine=cosine, scale=scale)
     trace = []
     assign = np.empty(len(x), dtype=np.int64)
     for it in range(cfg.kmeans_iters):

@@ -65,8 +65,8 @@ def class_similarity(v, e):
     matrix = e.matrix if hasattr(e, "matrix") else e
     v = np.asarray(v, dtype=np.float64)
     matrix = np.asarray(matrix, dtype=np.float64)
-    if v.shape[1] != matrix.shape[1]:
-        raise ValueError(f"query width {v.shape[1]} != embedding width {matrix.shape[1]}")
+    if v.shape[-1] != matrix.shape[1]:
+        raise ValueError(f"query width {v.shape[-1]} != embedding width {matrix.shape[1]}")
     return sigmoid(v @ matrix.T)
 
 

@@ -12,7 +12,10 @@ analytic gradients (a VJP, or a loss kernel's ``*_grad`` twin).
 
 Forward ops preserve the input dtype (float32 in the pipeline, float64
 under gradcheck) and use fixed reduction orders, so outputs are bitwise
-reproducible.
+reproducible. The forwards broadcast over leading batch dimensions of any
+input array or parameter (shapes are validated on their trailing
+dimensions), and a batched call equals the stack of per-item calls bit for
+bit: ``grad_check`` runs all perturbed copies of an array as one batch.
 """
 
 import functools
@@ -41,12 +44,12 @@ class DenseBlockParams:
     eps: float = 1e-5
 
     def __post_init__(self):
-        c = self.conv_w.shape[0]
-        if self.conv_w.shape != (c, c, 3, 3):
-            raise ValueError(f"conv weights must be (C, C, 3, 3), got {self.conv_w.shape}")
+        c = self.channels if self.conv_w.ndim >= 4 else -1
+        if self.conv_w.shape[-4:] != (c, c, 3, 3):
+            raise ValueError(f"conv weights must be (..., C, C, 3, 3), got {self.conv_w.shape}")
         for name in ("conv_b", "gn_gamma", "gn_beta"):
-            if getattr(self, name).shape != (c,):
-                raise ValueError(f"{name} must have shape ({c},)")
+            if getattr(self, name).shape[-1:] != (c,):
+                raise ValueError(f"{name} must have shape (..., {c})")
         if c % self.groups:
             raise ValueError(f"channels {c} not divisible by groups {self.groups}")
         if not self.eps > 0:
@@ -54,7 +57,7 @@ class DenseBlockParams:
 
     @property
     def channels(self):
-        return int(self.conv_w.shape[0])
+        return int(self.conv_w.shape[-4])
 
 
 @dataclass
@@ -77,33 +80,36 @@ class FeaturePyramid:
     scale: int = 2
 
     def __post_init__(self):
-        c, h2, w2 = self.f2.shape
+        if self.f2.ndim < 3:
+            raise ValueError(f"finest level must be (..., C, H, W), got {self.f2.shape}")
+        c, h2, w2 = self.f2.shape[-3:]
         r = self.scale
         for i, f in enumerate((self.f0, self.f1)):
             div = r ** (2 - i)
             if h2 % div or w2 % div:
                 raise ValueError(f"finest {h2}x{w2} not divisible by scale^{2 - i}")
-            if f.shape != (c, h2 // div, w2 // div):
+            if f.shape[-3:] != (c, h2 // div, w2 // div):
                 raise ValueError(
                     f"level {i} shape {f.shape} != expected {(c, h2 // div, w2 // div)}")
 
 
 def conv2d_3x3(x, w, b):
     """Same-padded stride-1 cross correlation plus bias."""
-    c, h, wd = x.shape
-    co, ci, kh, kw = w.shape
+    c, h, wd = x.shape[-3:]
+    co, ci, kh, kw = w.shape[-4:]
     if ci != c or (kh, kw) != (3, 3):
         raise ValueError(f"kernel {w.shape} incompatible with input {x.shape}")
-    if b.shape != (co,):
-        raise ValueError(f"bias shape {b.shape} != ({co},)")
-    xpad = np.zeros((c, h + 2, wd + 2), dtype=x.dtype)
-    xpad[:, 1:-1, 1:-1] = x
-    out = np.zeros((co, h, wd), dtype=x.dtype)
+    if b.shape[-1:] != (co,):
+        raise ValueError(f"bias shape {b.shape} != (..., {co})")
+    xpad = np.zeros((*x.shape[:-2], h + 2, wd + 2), dtype=x.dtype)
+    xpad[..., 1:-1, 1:-1] = x
+    lead = np.broadcast_shapes(x.shape[:-3], w.shape[:-4])
+    out = np.zeros((*lead, co, h, wd), dtype=x.dtype)
     for du in range(3):
         for dv in range(3):
-            out += np.einsum("oc,chw->ohw", w[:, :, du, dv],
-                             xpad[:, du:du + h, dv:dv + wd])
-    return out + b[:, None, None]
+            out += np.einsum("...oc,...chw->...ohw", w[..., du, dv],
+                             xpad[..., du:du + h, dv:dv + wd])
+    return out + b[..., None, None]
 
 
 def conv2d_3x3_vjp(x, w, dout):
@@ -124,14 +130,14 @@ def conv2d_3x3_vjp(x, w, dout):
 
 def group_norm(x, gamma, beta, groups, eps=1e-5):
     """Normalize over (channels-in-group, H, W), then per-channel affine."""
-    c, h, w = x.shape
+    c = x.shape[-3]
     if c % groups:
         raise ValueError(f"channels {c} not divisible by groups {groups}")
-    xg = x.reshape(groups, -1)
-    mu = xg.mean(axis=1, keepdims=True)
-    var = xg.var(axis=1, keepdims=True)
-    xhat = ((xg - mu) / np.sqrt(var + eps)).reshape(c, h, w)
-    return xhat * gamma[:, None, None] + beta[:, None, None]
+    xg = x.reshape(*x.shape[:-3], groups, -1)
+    mu = xg.mean(axis=-1, keepdims=True)
+    var = xg.var(axis=-1, keepdims=True)
+    xhat = ((xg - mu) / np.sqrt(var + eps)).reshape(x.shape)
+    return xhat * gamma[..., None, None] + beta[..., None, None]
 
 
 def group_norm_vjp(x, gamma, groups, eps, dout):
@@ -177,11 +183,11 @@ def bilinear_resize(x, h_out, w_out):
     """Separable bilinear resample with half-pixel center convention."""
     if h_out < 1 or w_out < 1:
         raise ValueError("target dims must be positive")
-    _, h, w = x.shape
+    h, w = x.shape[-2:]
     wr = _lin_weights(h, h_out).astype(x.dtype)
     wc = _lin_weights(w, w_out).astype(x.dtype)
-    tmp = np.tensordot(x, wc, axes=([2], [1]))          # (C, H, Wout)
-    return np.tensordot(tmp, wr, axes=([1], [1])).transpose(0, 2, 1)
+    tmp = np.tensordot(x, wc, axes=([-1], [1]))         # (..., C, H, Wout)
+    return np.tensordot(tmp, wr, axes=([-2], [1])).swapaxes(-1, -2)
 
 
 def bilinear_resize_vjp(dout, h_in, w_in):
@@ -223,9 +229,9 @@ def mfe_forward(pyr, params):
 def _mfe_forward_cache(pyr, params):
     y0, c0 = _dense_block_cache(pyr.f0, params.blocks[0])
     y1, c1 = _dense_block_cache(pyr.f1, params.blocks[1])
-    a01 = y1 + bilinear_resize(y0, pyr.f1.shape[1], pyr.f1.shape[2])
+    a01 = y1 + bilinear_resize(y0, *pyr.f1.shape[-2:])
     y2, c2 = _dense_block_cache(pyr.f2, params.blocks[2])
-    fd = y2 + bilinear_resize(a01, pyr.f2.shape[1], pyr.f2.shape[2])
+    fd = y2 + bilinear_resize(a01, *pyr.f2.shape[-2:])
     return fd, (c0, c1, c2, pyr)
 
 
@@ -371,9 +377,27 @@ def _draw_labels(seed, n=5, size=6):
 
 
 def _probed(forward, vjp):
-    """(value, grads) of sum(probe * forward(a)); grads are ``vjp(a, probe)``."""
-    return (lambda a: float(np.sum(a["_probe"] * forward(a))),
-            lambda a: vjp(a, a["_probe"]))
+    """(value, grads) of probe * forward(a) summed over the probe's axes, one
+    sum per leading batch index of the output; grads are ``vjp(a, probe)``."""
+    def value(a):
+        out = a["_probe"] * forward(a)
+        return np.sum(out, axis=tuple(range(out.ndim - a["_probe"].ndim, out.ndim)))
+    return value, lambda a: vjp(a, a["_probe"])
+
+
+def _per_item(x, ndim, kernel):
+    """``kernel`` of each item of ``x`` (its last ``ndim`` axes), as an array
+    shaped like the leading axes; a scalar when there are none."""
+    out = np.empty(x.shape[:x.ndim - ndim])
+    for i in np.ndindex(out.shape):
+        out[i] = kernel(x[i])
+    return out[()]
+
+
+def _mapped(key, ndim, kernel):
+    """The value of a scalar-loss ``kernel(a)`` taken once per leading batch
+    index of ``a[key]``, an array of ``ndim`` axes in the unbatched case."""
+    return lambda a: _per_item(a[key], ndim, lambda x: kernel({**a, key: x}))
 
 
 def _conditioned(draw, value, grads):
@@ -403,11 +427,15 @@ def _mfe_grads(a, dfd):
 
 
 def _dice_sum(a):
-    """Sum over channels of dice(sigmoid(fd[c]), _dice_y[c])."""
-    total = 0.0
-    for c, f in enumerate(mfe_forward(_pyramid(a), _mfe_params(a))):
-        total += dice_loss(sigmoid(f), a["_dice_y"][c])
-    return total
+    """Sum over channels of dice(sigmoid(fd[c]), _dice_y[c]), one per leading
+    batch index of ``fd``. Dice stays one call per map: its matrix product
+    does not round alike when rows from several maps are stacked."""
+    def channel_sum(fd):
+        total = 0.0
+        for c, f in enumerate(fd):
+            total += dice_loss(sigmoid(f), a["_dice_y"][c])
+        return total
+    return _per_item(mfe_forward(_pyramid(a), _mfe_params(a)), 3, channel_sum)
 
 
 def _dice_sum_dfd(a, fd):
@@ -454,25 +482,25 @@ _CASES = {
         lambda s: _draw_mfe(s, _dice_y=_binary(s, 5_000_000, (2, 8, 8))),
         _dice_sum, lambda a: _mfe_grads(a, lambda fd: _dice_sum_dfd(a, fd))),
     "dice": (lambda s: _draw_target(s, "m", 0.05, 0.95),
-             lambda a: dice_loss(a["m"], a["_y"]),
+             _mapped("m", 2, lambda a: dice_loss(a["m"], a["_y"])),
              lambda a: {"m": dice_loss_grad(a["m"], a["_y"])[1]}),
     "iou": (lambda s: _draw_target(s, "m", 0.05, 0.95),
-            lambda a: iou_loss(a["m"], a["_y"]),
+            _mapped("m", 2, lambda a: iou_loss(a["m"], a["_y"])),
             lambda a: {"m": iou_loss_grad(a["m"], a["_y"])[1]}),
     "bce": (lambda s: _draw_target(s, "x", -2.0, 2.0),
-            lambda a: bce_mask(a["x"], a["_y"]),
+            _mapped("x", 2, lambda a: bce_mask(a["x"], a["_y"])),
             lambda a: {"x": bce_mask_grad(a["x"], a["_y"])[1]}),
     # probabilities kept off the clamp boundary: the target term's
     # curvature grows as 1/p^3, which central differences cannot track
     "focal": (lambda s: {"p": _draw(s, 0, (12,), 0.15, 0.85),
                          "_target": int(rng.raw64(s, 1, start=77)[0] % 12)},
-              lambda a: focal_loss(a["p"], a["_target"]),
+              _mapped("p", 1, lambda a: focal_loss(a["p"], a["_target"])),
               lambda a: {"p": focal_loss_grad(a["p"], a["_target"])[1]}),
     "cross_entropy": (_draw_labels,
-                      lambda a: cross_entropy_map(a["x"], a["_labels"], 255),
+                      _mapped("x", 3, lambda a: cross_entropy_map(a["x"], a["_labels"], 255)),
                       lambda a: {"x": cross_entropy_map_grad(a["x"], a["_labels"], 255)[1]}),
     "cosine": (lambda s: {"v": _draw(s, 0, (3, 6)), "_c": _draw(s, 1, (3, 6))},
-               lambda a: cosine_loss(a["v"], a["_c"], [(0, 1), (2, 0)]),
+               _mapped("v", 2, lambda a: cosine_loss(a["v"], a["_c"], [(0, 1), (2, 0)])),
                lambda a: {"v": cosine_loss_grad(a["v"], a["_c"], [(0, 1), (2, 0)])[1]}),
     "class_similarity": (
         lambda s: {"v": _draw(s, 0, (3, 6)), "_e": _draw(s, 1, (4, 6)),
@@ -487,7 +515,8 @@ def _build_case(op, seed):
     """Returns (arrays, value, grads) for one gradcheck op.
 
     ``value(arrays)`` runs only the forward pass and returns the scalar
-    being differentiated; ``grads(arrays)`` returns its analytic gradient
+    being differentiated, or one per item when an array is stacked along a
+    leading batch axis; ``grads(arrays)`` returns its analytic gradient
     with respect to each checked array, keyed like ``arrays``. A draw that
     returns None is retried at ``seed + 7919 * attempt``.
     """
@@ -505,11 +534,13 @@ def grad_check(op, seed=0, step=1e-3):
     """Max relative error between analytic and central-difference gradients.
 
     For each differentiable input array of ``op``, the full numeric
-    gradient is assembled coordinate by coordinate in float64 and compared
-    as |num - ana| / max(|num|, |ana|, 1e-8) with |.| the Euclidean norm
-    over that array; the maximum across arrays is returned. The analytic
-    gradients are computed once; the 2N perturbed evaluations of an array
-    with N entries run the op's forward pass only.
+    gradient is taken in float64 and compared as |num - ana| /
+    max(|num|, |ana|, 1e-8) with |.| the Euclidean norm over that array;
+    the maximum across arrays is returned. The analytic gradients are
+    computed once. An array with N entries is stacked into a (2N, *shape)
+    batch of its +step and -step copies, one entry moved in each, and the
+    op's forward value runs once on the batch; N central differences are
+    taken from the 2N values it returns.
 
     A non-finite error on any array (NaN or inf in either gradient) is
     returned as is, so it fails every ``err < bound`` test. ``step`` must
@@ -521,17 +552,14 @@ def grad_check(op, seed=0, step=1e-3):
     worst = 0.0
     for name, ana in grads(arrays).items():
         arr = arrays[name]
-        flat = arr.reshape(-1)
+        n = arr.size
+        batch = np.repeat(arr.reshape(1, n), 2 * n, axis=0)
+        at = np.arange(n)
+        batch[at, at] += step                   # rows [0, n): entry i + step
+        batch[n + at, at] -= step               # rows [n, 2n): entry i - step
+        vals = value({**arrays, name: batch.reshape(2 * n, *arr.shape)})
+        num = (vals[:n] - vals[n:]) / (2.0 * step)
         ana_flat = np.asarray(ana, dtype=np.float64).reshape(-1)
-        num = np.zeros_like(ana_flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            fp = value(arrays)
-            flat[i] = orig - step
-            fm = value(arrays)
-            flat[i] = orig
-            num[i] = (fp - fm) / (2.0 * step)
         err = (np.linalg.norm(num - ana_flat)
                / max(np.linalg.norm(num), np.linalg.norm(ana_flat), 1e-8))
         if not math.isfinite(err):

@@ -67,6 +67,15 @@ def _bool(text):
     return state
 
 
+def _text(value):
+    """A field value as the config text its parser reads back."""
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return str(value)
+
+
 def _key(section, key, default, parse=str):
     """A config field read from ``key`` under ``[section]`` by ``parse``."""
     return field(default=default, metadata={"ini": (section, key, parse)})
@@ -152,6 +161,18 @@ class PipelineConfig:
                 except ValueError as exc:
                     raise ValueError(f"{path}: [{section}] {key}: {exc}") from exc
         return cls(**values)
+
+    def to_text(self, sections):
+        """The config file text of every key of the given ``sections``, in
+        declaration order, which ``from_file`` reads back as this config.
+        An empty value is written empty and keeps its default."""
+        declared, lines = self.declared(), []
+        for section in sections:
+            lines.append(f"[{section}]")
+            lines += [f"{key} = {_text(getattr(self, name))}".rstrip()
+                      for (sec, key), (name, _) in declared.items() if sec == section]
+            lines.append("")
+        return "\n".join(lines) + "\n"
 
     @property
     def weights(self):

@@ -133,28 +133,14 @@ def write_fixture(fix, out_dir):
     }
     (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
 
-    unseen_line = (["unseen_embeddings = Au.smtf"]
-                   if fix.unseen_embeddings.count else [])
-    cfg = "\n".join([
-        "[inputs]",
-        "features = O.smtf",
-        "seen_labels = Ys.smtf",
-        "ignore_mask = ignore.smtf",
-        "seen_embeddings = As.smtf",
-        *unseen_line,
-        "gt_labels = gt.smtf",
-        "",
-        "[eval]",
-        f"num_classes = {fix.num_classes}",
-        f"seen_ids = {','.join(str(i) for i in fix.seen_ids)}",
-        f"unseen_ids = {','.join(str(i) for i in fix.unseen_ids)}",
-        f"ignore_id = {fix.ignore_id}",
-        "",
-        "[output]",
-        "dir = out",
-        "",
-    ])
-    (out / "run.cfg").write_text(cfg)
+    from .pipeline import PipelineConfig       # pipeline imports this module
+    cfg = PipelineConfig(
+        **{key: path.name for key, path in paths.items() if key != "gt"},
+        gt_labels=paths["gt"].name, num_classes=fix.num_classes,
+        seen_ids=tuple(fix.seen_ids), unseen_ids=tuple(fix.unseen_ids),
+        ignore_id=fix.ignore_id)
+    # no [mfe] section: a caller enables that branch by appending one
+    (out / "run.cfg").write_text(cfg.to_text(("inputs", "eval", "output")))
     paths["meta"] = out / "meta.json"
     paths["config"] = out / "run.cfg"
     return {k: str(v) for k, v in paths.items()}

@@ -423,3 +423,22 @@ def test_kmeans_flat_map_never_rescores(metric, monkeypatch):
     monkeypatch.setattr(cl, "_rescore", lambda *a: pytest.fail("rescored"))
     result = cl.kmeans(feats, seeds, cfg)
     assert result.centroids.shape[0] == 1 and np.all(result.assignments == 0)
+
+
+@pytest.mark.parametrize("factor", [1e-30, 1e18])
+def test_kmeans_extreme_scales_certify_most_pixels(factor, monkeypatch):
+    # Unscaled, the float32 proposals of these maps all flush to the same
+    # value (x 1e-30) or overflow (x 1e18), and every pixel was rescored in
+    # float64. Scaled by a power of two, few are.
+    feats = _blob_features(96, 96, seed=96) * np.float32(factor)
+    cfg = cl.WindowConfig(window_sizes=(8, 16, 32), kmeans_iters=4, metric="euclidean")
+    seeds = cl.multi_scale_seeds(feats, cfg).seeds
+    rescored, real = [], cl._rescore
+
+    def spy(px, pairs, *args):
+        rescored.append(len(np.unique(np.concatenate([p for p, _ in pairs]))))
+        return real(px, pairs, *args)
+
+    monkeypatch.setattr(cl, "_rescore", spy)
+    result = _assert_lloyd_oracle(feats, seeds, cfg)
+    assert sum(rescored) <= 0.03 * feats[0].size * len(result.objective_trace), rescored

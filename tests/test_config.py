@@ -100,3 +100,29 @@ def test_cli_defaults_are_the_config_defaults():
                               "--decoder", "d", "--embeds", "e", "--out", "o"])
     assert (args.layers, args.random_queries, args.seed, args.sigma) == (
         default.layers, default.random_queries, default.rq_seed, default.rq_sigma)
+
+
+@pytest.mark.parametrize("synth_args, ids, unseen_file", [
+    ({"seed": 0, "size": 32, "dim": 8}, ((0, 1, 2), (3, 4)), "Au.smtf"),
+    ({"seed": 1, "seen": 4, "size": 32, "dim": 8}, ((0, 1, 2, 3, 4), ()), ""),
+])
+def test_fixture_config_loads_as_the_hand_written_one(tmp_path, synth_args, ids,
+                                                      unseen_file):
+    # the values the hand-written run.cfg loaded as, [mfe] appended
+    path = Path(write_fixture(gen_synth(**synth_args), tmp_path)["config"])
+    path.write_text(path.read_text() + "[mfe]\nenabled = true\n")
+    assert PipelineConfig.from_file(path) == PipelineConfig(
+        features="O.smtf", seen_labels="Ys.smtf", ignore_mask="ignore.smtf",
+        seen_embeddings="As.smtf", unseen_embeddings=unseen_file, gt_labels="gt.smtf",
+        num_classes=5, seen_ids=ids[0], unseen_ids=ids[1], ignore_id=255,
+        out_dir="out", mfe_enabled=True, base_dir=str(tmp_path.resolve()))
+
+
+def test_to_text_round_trips_every_key(tmp_path):
+    cfg = PipelineConfig(
+        features="f.smtf", windows=(4, 8), kmeans_iters=3, kmeans_tol=2.5e-7,
+        metric="euclidean", use_iou_in_loss=False, ksplit=(3, 2), rq_sigma=0.125,
+        mfe_enabled=True, temperature=1 / 3, seen_ids=(0, 7), percent=False,
+        base_dir=str(tmp_path.resolve()))
+    sections = dict.fromkeys(section for section, _ in PipelineConfig.declared())
+    assert PipelineConfig.from_file(_config(tmp_path, cfg.to_text(sections))) == cfg

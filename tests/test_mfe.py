@@ -392,3 +392,90 @@ def test_build_case_gives_up_with_named_error(op, monkeypatch):
     with pytest.raises(RuntimeError, match=f"well-conditioned {op} fixture"):
         mfe._build_case(op, 0)
     assert len(calls) == 512
+
+
+def _same_as_stacked(fn, batch):
+    """``fn`` of a batch equals the stack of ``fn`` of each item, bit for bit."""
+    want = np.stack([fn(item) for item in batch])
+    got = fn(batch)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype, c, sizes, groups", [
+    (np.float64, 2, (2, 4, 8), 1),         # the mfe gradcheck fixture
+    (np.float64, 4, (1, 2, 4), 2),         # the dense_block one
+    (np.float32, 16, (16, 32, 64), 8),     # pipeline-small's pyramid
+])
+def test_fusion_forwards_batch_bitwise(dtype, c, sizes, groups):
+    rng = np.random.default_rng(14)
+
+    def draw(*shape, lo=-1.0, hi=1.0):
+        return rng.uniform(lo, hi, (3, *shape)).astype(dtype)
+
+    n = sizes[-1]
+    x, w = draw(c, n, n), draw(c, c, 3, 3, lo=-0.3, hi=0.3)
+    b, g = draw(c, lo=-0.3, hi=0.3), draw(c, lo=0.5, hi=1.5)
+    _same_as_stacked(lambda x: mfe.conv2d_3x3(x, w[0], b[0]), x)
+    _same_as_stacked(lambda w: mfe.conv2d_3x3(x[0], w, b[0]), w)
+    _same_as_stacked(lambda b: mfe.conv2d_3x3(x[0], w[0], b), b)
+    _same_as_stacked(lambda x: mfe.group_norm(x, g[0], b[0], groups), x)
+    _same_as_stacked(lambda g: mfe.group_norm(x[0], g, b[0], groups), g)
+    _same_as_stacked(lambda b: mfe.group_norm(x[0], g[0], b, groups), b)
+    for size in sizes[:-1]:
+        _same_as_stacked(lambda x: mfe.bilinear_resize(x, size, size), x)
+        _same_as_stacked(lambda f: mfe.bilinear_resize(f, n, n), draw(c, size, size))
+
+    def block(w=w[0], b=b[0], g=g[0]):
+        return mfe.DenseBlockParams(w, b, g, b[..., ::-1], groups=groups)
+
+    _same_as_stacked(lambda x: mfe.dense_block(x, block()), x)
+    _same_as_stacked(lambda w: mfe.dense_block(x[0], block(w=w)), w)
+    _same_as_stacked(lambda g: mfe.dense_block(x[0], block(g=g)), g)
+    levels = [draw(c, size, size) for size in sizes]
+    params = mfe.MfeParams(blocks=(block(), block(w=w[1]), block(w=w[2])))
+    for i in range(3):
+        _same_as_stacked(lambda f: mfe.mfe_forward(mfe.FeaturePyramid(
+            *(f if j == i else levels[j][0] for j in range(3))), params), levels[i])
+        _same_as_stacked(lambda b: mfe.mfe_forward(mfe.FeaturePyramid(
+            *(f[0] for f in levels)), mfe.MfeParams(blocks=tuple(
+                block(b=b) if j == i else params.blocks[j] for j in range(3)))), b)
+
+
+def test_batched_shapes_validate_trailing_dimensions():
+    x, w, b = np.zeros((5, 2, 4, 4)), np.zeros((5, 2, 2, 3, 3)), np.zeros((5, 2))
+    assert mfe.conv2d_3x3(x, w, b).shape == (5, 2, 4, 4)
+    for args in ((x, np.zeros((2, 3, 3, 3)), b[0]), (x, w[0], np.zeros((5, 3))),
+                 (x, np.zeros((4, 2, 2, 3, 3)), b[0])):
+        with pytest.raises(ValueError):
+            mfe.conv2d_3x3(*args)
+    with pytest.raises(ValueError):
+        mfe.group_norm(np.zeros((5, 3, 4, 4)), np.ones(3), np.zeros(3), groups=2)
+    with pytest.raises(ValueError):
+        mfe.group_norm(x, np.ones((5, 3)), np.zeros(2), groups=2)
+    for conv_w, conv_b in ((np.zeros((5, 2, 3, 3, 3)), b), (w, np.zeros((5, 3))),
+                           (np.zeros((2, 3, 3)), b)):
+        with pytest.raises(ValueError):
+            mfe.DenseBlockParams(conv_w, conv_b, np.ones(2), np.zeros(2), groups=1)
+    block = mfe.DenseBlockParams(w, b, np.ones(2), np.zeros(2), groups=1)
+    assert block.channels == 2
+    with pytest.raises(ValueError):
+        mfe.MfeParams(blocks=(block, block, mfe.DenseBlockParams(
+            np.zeros((3, 3, 3, 3)), np.zeros(3), np.ones(3), np.zeros(3), groups=1)))
+    f0, f1, f2 = np.zeros((2, 2, 2)), np.zeros((2, 4, 4)), np.zeros((7, 2, 8, 8))
+    assert mfe.FeaturePyramid(f0, f1, f2).f2.shape == (7, 2, 8, 8)
+    for levels in ((f0, np.zeros((7, 2, 4, 3)), f2), (np.zeros((2, 2)), f1, f2),
+                   (f0, f1, np.zeros((8, 8)))):
+        with pytest.raises(ValueError):
+            mfe.FeaturePyramid(*levels)
+
+
+@pytest.mark.parametrize("op", mfe.GRADCHECK_OPS)
+def test_value_of_a_batch_equals_per_item_values(op):
+    arrays, value, grads = mfe._build_case(op, 0)
+    for name in grads(arrays):
+        items = [arrays[name] + 1e-3 * k for k in (-1, 0, 2)]
+        got = value({**arrays, name: np.stack(items)})
+        assert got.shape == (3,), name
+        want = [float(value({**arrays, name: item})).hex() for item in items]
+        assert [float(v).hex() for v in got] == want, name
