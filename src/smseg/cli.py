@@ -25,7 +25,7 @@ from .mfe import DenseBlockParams, FeaturePyramid, MfeParams, grad_check, \
     mfe_forward, GRADCHECK_OPS
 from .pipeline import (PipelineConfig, PipelineStageError, _ints, cluster,
                        decoder_params, embed, fuse, infer, loss, match,
-                       run_pipeline)
+                       run_pipeline, seen_query_count)
 from .synth import gen_synth, write_fixture
 from .tensor_store import load_tensor, save_tensor
 
@@ -92,14 +92,12 @@ def _cmd_embed(args):
 
 def _cmd_match(args):
     v = load_tensor(args.pred_class)
-    k_seen, k_cand = args.ksplit
-    if k_seen + k_cand != len(v):
-        raise ValueError(f"ksplit {args.ksplit} does not cover {len(v)} queries")
     cand_targets = _load_targets(args.cand_targets) if args.cand_targets else []
     seen_count = args.seen_count
     if seen_count is None:          # the first candidate id, or every row
         seen_count = min((cid for cid, _ in cand_targets), default=None)
-    assignment, payload = match(v, load_tensor(args.pred_masks), k_seen,
+    assignment, payload = match(v, load_tensor(args.pred_masks),
+                                seen_query_count(args.ksplit, len(v)),
                                 _load_targets(args.seen_targets), cand_targets,
                                 _joint_from_file(args.embeds, seen_count),
                                 _weights_from_json(args.weights))
@@ -115,10 +113,9 @@ def _cmd_loss(args):
         raise ValueError("assignment JSON lacks seen_count; pass --seen-count")
     pairs = [Pair(p["q"], p["t"], p.get("cost", 0.0), p.get("group", "seen"))
              for p in raw["pairs"]]
-    assignment = Assignment(pairs=pairs, group="combined",
-                            unmatched_queries=raw.get("unmatched", []))
+    assignment = Assignment(pairs, "combined", raw.get("unmatched", []))
     payload = loss(load_tensor(args.pred_class), load_tensor(args.pred_masks),
-                   raw.get("k_seen", 0), _load_targets(args.targets), assignment,
+                   _load_targets(args.targets), assignment,
                    _joint_from_file(args.embeds, seen_count),
                    _weights_from_json(args.weights))
     _write_json(args.out, payload)

@@ -108,15 +108,6 @@ class Predictions:
         if not (np.isfinite(self.v).all() and np.isfinite(self.m).all()):
             raise ValueError("predictions contain non-finite values")
 
-    @property
-    def seen(self):
-        return self.v[:self.k_seen], self.m[:self.k_seen]
-
-    @property
-    def cand(self):
-        lo, hi = self.k_seen, self.k_seen + self.k_cand
-        return self.v[lo:hi], self.m[lo:hi]
-
 
 def _softmax_rows(x):
     x = x - x.max(axis=1, keepdims=True)

@@ -239,7 +239,7 @@ def focal_map(logits, labels, ignore_id=255, alpha=0.25, gamma=2.0):
 
 
 def cosine_loss(v_rows, c_rows, pairs):
-    """Mean of 1 - cos(v_rows[q], c_rows[t]) over candidate pairs."""
+    """Mean of 1 - cos(v_rows[q], c_rows[t]) over the (q, t) pairs."""
     if not pairs:
         return 0.0
     v_rows = np.asarray(v_rows, dtype=np.float64)
@@ -247,7 +247,8 @@ def cosine_loss(v_rows, c_rows, pairs):
     total = 0.0
     for q, t in pairs:
         if not (0 <= q < len(v_rows) and 0 <= t < len(c_rows)):
-            raise ValueError(f"pair ({q}, {t}) outside the candidate group")
+            raise ValueError(f"pair ({q}, {t}) outside {len(v_rows)} query rows "
+                             f"and {len(c_rows)} class rows")
         a, b = v_rows[q], c_rows[t]
         denom = max(np.linalg.norm(a) * np.linalg.norm(b), 1e-12)
         cos = min(max(float(a @ b) / denom, -1.0), 1.0)   # rounding can leak past 1

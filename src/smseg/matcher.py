@@ -37,9 +37,12 @@ stay within |u| <= C and -2C <= v <= 0, so reduced costs stay within 4C;
 ``hungarian`` rejects costs beyond float64 max / (T + 2), which keeps
 them and every total of T entries finite.
 
-``split_match`` runs the solver independently for the seen and candidate
-query groups and concatenates the results into one assignment, so a pair
-can never link a query to the other group's targets.
+``split_match`` runs the solver once per query group, seen then
+candidate, each against its own targets only, so a pair can never link a
+query to the other group's targets. Each group's query and target
+indices are offset by the sizes of the group before it, so the combined
+assignment indexes the stacked queries and targets. A group with no
+targets is a (K, 0) problem that leaves every query unmatched.
 """
 
 import math
@@ -318,43 +321,23 @@ def hungarian(cost, group="combined"):
 def split_match(preds_seen, preds_cand, seen_targets, cand_targets, joint, weights):
     """Assign each query group to its own targets, then concatenate.
 
-    ``preds_seen``/``preds_cand`` are (V, M) pairs for the two groups;
-    targets are (joint class id, mask) lists whose ids must respect the
-    seen/candidate boundary of ``joint``. Candidate query indices are
-    shifted by the seen group size and candidate target indices by the
-    seen target count, so the combined assignment indexes the stacked
-    prediction and target lists directly.
+    ``preds_seen``/``preds_cand`` are (V, M) pairs for the two groups and
+    the targets (joint class id, mask) lists on either side of ``joint``'s
+    seen/candidate boundary. Candidate pairs are shifted by the seen
+    group's query and target counts, so they index the stacked lists. A
+    group with no targets leaves its queries unmatched; one with more
+    targets than queries raises ValueError naming the group.
     """
-    v_seen, m_seen = preds_seen
-    v_cand, m_cand = preds_cand
-    k_seen, k_cand = len(v_seen), len(v_cand)
-    if len(seen_targets) > k_seen:
-        raise ValueError(
-            f"{len(seen_targets)} seen targets exceed {k_seen} seen queries")
-    if len(cand_targets) > k_cand:
-        raise ValueError(
-            f"{len(cand_targets)} candidate targets exceed {k_cand} candidate queries")
-
-    if seen_targets:
-        cm = match_cost_matrix(class_similarity(v_seen, joint), m_seen,
-                               seen_targets, "seen", weights, joint.seen_count)
-        a_seen = hungarian(cm.values, group="seen")
-    else:
-        a_seen = Assignment(pairs=[], group="seen",
-                            unmatched_queries=list(range(k_seen)))
-    if cand_targets:
-        cm = match_cost_matrix(class_similarity(v_cand, joint), m_cand,
-                               cand_targets, "candidate", weights, joint.seen_count)
-        a_cand = hungarian(cm.values, group="candidate")
-    else:
-        a_cand = Assignment(pairs=[], group="candidate",
-                            unmatched_queries=list(range(k_cand)))
-
-    t_seen = len(seen_targets)
-    pairs = list(a_seen.pairs)
-    pairs += [Pair(p.query + k_seen, p.target + t_seen, p.cost, "candidate")
-              for p in a_cand.pairs]
-    unmatched = list(a_seen.unmatched_queries)
-    unmatched += [q + k_seen for q in a_cand.unmatched_queries]
-    return Assignment(pairs=pairs, group="combined",
-                      unmatched_queries=unmatched).validate()
+    pairs, unmatched = [], []
+    q0 = t0 = 0
+    for group, (v, m), targets in (("seen", preds_seen, seen_targets),
+                                   ("candidate", preds_cand, cand_targets)):
+        cost = np.zeros((len(v), 0))
+        if targets:
+            cost = match_cost_matrix(class_similarity(v, joint), m, targets, group,
+                                     weights, joint.seen_count).values
+        a = hungarian(cost, group=group)
+        pairs += [Pair(p.query + q0, p.target + t0, p.cost, group) for p in a.pairs]
+        unmatched += [q + q0 for q in a.unmatched_queries]
+        q0, t0 = q0 + len(v), t0 + len(targets)
+    return Assignment(pairs, "combined", unmatched).validate()

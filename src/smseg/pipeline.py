@@ -260,15 +260,26 @@ def match(v, m, k_seen, seen_targets, cand_targets, joint, weights):
     }
 
 
-def loss(v, m, k_seen, targets, assignment, joint, weights):
+def loss(v, m, targets, assignment, joint, weights):
     """Matched, cosine and split-matching losses of ``assignment`` over the
-    stacked (joint id, mask) ``targets``, seen before candidate."""
+    stacked (joint id, mask) ``targets``. A candidate pair's cosine term
+    uses its target's class row; a seen class id raises ValueError."""
     matched = matched_loss(assignment, class_similarity(v, joint), m, targets, weights)
-    t_seen = sum(1 for cid, _ in targets if cid < joint.seen_count)
-    cand_pairs = [(p.query - k_seen, p.target - t_seen)
+    cand_pairs = [(p.query, p.target, targets[p.target][0])
                   for p in assignment.pairs if p.group == "candidate"]
-    cos = cosine_loss(v[k_seen:], joint.matrix[joint.seen_count:], cand_pairs)
+    for q, t, cid in cand_pairs:
+        if cid < joint.seen_count:
+            raise ValueError(f"candidate pair ({q}, {t}) has seen class id {cid}")
+    cos = cosine_loss(v, joint.matrix, [(q, cid) for q, _, cid in cand_pairs])
     return {"matched": matched, "cosine": cos, "sm": sm_loss(matched, cos)}
+
+
+def seen_query_count(ksplit, rows):
+    """k_seen of a (k_seen, k_cand) ``ksplit`` of ``rows`` stacked queries,
+    seen first; it must cover every row (ValueError otherwise)."""
+    if len(ksplit) != 2 or min(ksplit) < 0 or sum(ksplit) != rows:
+        raise ValueError(f"ksplit {ksplit} does not cover {rows} queries")
+    return ksplit[0]
 
 
 def infer(queries, feats, params, class_matrix, class_ids, random_queries, seed,
@@ -354,8 +365,8 @@ def run_pipeline(config, global_loss_hook=None):
             params = DecoderParams.zeros(seen_bank.width, layers=cfg.layers)
         elif cfg.decoder_mode == "file":
             stacked = load_tensor(cfg.path("queries"))
-            k_seen, k_cand = cfg.ksplit if cfg.ksplit else (len(stacked), 0)
-            queries = QuerySet.build(stacked[:k_seen], stacked[k_seen:k_seen + k_cand])
+            k_seen = seen_query_count(cfg.ksplit or (len(stacked), 0), len(stacked))
+            queries = QuerySet.build(stacked[:k_seen], stacked[k_seen:])
             params = decoder_params(cfg.path("decoder_params"), cfg.layers)
         else:
             raise ValueError(f"unknown decoder mode {cfg.decoder_mode!r}")
@@ -372,8 +383,8 @@ def run_pipeline(config, global_loss_hook=None):
         emit("assign.json", payload)
 
     with _stage("loss"):
-        losses = loss(preds.v, preds.m, preds.k_seen, seen_targets + cand_targets,
-                      assignment, joint, weights)
+        losses = loss(preds.v, preds.m, seen_targets + cand_targets, assignment,
+                      joint, weights)
         if cfg.mfe_enabled:
             c, h, w = feats.shape
             pyr = FeaturePyramid(f0=bilinear_resize(feats, h // 4, w // 4),

@@ -136,11 +136,21 @@ def _unit_rows(x):
     return x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
 
 
-def naive_lloyd(feats, seeds, iters, tol, metric):
+def fixed_order_dot(x, y):
+    """``x @ y`` summed one channel at a time in channel order: no BLAS
+    rounding, the sum ``kmeans`` defines its picks by."""
+    d = x[:, :1] * y[0]
+    for q in range(1, x.shape[1]):
+        d = d + x[:, q:q + 1] * y[q]
+    return d
+
+
+def naive_lloyd(feats, seeds, iters, tol, metric, dot=np.matmul):
     """Unblocked Lloyd: the whole (pixels x centroids) score matrix per step.
 
     Returns (assignments (H, W) int32, centroids (k, C) f32, objective
-    trace), with unused centroids dropped and ids compacted.
+    trace), with unused centroids dropped and ids compacted. ``dot(x,
+    cents.T)`` gives the scores: a BLAS product unless another is passed.
     """
     c, h, w = feats.shape
     x = np.asarray(feats, dtype=np.float64).reshape(c, h * w).T
@@ -152,11 +162,11 @@ def naive_lloyd(feats, seeds, iters, tol, metric):
     for it in range(iters):
         rows = np.arange(len(x))
         if cosine:
-            sims = x @ cents.T
+            sims = dot(x, cents.T)
             assign = np.argmax(sims, axis=1)
             obj = float(np.sum(1.0 - sims[rows, assign]))
         else:
-            d2 = (np.sum(x * x, axis=1)[:, None] - 2.0 * (x @ cents.T)
+            d2 = (np.sum(x * x, axis=1)[:, None] - 2.0 * dot(x, cents.T)
                   + np.sum(cents * cents, axis=1)[None, :])
             assign = np.argmin(d2, axis=1)
             obj = float(np.sum(np.maximum(d2[rows, assign], 0.0)))

@@ -6,7 +6,8 @@ import pytest
 from smseg import clustering as cl
 from smseg.synth import gen_synth
 
-from oracles import naive_fuse, naive_lloyd, naive_window_seeds, naive_window_starts
+from oracles import (fixed_order_dot, naive_fuse, naive_lloyd, naive_window_seeds,
+                     naive_window_starts)
 
 
 def test_window_starts_match_stated_rule():
@@ -442,3 +443,30 @@ def test_kmeans_extreme_scales_certify_most_pixels(factor, monkeypatch):
     monkeypatch.setattr(cl, "_rescore", spy)
     result = _assert_lloyd_oracle(feats, seeds, cfg)
     assert sum(rescored) <= 0.03 * feats[0].size * len(result.objective_trace), rescored
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_kmeans_held_pairs_flush_vs_oracle(metric, monkeypatch):
+    # A near-flat map leaves most pixels uncertain, and a small budget
+    # makes the held candidate pairs outgrow it inside a row block, so they
+    # are rescored in many batches per step: picks and centroids must
+    # still equal the dense oracle's and the default budget's. Score gaps
+    # here reach 1e-16, where a BLAS product can round two centroids to a
+    # tie (cosine, pixel 278 of step 2), so the oracle sums in fixed order.
+    noise = np.random.default_rng(24).standard_normal((8, 24, 24))
+    feats = (1.0 + 1e-6 * noise).astype(np.float32)
+    cfg = cl.WindowConfig(window_sizes=(4, 8), kmeans_iters=4, metric=metric)
+    seeds = cl.multi_scale_seeds(feats, cfg).seeds
+    default = cl.kmeans(feats, seeds, cfg)
+    calls, real = [], cl._rescore
+    monkeypatch.setattr(cl, "_BLOCK_BYTES", 4096)
+    monkeypatch.setattr(cl, "_rescore", lambda *a: calls.append(1) or real(*a))
+    result = cl.kmeans(feats, seeds, cfg)
+    assign, cents, trace = naive_lloyd(feats, seeds, cfg.kmeans_iters,
+                                       cfg.kmeans_tol, metric, fixed_order_dot)
+    assert len(calls) > 10 * len(result.objective_trace)
+    assert result.objective_trace == trace
+    for other in (assign, default.assignments):
+        assert result.assignments.tobytes() == other.tobytes()
+    for other in (cents, default.centroids):
+        assert result.centroids.tobytes() == other.tobytes()

@@ -328,6 +328,17 @@ def test_split_match_no_candidates_equals_seen_only():
     assert [(p.query, p.target) for p in combined.pairs] == \
         [(p.query, p.target) for p in seen_only.pairs]
     assert combined.unmatched_queries == seen_only.unmatched_queries + [4, 5, 6]
+    # mirrored: no seen targets, so every seen query is unmatched and the
+    # candidate pairs keep their target indices, queries shifted by 4
+    joint, ps, pu, _, cand_targets = _random_group_fixture(rng, 4, 3, 0, 2)
+    combined = split_match(ps, pu, [], cand_targets, joint, w)
+    cm = L.match_cost_matrix(L.class_similarity(pu[0], joint), pu[1],
+                             cand_targets, "candidate", w, joint.seen_count)
+    cand_only = hungarian(cm.values, group="candidate")
+    assert [(p.query, p.target, p.cost, p.group) for p in combined.pairs] == \
+        [(p.query + 4, p.target, p.cost, p.group) for p in cand_only.pairs]
+    assert combined.unmatched_queries == \
+        [0, 1, 2, 3] + [q + 4 for q in cand_only.unmatched_queries]
 
 
 def test_split_match_perfect_fixture_costs_near_zero():

@@ -3,11 +3,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smseg import gen_synth, load_tensor, write_fixture
+from smseg import gen_synth, load_tensor, save_tensor, write_fixture
 from smseg.clustering import (WindowConfig, fuse_masks, kmeans,
                               multi_scale_seeds, restrict_candidates)
+from smseg.embeddings import ClassEmbeddings, build_joint_embedding
+from smseg.losses import CostWeights
+from smseg.matcher import Assignment, Pair, split_match
 from smseg.pipeline import (PipelineConfig, PipelineStageError, _remap_labels,
-                            make_synth_run, run_pipeline)
+                            loss, make_synth_run, run_pipeline)
 
 
 def test_gen_synth_deterministic():
@@ -178,3 +181,62 @@ def test_written_fixture_roundtrips(tmp_path):
     assert np.array_equal(load_tensor(paths["gt"]), fix.gt)
     assert np.array_equal(load_tensor(paths["seen_embeddings"]),
                           fix.seen_embeddings.matrix)
+
+
+def _loss_case():
+    """An orthonormal bank of 2 seen rows and candidate rows 2 and 3; one
+    seen query on row 0 and one candidate query on row 3, with one target
+    each, of classes 0 and 3."""
+    eye = np.eye(4, 8, dtype=np.float32)
+    joint = build_joint_embedding(ClassEmbeddings.from_matrix(eye[:2], (0, 1)), eye[2:])
+    v = 8.0 * eye[[0, 3]]
+    masks = np.zeros((2, 4, 4))
+    masks[0, 0] = masks[1, 1] = 1.0
+    m = 20.0 * (2.0 * masks - 1.0)
+    return v, m, [(0, masks[0]), (3, masks[1])], joint
+
+
+def test_loss_cosine_reads_the_target_class_row():
+    # The candidate query equals row 3, its target's class row. Read by
+    # position among the candidate rows it would be scored against row 2.
+    v, m, targets, joint = _loss_case()
+    assignment = split_match((v[:1], m[:1]), (v[1:], m[1:]), targets[:1], targets[1:],
+                             joint, CostWeights())
+    assert [(p.query, p.target, p.group) for p in assignment.pairs] == [
+        (0, 0, "seen"), (1, 1, "candidate")]
+    losses = loss(v, m, targets, assignment, joint, CostWeights())
+    assert losses["cosine"] == 0.0
+    assert losses["sm"] == losses["matched"]
+
+
+def test_loss_rejects_a_candidate_pair_with_a_seen_class():
+    v, m, targets, joint = _loss_case()
+    assignment = Assignment([Pair(0, 1, 0.0, "seen"), Pair(1, 0, 0.0, "candidate")],
+                            "combined")
+    with pytest.raises(ValueError, match=r"candidate pair \(1, 0\) has seen class id 0"):
+        loss(v, m, targets, assignment, joint, CostWeights())
+
+
+def test_file_decoder_uses_every_query_row(tmp_path):
+    # Queries 4 E from an oracle run and zero decoder weights reproduce the
+    # oracle run's files; a ksplit that leaves a row out fails by name.
+    cfg_path, fix = make_synth_run(tmp_path / "fix", seed=0, size=32, dim=8)
+    oracle = run_pipeline(cfg_path)
+    joint = load_tensor(tmp_path / "fix" / "out" / "E.smtf")
+    save_tensor(4.0 * joint, tmp_path / "Q.smtf")
+    save_tensor(np.zeros((3, joint.shape[1], joint.shape[1]), dtype=np.float32),
+                tmp_path / "dec.smtf")
+    cfg = PipelineConfig.from_file(cfg_path)
+    cfg.decoder_mode, cfg.out_dir = "file", "file"
+    cfg.queries, cfg.decoder_params = str(tmp_path / "Q.smtf"), str(tmp_path / "dec.smtf")
+    k_seen, k_cand = len(fix.seen_ids), oracle.candidate_count
+    assert k_cand >= 1
+    cfg.ksplit = (k_seen, k_cand)
+    run_pipeline(cfg)
+    for name in ("V.smtf", "M.smtf", "queries.smtf", "labels.smtf"):
+        assert (tmp_path / "fix" / "file" / name).read_bytes() == \
+            (tmp_path / "fix" / "out" / name).read_bytes(), name
+    cfg.ksplit = (k_seen, k_cand - 1)
+    with pytest.raises(PipelineStageError, match="does not cover") as err:
+        run_pipeline(cfg)
+    assert err.value.stage == "decode"
