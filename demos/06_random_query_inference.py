@@ -8,7 +8,7 @@ argmax of classification-weighted mask scores.
 
 import numpy as np
 
-from smseg import (DecoderParams, EvalConfig, QuerySet, RQ_SEED0_FIRST8,
+from smseg import (DecoderParams, EvalConfig, RQ_SEED0_FIRST8,
                    assemble_semantic_map, class_similarity, decode, evaluate,
                    gen_synth, hiou, inject_random_queries)
 
@@ -17,21 +17,21 @@ fix = gen_synth(seed=0, blobs=4, seen=2, size=64, dim=16)
 # Trained-query stand-ins: one query per class, pointed at its embedding.
 e_full = np.concatenate([fix.seen_embeddings.matrix,
                          fix.unseen_embeddings.matrix])
-queries = QuerySet.build(4.0 * e_full)
-print("trained queries:", queries.matrix.shape)
+queries = 4.0 * e_full
+print("trained queries:", queries.shape)
 
 # Random-query injection is a frozen contract: seed 0 must reproduce the
 # documented first eight values bitwise.
 queries = inject_random_queries(queries, k_r=50, seed=0, sigma=0.02)
-print("with random probes:", queries.matrix.shape)
+print("with random probes:", queries.shape)
 print("seed-0 contract holds:",
-      queries.rand[0, :8].tobytes() == RQ_SEED0_FIRST8.tobytes())
+      queries[len(e_full), :8].tobytes() == RQ_SEED0_FIRST8.tobytes())
 
 # Decode every query against the dense features, score against the full
 # class bank (seen + unseen embeddings at inference), assemble the map.
 preds = decode(queries, fix.features, DecoderParams.zeros(16))
 scores = class_similarity(preds.v, e_full)
-labels = assemble_semantic_map(scores, preds.m, fix.seen_ids, fix.unseen_ids)
+labels = assemble_semantic_map(scores, preds.m, fix.seen_ids + fix.unseen_ids)
 
 report = evaluate(labels, fix.gt, EvalConfig(
     num_classes=fix.num_classes, seen_ids=fix.seen_ids,

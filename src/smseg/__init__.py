@@ -10,7 +10,7 @@ plain numpy arrays exchanged through a bit-exact binary container.
 from .clustering import (CandidateMaskSet, ClusterResult, SeedSet,
                          WindowConfig, fuse_masks, kmeans, multi_scale_seeds,
                          restrict_candidates, window_seeds, window_starts)
-from .decoder import (DecoderParams, Predictions, QuerySet, RQ_SEED0_FIRST8,
+from .decoder import (DecoderParams, Predictions, RQ_SEED0_FIRST8,
                       assemble_semantic_map, decode, inject_random_queries)
 from .embeddings import (ClassEmbeddings, JointEmbedding,
                          build_joint_embedding, load_candidate_embeddings,

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import ClusterResult
-from .decoder import QuerySet
 from .embeddings import JointEmbedding
 from .losses import CostWeights
 from .matcher import Assignment, Pair
@@ -152,7 +151,7 @@ def _cmd_gradcheck(args):
 
 def _cmd_infer(args):
     embeds = load_tensor(args.embeds)
-    queries, labels = infer(QuerySet.build(load_tensor(args.queries)),
+    queries, labels = infer(load_tensor(args.queries),
                             load_tensor(args.features),
                             decoder_params(args.decoder, args.layers), embeds,
                             args.class_ids or tuple(range(len(embeds))),
@@ -221,7 +220,7 @@ def build_parser():
     p = command("match", _cmd_match, "group-decoupled assignment", "--pred-class",
                 "--pred-masks", "--embeds", "--seen-targets", "--out")
     p.add_argument("--cand-targets", default="")
-    p.add_argument("--ksplit", type=_ints, default=(100, 50))
+    p.add_argument("--ksplit", type=_ints, default=())
     p.add_argument("--seen-count", type=int, default=None)
     p.add_argument("--weights", default="")
 

@@ -8,6 +8,11 @@ each pixel feature. It is plumbing for exercising group-split matching
 and random-query inference end to end, not a high-fidelity segmentation
 decoder.
 
+Queries are one (K, C) float32 matrix: seen-class rows, then candidate
+rows, then, at inference, random rows. Each query attends over the pixels
+on its own, so the decoder never needs the group boundaries; the caller
+keeps the seen-row count for matching.
+
 Random queries are appended at inference only, drawn from the library's
 counter-based stream (:mod:`smseg.rng`) so two runs with the same seed
 produce bitwise identical rows. For seed 0, width >= 8 and the default
@@ -30,37 +35,6 @@ RQ_SEED0_FIRST8 = np.array([
     -3.7678167e-02, 1.7290138e-02, 4.5521585e-03, -8.422537e-04,
     -4.428758e-03, 8.386657e-03, 1.6683709e-03, -1.2248142e-02],
     dtype=np.float32)
-
-
-@dataclass
-class QuerySet:
-    """Query bank in fixed layout order: seen, then candidate, then random."""
-
-    seen: np.ndarray                 # (K_s, C) f32
-    cand: np.ndarray                 # (K_u, C) f32
-    rand: np.ndarray                 # (K_r, C) f32, inference only
-
-    def __post_init__(self):
-        widths = {a.shape[1] for a in (self.seen, self.cand, self.rand)}
-        if len(widths) != 1:
-            raise ValueError(f"query groups disagree on width: {widths}")
-
-    @classmethod
-    def build(cls, seen, cand=None, rand=None):
-        seen = np.asarray(seen, dtype=np.float32)
-        width = seen.shape[1]
-        empty = np.zeros((0, width), dtype=np.float32)
-        cand = empty if cand is None else np.asarray(cand, dtype=np.float32)
-        rand = empty if rand is None else np.asarray(rand, dtype=np.float32)
-        return cls(seen=seen, cand=cand, rand=rand)
-
-    @property
-    def matrix(self):
-        return np.concatenate([self.seen, self.cand, self.rand], axis=0)
-
-    @property
-    def counts(self):
-        return len(self.seen), len(self.cand), len(self.rand)
 
 
 @dataclass
@@ -93,18 +67,12 @@ class DecoderParams:
 
 @dataclass
 class Predictions:
-    """Per-query features and mask logits with group boundaries."""
+    """Per-query features and mask logits, one row per query."""
 
     v: np.ndarray                    # (K, C)
     m: np.ndarray                    # (K, H, W)
-    k_seen: int
-    k_cand: int
-    k_rand: int
 
     def __post_init__(self):
-        k = self.k_seen + self.k_cand + self.k_rand
-        if self.v.shape[0] != k or self.m.shape[0] != k:
-            raise ValueError("group counts do not sum to the prediction rows")
         if not (np.isfinite(self.v).all() and np.isfinite(self.m).all()):
             raise ValueError("predictions contain non-finite values")
 
@@ -124,48 +92,43 @@ def decode(queries, feats, params):
     """
     feats = np.asarray(feats)
     c, h, w = feats.shape
-    q = queries.matrix if isinstance(queries, QuerySet) else np.asarray(queries)
-    if q.shape[1] != c:
-        raise ValueError(f"query width {q.shape[1]} != feature channels {c}")
+    q = np.asarray(queries, dtype=np.float32)
+    if q.ndim != 2 or q.shape[1] != c:
+        raise ValueError(f"queries must be (K, {c}) for {c} feature channels, "
+                         f"got shape {q.shape}")
     pix = feats.reshape(c, h * w).T                      # (P, C)
-    q = q.copy()
     scale = 1.0 / np.sqrt(np.float32(c))
     for _ in range(params.layers):
         attn = _softmax_rows((q @ params.wq) @ (pix @ params.wk).T * scale)
         q = q + attn @ (pix @ params.wv)
     m = (q @ pix.T).reshape(len(q), h, w)
-    if isinstance(queries, QuerySet):
-        k_seen, k_cand, k_rand = queries.counts
-    else:
-        k_seen, k_cand, k_rand = len(q), 0, 0
-    return Predictions(v=q, m=m, k_seen=k_seen, k_cand=k_cand, k_rand=k_rand)
+    return Predictions(v=q, m=m)
 
 
 def inject_random_queries(queries, k_r=DEFAULT_RANDOM_QUERIES, seed=0,
                           sigma=DEFAULT_RQ_SIGMA):
-    """Append ``k_r`` rows of N(0, sigma^2) noise from the counter stream.
-
-    Existing rows are passed through untouched (same arrays, same bits);
-    ``k_r = 0`` appends nothing.
-    """
+    """Append ``k_r`` rows of N(0, sigma^2) noise from the counter stream
+    below the (K, C) ``queries``, whose rows keep their bits; ``k_r = 0``
+    appends nothing."""
     if k_r < 0:
         raise ValueError("k_r must be >= 0")
-    width = queries.seen.shape[1]
+    if np.ndim(queries) != 2:
+        raise ValueError(f"queries must be a (K, C) matrix, got shape {np.shape(queries)}")
+    width = queries.shape[1]
     rows = (sigma * rng.gaussians(seed, k_r * width)).astype(np.float32)
-    return QuerySet(seen=queries.seen, cand=queries.cand,
-                    rand=rows.reshape(k_r, width))
+    return np.concatenate([queries, rows.reshape(k_r, width)])
 
 
-def assemble_semantic_map(s, m, seen_ids, unseen_ids):
+def assemble_semantic_map(s, m, class_ids):
     """Mask-classification readout to a dense label map.
 
     score[c, h, w] = sum_k s[k, c] * sigmoid(m[k, h, w]); each pixel takes
     the argmax class, ties resolved toward the smallest dataset class id.
-    Columns of ``s`` correspond to ``seen_ids`` followed by ``unseen_ids``.
+    Column j of ``s`` scores class ``class_ids[j]``.
     """
     s = np.asarray(s, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
-    ids = [int(i) for i in seen_ids] + [int(i) for i in unseen_ids]
+    ids = [int(i) for i in class_ids]
     if s.shape[1] != len(ids):
         raise ValueError(f"{s.shape[1]} score columns for {len(ids)} class ids")
     if s.shape[0] != m.shape[0]:

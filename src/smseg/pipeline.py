@@ -24,8 +24,8 @@ import numpy as np
 
 from .clustering import (WindowConfig, fuse_masks, kmeans, multi_scale_seeds,
                          restrict_candidates)
-from .decoder import DecoderParams, QuerySet, decode, inject_random_queries, \
-    assemble_semantic_map
+from .decoder import (DEFAULT_RANDOM_QUERIES, DEFAULT_RQ_SIGMA, DecoderParams,
+                      assemble_semantic_map, decode, inject_random_queries)
 from .embeddings import (ClassEmbeddings, build_joint_embedding,
                          load_candidate_embeddings, pool_region_embeddings)
 from .losses import (CostWeights, class_similarity, cosine_loss,
@@ -33,8 +33,8 @@ from .losses import (CostWeights, class_similarity, cosine_loss,
                      sm_loss, total_loss)
 from .matcher import split_match
 from .metrics import EvalConfig, evaluate
-from .mfe import bilinear_resize, FeaturePyramid, init_mfe_params, mfe_forward, \
-    mfe_logits
+from .mfe import DEFAULT_TEMPERATURE, bilinear_resize, FeaturePyramid, \
+    init_mfe_params, mfe_forward, mfe_logits
 from .synth import gen_synth, write_fixture
 from .tensor_store import load_tensor, save_tensor
 
@@ -113,14 +113,14 @@ class PipelineConfig:
     layers: int = _key("decoder", "layers", 1, int)
     query_scale: float = _key("decoder", "query_scale", 4.0, float)
     # inference
-    random_queries: int = _key("inference", "random_queries", 50, int)
+    random_queries: int = _key("inference", "random_queries", DEFAULT_RANDOM_QUERIES, int)
     rq_seed: int = _key("inference", "seed", 0, int)
-    rq_sigma: float = _key("inference", "sigma", 0.02, float)
+    rq_sigma: float = _key("inference", "sigma", DEFAULT_RQ_SIGMA, float)
     # optional fusion-block loss branch
     mfe_enabled: bool = _key("mfe", "enabled", False, _bool)
     mfe_groups: int = _key("mfe", "groups", 8, int)
     mfe_seed: int = _key("mfe", "seed", 0, int)
-    temperature: float = _key("mfe", "temperature", 0.07, float)
+    temperature: float = _key("mfe", "temperature", DEFAULT_TEMPERATURE, float)
     # eval
     num_classes: int = _key("eval", "num_classes", 0, int)
     seen_ids: tuple = _key("eval", "seen_ids", (), _ints)
@@ -276,7 +276,9 @@ def loss(v, m, targets, assignment, joint, weights):
 
 def seen_query_count(ksplit, rows):
     """k_seen of a (k_seen, k_cand) ``ksplit`` of ``rows`` stacked queries,
-    seen first; it must cover every row (ValueError otherwise)."""
+    seen first; it must cover every row (ValueError otherwise). An empty
+    ``ksplit`` makes every row seen."""
+    ksplit = ksplit or (rows, 0)
     if len(ksplit) != 2 or min(ksplit) < 0 or sum(ksplit) != rows:
         raise ValueError(f"ksplit {ksplit} does not cover {rows} queries")
     return ksplit[0]
@@ -290,13 +292,15 @@ def infer(queries, feats, params, class_matrix, class_ids, random_queries, seed,
                                     sigma=sigma)
     preds = decode(queries, feats, params)
     labels = assemble_semantic_map(class_similarity(preds.v, class_matrix), preds.m,
-                                   class_ids, ())
-    return queries.matrix, labels
+                                   class_ids)
+    return queries, labels
 
 
 def decoder_params(path, layers):
     """DecoderParams from a (3, C, C) SMTF tensor holding Wq, Wk, Wv."""
     pm = load_tensor(path)
+    if pm.ndim != 3 or pm.shape[0] != 3 or pm.shape[1] != pm.shape[2]:
+        raise ValueError(f"decoder params must be (3, C, C), got shape {pm.shape}")
     return DecoderParams(wq=pm[0], wk=pm[1], wv=pm[2], layers=layers)
 
 
@@ -359,14 +363,14 @@ def run_pipeline(config, global_loss_hook=None):
 
     with _stage("decode"):
         if cfg.decoder_mode == "oracle":
-            queries = QuerySet.build(
-                cfg.query_scale * seen_bank.matrix,
-                cfg.query_scale * cand_rows if cand.count else None)
+            queries, k_seen = cfg.query_scale * joint.matrix, joint.seen_count
             params = DecoderParams.zeros(seen_bank.width, layers=cfg.layers)
         elif cfg.decoder_mode == "file":
-            stacked = load_tensor(cfg.path("queries"))
-            k_seen = seen_query_count(cfg.ksplit or (len(stacked), 0), len(stacked))
-            queries = QuerySet.build(stacked[:k_seen], stacked[k_seen:])
+            for key, name in (("queries", "queries"), ("params", "decoder_params")):
+                if not cfg.path(name):
+                    raise ValueError(f"mode = file needs [decoder] {key}")
+            queries = load_tensor(cfg.path("queries"))
+            k_seen = seen_query_count(cfg.ksplit, len(queries))
             params = decoder_params(cfg.path("decoder_params"), cfg.layers)
         else:
             raise ValueError(f"unknown decoder mode {cfg.decoder_mode!r}")
@@ -378,7 +382,7 @@ def run_pipeline(config, global_loss_hook=None):
         seen_targets = _seen_targets(seen_labels, seen_ids, cfg.ignore_id)
         cand_targets = [(joint.seen_count + u, cand.masks[u].astype(np.float64))
                         for u in range(cand.count)]
-        assignment, payload = match(preds.v, preds.m, preds.k_seen, seen_targets,
+        assignment, payload = match(preds.v, preds.m, k_seen, seen_targets,
                                     cand_targets, joint, weights)
         emit("assign.json", payload)
 

@@ -31,8 +31,7 @@ import smseg
 from smseg import losses as L
 from smseg.clustering import (WindowConfig, fuse_masks, kmeans,
                               multi_scale_seeds, restrict_candidates)
-from smseg.decoder import (DecoderParams, QuerySet, decode,
-                           inject_random_queries)
+from smseg.decoder import DecoderParams, decode, inject_random_queries
 from smseg.matcher import hungarian, split_match
 from smseg.mfe import GRADCHECK_OPS, grad_check
 from smseg.pipeline import make_synth_run, run_pipeline
@@ -371,13 +370,13 @@ def test_c11_pipeline_determinism_128_across_blas_threads(tmp_path):
 
 def test_c10_random_query_contract():
     start = time.time()
-    qs = QuerySet.build(np.zeros((2, 8), dtype=np.float32))
+    qs = np.zeros((2, 8), dtype=np.float32)
     injected = inject_random_queries(qs, k_r=1, seed=0, sigma=0.02)
-    assert injected.rand[0].tobytes() == smseg.RQ_SEED0_FIRST8.tobytes()
+    assert injected[2].tobytes() == smseg.RQ_SEED0_FIRST8.tobytes()
 
     noop = inject_random_queries(qs, k_r=0, seed=0)
-    assert noop.rand.shape == (0, 8)
-    assert noop.matrix.tobytes() == qs.matrix.tobytes()
+    assert noop[2:].shape == (0, 8)
+    assert noop.tobytes() == qs.tobytes()
 
     rng = np.random.default_rng(10)
     feats = rng.standard_normal((8, 4, 4)).astype(np.float32)

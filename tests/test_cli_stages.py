@@ -112,6 +112,11 @@ def test_match_without_candidate_targets(bank, capsys):
     assert raw["seen_count"] == 2 and raw["k_seen"] == 2
     assert {(p["q"], p["t"], p["group"]) for p in raw["pairs"]} == {
         (0, 0, "seen"), (1, 1, "seen")}
+    # no --ksplit either: every query row is seen, the same assignment
+    _run(capsys, "match", "--pred-class", bank / "V.smtf",
+         "--pred-masks", bank / "M.smtf", "--embeds", bank / "E.smtf",
+         "--seen-targets", bank / "seen.json", "--out", bank / "assign_all.json")
+    assert (bank / "assign_all.json").read_bytes() == (bank / "assign.json").read_bytes()
     out = _run(capsys, "loss", "--pred-class", bank / "V.smtf",
                "--pred-masks", bank / "M.smtf", "--embeds", bank / "E.smtf",
                "--targets", bank / "seen.json", "--assignment", bank / "assign.json",
@@ -141,6 +146,16 @@ def _match(d, *extra):
             "--out", d / "assign.json", *extra]
 
 
+def _infer(d, queries, decoder):
+    """infer on 4-channel features with the given queries and decoder tensors."""
+    save_tensor(np.ones((4, 3, 3), dtype=np.float32), d / "F.smtf")
+    save_tensor(queries, d / "Q.smtf")
+    save_tensor(decoder, d / "dec.smtf")
+    return ["infer", "--features", d / "F.smtf", "--queries", d / "Q.smtf",
+            "--decoder", d / "dec.smtf", "--embeds", d / "E.smtf",
+            "--out", d / "labels.smtf"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (lambda d: ["embed", "--features", d / "V.smtf", "--out", d / "Cu.smtf"],
      "needs masks"),
@@ -148,8 +163,12 @@ def _match(d, *extra):
     (lambda d: _match(d, "--ksplit", "2,0", "--seen-count", "3"), "exceeds"),
     (_no_seen_count, "lacks seen_count"),
     (_bad_mfe_params, "params must be"),
+    (lambda d: _infer(d, np.ones(4, dtype=np.float32), np.zeros((3, 4, 4), np.float32)),
+     "queries must be"),
+    (lambda d: _infer(d, np.ones((2, 4), dtype=np.float32),
+                      np.zeros((2, 4, 4), np.float32)), "decoder params must be"),
 ], ids=["embed-no-masks", "match-ksplit", "match-seen-count", "loss-seen-count",
-        "mfe-params"])
+        "mfe-params", "infer-queries-rank", "infer-decoder-shape"])
 def test_input_errors_exit_1(bank, capsys, argv, message):
     assert main([str(a) for a in argv(bank)]) == 1
     captured = capsys.readouterr()

@@ -2,12 +2,15 @@
 and parser, and from_file, the README and the CLI defaults follow it."""
 
 import configparser
+import inspect
 from pathlib import Path
 
 import pytest
 
 from smseg import gen_synth, write_fixture
 from smseg.cli import build_parser
+from smseg.decoder import inject_random_queries
+from smseg.mfe import mfe_logits
 from smseg.pipeline import PipelineConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -100,6 +103,15 @@ def test_cli_defaults_are_the_config_defaults():
                               "--decoder", "d", "--embeds", "e", "--out", "o"])
     assert (args.layers, args.random_queries, args.seed, args.sigma) == (
         default.layers, default.random_queries, default.rq_seed, default.rq_sigma)
+
+
+def test_inference_defaults_are_the_library_defaults():
+    default = PipelineConfig()
+    inject = inspect.signature(inject_random_queries).parameters
+    logits = inspect.signature(mfe_logits).parameters
+    assert default.random_queries == inject["k_r"].default
+    assert default.rq_sigma == inject["sigma"].default
+    assert default.temperature == logits["temperature"].default
 
 
 @pytest.mark.parametrize("synth_args, ids, unseen_file", [

@@ -19,7 +19,7 @@ def test_decode_residual_identity_when_wv_zero():
         wq=rng_np.standard_normal((4, 4)).astype(np.float32),
         wk=rng_np.standard_normal((4, 4)).astype(np.float32),
         wv=np.zeros((4, 4), dtype=np.float32))
-    preds = dec.decode(dec.QuerySet.build(q), feats, params)
+    preds = dec.decode(q, feats, params)
     assert np.array_equal(preds.v, q)
     expect_m = q @ feats.reshape(4, -1)
     assert np.allclose(preds.m.reshape(3, -1), expect_m, atol=1e-6)
@@ -30,7 +30,7 @@ def test_decode_single_pixel_attention_is_one():
     feats = _feats(rng_np, h=1, w=1)
     q = rng_np.standard_normal((2, 4)).astype(np.float32)
     params = dec.DecoderParams.random(4, seed=5)
-    preds = dec.decode(dec.QuerySet.build(q), feats, params)
+    preds = dec.decode(q, feats, params)
     # with one pixel softmax weight is exactly 1: residual is pix @ Wv
     pix = feats.reshape(4, 1).T
     expect_v = q + pix @ params.wv
@@ -42,7 +42,7 @@ def test_decode_matches_step_by_step_oracle():
     feats = _feats(rng_np, c=3, h=2, w=2)
     q0 = rng_np.standard_normal((2, 3)).astype(np.float32)
     params = dec.DecoderParams.random(3, seed=9)
-    preds = dec.decode(dec.QuerySet.build(q0), feats, params)
+    preds = dec.decode(q0, feats, params)
 
     pix = feats.reshape(3, -1).T.astype(np.float64)
     q = q0.astype(np.float64)
@@ -62,9 +62,9 @@ def test_decode_permutation_equivariant():
     feats = _feats(rng_np)
     q = rng_np.standard_normal((5, 4)).astype(np.float32)
     params = dec.DecoderParams.random(4, seed=1)
-    base = dec.decode(dec.QuerySet.build(q), feats, params)
+    base = dec.decode(q, feats, params)
     perm = [3, 0, 4, 1, 2]
-    swapped = dec.decode(dec.QuerySet.build(q[perm]), feats, params)
+    swapped = dec.decode(q[perm], feats, params)
     assert np.array_equal(swapped.v, base.v[perm])
     assert np.array_equal(swapped.m, base.m[perm])
 
@@ -75,41 +75,41 @@ def test_decode_two_layers_compose():
     q = rng_np.standard_normal((3, 4)).astype(np.float32)
     one = dec.DecoderParams.random(4, seed=2, layers=1)
     two = dec.DecoderParams(wq=one.wq, wk=one.wk, wv=one.wv, layers=2)
-    mid = dec.decode(dec.QuerySet.build(q), feats, one)
-    out = dec.decode(dec.QuerySet.build(mid.v), feats, one)
-    direct = dec.decode(dec.QuerySet.build(q), feats, two)
+    mid = dec.decode(q, feats, one)
+    out = dec.decode(mid.v, feats, one)
+    direct = dec.decode(q, feats, two)
     assert np.array_equal(direct.v, out.v)
     assert np.array_equal(direct.m, out.m)
 
 
 def test_decode_width_mismatch():
     with pytest.raises(ValueError):
-        dec.decode(dec.QuerySet.build(np.zeros((2, 5), dtype=np.float32)),
+        dec.decode(np.zeros((2, 5), dtype=np.float32),
                    np.zeros((4, 2, 2), dtype=np.float32),
                    dec.DecoderParams.zeros(5))
 
 
 def test_inject_zero_is_noop():
-    qs = dec.QuerySet.build(np.ones((2, 6), dtype=np.float32))
+    qs = np.ones((2, 6), dtype=np.float32)
     out = dec.inject_random_queries(qs, k_r=0, seed=3)
-    assert out.rand.shape == (0, 6)
-    assert np.array_equal(out.matrix, qs.matrix)
+    assert out[2:].shape == (0, 6)
+    assert np.array_equal(out, qs)
 
 
 def test_inject_deterministic_and_seed_sensitive():
-    qs = dec.QuerySet.build(np.zeros((1, 8), dtype=np.float32))
+    qs = np.zeros((1, 8), dtype=np.float32)
     a = dec.inject_random_queries(qs, k_r=4, seed=7)
     b = dec.inject_random_queries(qs, k_r=4, seed=7)
     c = dec.inject_random_queries(qs, k_r=4, seed=8)
-    assert a.rand.tobytes() == b.rand.tobytes()
-    assert a.rand.tobytes() != c.rand.tobytes()
-    assert a.seen is qs.seen                       # prefix untouched
+    assert a[1:].tobytes() == b[1:].tobytes()
+    assert a[1:].tobytes() != c[1:].tobytes()
+    assert a[:1].tobytes() == qs.tobytes()         # prefix untouched
 
 
 def test_inject_seed0_contract_vector():
-    qs = dec.QuerySet.build(np.zeros((1, 8), dtype=np.float32))
+    qs = np.zeros((1, 8), dtype=np.float32)
     out = dec.inject_random_queries(qs, k_r=1, seed=0, sigma=0.02)
-    assert out.rand[0].tobytes() == dec.RQ_SEED0_FIRST8.tobytes()
+    assert out[1].tobytes() == dec.RQ_SEED0_FIRST8.tobytes()
 
 
 def test_injected_rows_do_not_perturb_predictions():
@@ -120,18 +120,17 @@ def test_injected_rows_do_not_perturb_predictions():
         wq=rng_np.standard_normal((4, 4)).astype(np.float32),
         wk=rng_np.standard_normal((4, 4)).astype(np.float32),
         wv=np.zeros((4, 4), dtype=np.float32))
-    qs = dec.QuerySet.build(q)
-    base = dec.decode(qs, feats, params)
-    grown = dec.decode(dec.inject_random_queries(qs, k_r=5, seed=0), feats, params)
+    base = dec.decode(q, feats, params)
+    grown = dec.decode(dec.inject_random_queries(q, k_r=5, seed=0), feats, params)
     assert np.array_equal(grown.v[:3], base.v)
     assert np.array_equal(grown.m[:3], base.m)
-    assert grown.k_rand == 5
+    assert len(grown.v) == len(grown.m) == 8
 
 
 def test_assemble_one_hot_queries():
     s = np.array([[0.0, 1.0, 0.0]])
     m = np.full((1, 2, 2), 5.0)
-    labels = dec.assemble_semantic_map(s, m, (0, 1), (2,))
+    labels = dec.assemble_semantic_map(s, m, (0, 1, 2))
     assert np.all(labels == 1)
     assert labels.dtype == np.uint8
 
@@ -142,7 +141,7 @@ def test_assemble_two_disjoint_regions():
     m[0, :, :2] = 50.0
     m[0, :, 2:] = -50.0
     m[1] = -m[0]
-    labels = dec.assemble_semantic_map(s, m, (3, 7), ())
+    labels = dec.assemble_semantic_map(s, m, (3, 7))
     assert np.all(labels[:, :2] == 3)
     assert np.all(labels[:, 2:] == 7)
 
@@ -152,7 +151,7 @@ def test_assemble_matches_per_pixel_oracle():
     s = rng_np.random((2, 2))
     m = rng_np.standard_normal((2, 2, 2))
     ids = (1, 0)                                    # unordered on purpose
-    got = dec.assemble_semantic_map(s, m, ids, ())
+    got = dec.assemble_semantic_map(s, m, ids)
     expect = naive_semantic_map(s, m, ids)
     assert np.array_equal(got.astype(np.int64), expect)
 
@@ -160,15 +159,15 @@ def test_assemble_matches_per_pixel_oracle():
 def test_assemble_tie_breaks_to_smallest_id():
     s = np.array([[0.5, 0.5]])
     m = np.zeros((1, 1, 1))
-    assert dec.assemble_semantic_map(s, m, (4, 2), ()).item() == 2
+    assert dec.assemble_semantic_map(s, m, (4, 2)).item() == 2
 
 
 def test_assemble_scale_invariance():
     rng_np = np.random.default_rng(6)
     s = rng_np.random((3, 4))
     m = rng_np.standard_normal((3, 3, 3))
-    a = dec.assemble_semantic_map(s, m, (0, 1), (2, 3))
-    b = dec.assemble_semantic_map(4.0 * s, m, (0, 1), (2, 3))
+    a = dec.assemble_semantic_map(s, m, (0, 1, 2, 3))
+    b = dec.assemble_semantic_map(4.0 * s, m, (0, 1, 2, 3))
     assert np.array_equal(a, b)
 
 

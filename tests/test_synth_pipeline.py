@@ -240,3 +240,16 @@ def test_file_decoder_uses_every_query_row(tmp_path):
     with pytest.raises(PipelineStageError, match="does not cover") as err:
         run_pipeline(cfg)
     assert err.value.stage == "decode"
+
+
+@pytest.mark.parametrize("missing, key", [("queries", "[decoder] queries"),
+                                          ("decoder_params", "[decoder] params")])
+def test_file_decoder_names_a_missing_key(tmp_path, missing, key):
+    cfg_path, _ = make_synth_run(tmp_path / "fix", seed=0, size=32, dim=8)
+    cfg = PipelineConfig.from_file(cfg_path)
+    cfg.decoder_mode = "file"
+    cfg.queries, cfg.decoder_params = "Q.smtf", "dec.smtf"
+    setattr(cfg, missing, "")
+    with pytest.raises(PipelineStageError) as err:
+        run_pipeline(cfg)
+    assert err.value.stage == "decode" and key in str(err.value)
