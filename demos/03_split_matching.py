@@ -17,7 +17,7 @@ rng = np.random.default_rng(0)
 eye = np.eye(4, 8, dtype=np.float32)
 joint = build_joint_embedding(
     ClassEmbeddings.from_matrix(eye[:2], (0, 1)), eye[2:])
-print("joint bank: rows", joint.total, "=", joint.seen_count, "seen +",
+print("joint bank: rows", len(joint.matrix), "=", joint.seen_count, "seen +",
       joint.candidate_count, "candidates")
 
 # Three queries per group; query i mostly points at class i but with noise.
@@ -36,11 +36,11 @@ w = CostWeights()
 
 for group, rows, mm, targets in (("seen", v[:3], m[:3], seen_targets),
                                  ("candidate", v[3:], m[3:], cand_targets)):
-    cm = match_cost_matrix(class_similarity(rows, joint), mm, targets,
-                           group, w, joint.seen_count)
+    cost = match_cost_matrix(class_similarity(rows, joint.matrix), mm, targets,
+                             group, w, joint.seen_count)
     print(f"\n{group} cost matrix (queries x targets):")
-    print(np.round(cm.values, 2))
-    a = hungarian(cm.values, group=group)
+    print(np.round(cost, 2))
+    a = hungarian(cost, group=group)
     print("  optimal pairs:", [(p.query, p.target) for p in a.pairs],
           f"total {a.total_cost:.3f}")
 

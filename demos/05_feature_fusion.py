@@ -44,7 +44,7 @@ print("resize preserves constants:",
 bank = build_joint_embedding(
     ClassEmbeddings.from_matrix(np.eye(3, c, dtype=np.float32), (0, 1, 2)),
     np.zeros((0, c), dtype=np.float32))
-logits = mfe_logits(fused, bank, temperature=0.07)
+logits = mfe_logits(fused, bank.matrix, temperature=0.07)
 print("logit map:", logits.shape, " bounded by 1/T =", round(1 / 0.07, 2),
       "-> max:", round(float(np.abs(logits).max()), 2))
 

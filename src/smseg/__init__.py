@@ -7,18 +7,17 @@ mask-classification inference, and harmonic-mean IoU evaluation — all on
 plain numpy arrays exchanged through a bit-exact binary container.
 """
 
-from .clustering import (CandidateMaskSet, ClusterResult, SeedSet,
-                         WindowConfig, fuse_masks, kmeans, multi_scale_seeds,
+from .clustering import (CandidateMaskSet, ClusterResult, WindowConfig,
+                         fuse_masks, kmeans, multi_scale_seeds,
                          restrict_candidates, window_seeds, window_starts)
 from .decoder import (DecoderParams, Predictions, RQ_SEED0_FIRST8,
                       assemble_semantic_map, decode, inject_random_queries)
 from .embeddings import (ClassEmbeddings, JointEmbedding,
                          build_joint_embedding, load_candidate_embeddings,
                          pool_region_embeddings)
-from .losses import (CostMatrix, CostWeights, bce_mask, class_similarity,
-                     cosine_loss, cross_entropy_map, dice_loss, focal_loss,
-                     focal_map, iou_loss, match_cost_matrix, matched_loss,
-                     mfe_loss, sigmoid, sm_loss, total_loss)
+from .losses import (CostWeights, bce_mask, class_similarity, cosine_loss,
+                     cross_entropy_map, dice_loss, focal_loss, focal_map,
+                     iou_loss, match_cost_matrix, matched_loss, sigmoid)
 from .matcher import Assignment, Pair, hungarian, split_match
 from .metrics import (EvalConfig, MetricsReport, confusion_matrix, evaluate,
                       hiou, iou_per_class, subset_miou)

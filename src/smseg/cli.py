@@ -55,8 +55,7 @@ def _joint_from_file(path, seen_count):
     if seen_count > len(matrix):
         raise ValueError(f"seen count {seen_count} exceeds the {len(matrix)} "
                          f"embedding rows of {path}")
-    return JointEmbedding(matrix=matrix, seen_count=seen_count,
-                          candidate_count=len(matrix) - seen_count)
+    return JointEmbedding(matrix=matrix, seen_count=seen_count)
 
 
 def _cmd_cluster(args):

@@ -24,7 +24,7 @@ with ``tau``.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,15 +58,6 @@ class WindowConfig:
             raise ValueError("kmeans_tol must be > 0")
         if self.metric not in _METRICS:
             raise ValueError(f"metric must be one of {_METRICS}")
-
-
-@dataclass
-class SeedSet:
-    seeds: np.ndarray                    # (n, C) f32
-    provenance: list = field(default_factory=list)   # (window, i, j) per seed
-
-    def __len__(self):
-        return len(self.seeds)
 
 
 @dataclass
@@ -107,10 +98,11 @@ def window_starts(extent, size):
 def window_seeds(feats, size):
     """Mean feature over every s x s window at the canonical start grid.
 
-    ``feats`` is (C, H, W). Returns ((n_windows, C) float32, provenance).
-    Window sums accumulate in float64, one window-local pixel at a time in
-    row-major order, are divided by s^2, then rounded once to float32 —
-    the exact sequence a naive per-window double loop performs.
+    ``feats`` is (C, H, W). Returns the (n_windows, C) float32 seeds,
+    windows in row-major order of their starts. Window sums accumulate in
+    float64, one window-local pixel at a time in row-major order, are
+    divided by s^2, then rounded once to float32 — the exact sequence a
+    naive per-window double loop performs.
     """
     feats = np.asarray(feats)
     c, h, w = feats.shape
@@ -126,24 +118,18 @@ def window_seeds(feats, size):
         for dv in range(size):
             acc += f64[:, ri + du, cj + dv]
     seeds = (acc / float(size * size)).astype(np.float32)
-    seeds = seeds.transpose(1, 2, 0).reshape(len(rows) * len(cols), c)
-    provenance = [(size, i, j) for i in rows for j in cols]
-    return seeds, provenance
+    return seeds.transpose(1, 2, 0).reshape(len(rows) * len(cols), c)
 
 
 def multi_scale_seeds(feats, cfg):
-    """Concatenated window seeds over every configured window size."""
-    chunks, provenance = [], []
-    for size in cfg.window_sizes:
-        seeds, prov = window_seeds(feats, size)
-        chunks.append(seeds)
-        provenance.extend(prov)
-    return SeedSet(seeds=np.concatenate(chunks, axis=0), provenance=provenance)
+    """(n, C) window seeds of every configured window size, ascending."""
+    return np.concatenate([window_seeds(feats, size) for size in cfg.window_sizes])
 
 
 def _normalize_rows(x):
+    """Rows divided by their norms; all-zero rows stay zero."""
     norms = np.linalg.norm(x, axis=1, keepdims=True)
-    return x / np.maximum(norms, _NORM_FLOOR)
+    return x / np.where(norms > 0, norms, 1.0)
 
 
 def _group_sums(group, rows, n):
@@ -286,7 +272,7 @@ def _assign_step(px, cents, assign):
 
 
 def kmeans(feats, seeds, cfg):
-    """Lloyd iterations initialized at the given seeds.
+    """Lloyd iterations over (C, H, W) ``feats`` from the (n, C) ``seeds``.
 
     Cosine metric runs spherical K-means: pixels are L2-normalized once,
     centroids are renormalized after every update, and the distortion is
@@ -307,12 +293,13 @@ def kmeans(feats, seeds, cfg):
     scores in range at any feature magnitude. The objective sums the
     fixed-order scores at the picks; centroid sums add in pixel order.
     """
-    seed_rows = seeds.seeds if isinstance(seeds, SeedSet) else np.asarray(seeds)
-    if len(seed_rows) == 0:
+    if len(seeds) == 0:
         raise ValueError("kmeans needs at least one seed")
     c, h, w = np.asarray(feats).shape
     x = np.asarray(feats, dtype=np.float64).reshape(c, h * w).T   # (P, C)
-    cents = np.asarray(seed_rows, dtype=np.float64).copy()
+    # C order: row norms and sums then reduce in one order whatever the
+    # layout of ``seeds`` (window seeds come out column-major).
+    cents = np.array(seeds, dtype=np.float64, order="C")
     for name, arr in (("feats", x), ("seeds", cents)):
         if not np.isfinite(arr).all():
             raise ValueError(f"kmeans {name} must be finite, got NaN or inf")

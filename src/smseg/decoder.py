@@ -88,7 +88,8 @@ def decode(queries, feats, params):
 
     Per layer: A = softmax((Q Wq)(F' Wk)^T / sqrt(C)) over flattened
     pixels F', then Q <- Q + A (F' Wv). Afterwards V = Q and
-    M[k, h, w] = V[k] . feats[:, h, w].
+    M[k, h, w] = V[k] . feats[:, h, w]. Queries and decoder weights must
+    be as wide as ``feats`` has channels (ValueError otherwise).
     """
     feats = np.asarray(feats)
     c, h, w = feats.shape
@@ -96,6 +97,8 @@ def decode(queries, feats, params):
     if q.ndim != 2 or q.shape[1] != c:
         raise ValueError(f"queries must be (K, {c}) for {c} feature channels, "
                          f"got shape {q.shape}")
+    if len(params.wq) != c:
+        raise ValueError(f"decoder width {len(params.wq)} != {c} feature channels")
     pix = feats.reshape(c, h * w).T                      # (P, C)
     scale = 1.0 / np.sqrt(np.float32(c))
     for _ in range(params.layers):

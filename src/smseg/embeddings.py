@@ -63,30 +63,20 @@ class JointEmbedding:
 
     matrix: np.ndarray           # (seen_count + candidate_count, C) f32
     seen_count: int
-    candidate_count: int
 
     @property
-    def total(self):
-        return self.seen_count + self.candidate_count
-
-    @property
-    def width(self):
-        return int(self.matrix.shape[1])
-
-    def is_seen(self, joint_id):
-        return 0 <= joint_id < self.seen_count
+    def candidate_count(self):
+        return len(self.matrix) - self.seen_count
 
 
 def pool_region_embeddings(feats, masks):
     """Mask-weighted mean of dense features, one unit row per mask.
 
     Stand-in for an external region encoder: row u is
-    normalize(sum over mask_u of feats[:, h, w] / area_u). Masks may be a
-    CandidateMaskSet or a (U, H, W) binary array; every mask must be
-    nonempty.
+    normalize(sum over mask_u of feats[:, h, w] / area_u). ``masks`` is a
+    (U, H, W) binary array; every mask must be nonempty.
     """
-    mask_arr = getattr(masks, "masks", masks)
-    mask_arr = np.asarray(mask_arr)
+    mask_arr = np.asarray(masks)
     feats = np.asarray(feats, dtype=np.float64)
     c = feats.shape[0]
     if mask_arr.shape[0] == 0:
@@ -104,18 +94,13 @@ def pool_region_embeddings(feats, masks):
 
 
 def load_candidate_embeddings(path, expected_count=None, expected_width=None):
-    """Load externally produced candidate embeddings, renormalized.
+    """Load the candidate embeddings in the SMTF file ``path``, renormalized.
 
-    ``path`` may be None when the pipeline has no candidates; an empty
-    (0, expected_width) bank is returned. Count/width mismatches against
-    the current candidate set are errors.
+    Count/width mismatches against the current candidate set are errors,
+    and so is a file given when there are no candidates.
     """
-    if path is None or expected_count == 0:
-        if path is not None:
-            raise ValueError("candidate embedding file supplied but no candidates exist")
-        if expected_width is None:
-            raise ValueError("empty candidate bank needs an explicit width")
-        return np.zeros((0, expected_width), dtype=np.float32)
+    if expected_count == 0:
+        raise ValueError("candidate embedding file supplied but no candidates exist")
     matrix = load_tensor(path)
     if matrix.ndim != 2:
         raise ValueError(f"{path}: candidate embeddings must be rank 2")
@@ -129,21 +114,16 @@ def load_candidate_embeddings(path, expected_count=None, expected_width=None):
 
 
 def build_joint_embedding(seen, candidates):
-    """Concatenate seen-class rows with candidate rows, order preserved."""
-    seen_matrix = seen.matrix if isinstance(seen, ClassEmbeddings) else np.asarray(seen)
+    """The ``seen`` ClassEmbeddings rows followed by the (U, C)
+    ``candidates`` rows, order preserved, as a JointEmbedding."""
     candidates = np.asarray(candidates, dtype=np.float32)
-    if candidates.shape[0] and candidates.shape[1] != seen_matrix.shape[1]:
-        raise ValueError(
-            f"candidate width {candidates.shape[1]} != seen width {seen_matrix.shape[1]}")
-    if candidates.shape[0]:
-        matrix = np.concatenate([seen_matrix, candidates], axis=0)
-    else:
-        matrix = seen_matrix.copy()
+    matrix = seen.matrix
+    if len(candidates):
+        if candidates.shape[1] != seen.width:
+            raise ValueError(
+                f"candidate width {candidates.shape[1]} != seen width {seen.width}")
+        matrix = np.concatenate([matrix, candidates])
     norms = np.linalg.norm(matrix.astype(np.float64), axis=1)
     if matrix.shape[0] and np.abs(norms - 1.0).max() > UNIT_ROW_TOL:
         raise ValueError("joint embedding rows must be unit norm")
-    return JointEmbedding(
-        matrix=matrix.astype(np.float32),
-        seen_count=int(seen_matrix.shape[0]),
-        candidate_count=int(candidates.shape[0]),
-    )
+    return JointEmbedding(matrix=matrix.astype(np.float32), seen_count=seen.count)

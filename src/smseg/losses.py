@@ -39,13 +39,6 @@ class CostWeights:
             raise ValueError("focal_gamma must be >= 0")
 
 
-@dataclass
-class CostMatrix:
-    values: np.ndarray           # (K, T) f64
-    row_group: str               # "seen" | "candidate"
-    target_ids: tuple            # joint-class index per column
-
-
 def _clamp(p):
     return np.minimum(np.maximum(np.asarray(p, dtype=np.float64), PROB_EPS), 1.0 - PROB_EPS)
 
@@ -60,9 +53,9 @@ def sigmoid(x):
     return out
 
 
-def class_similarity(v, e):
-    """sigmoid(V . E^T): per-query activation against every joint class."""
-    matrix = e.matrix if hasattr(e, "matrix") else e
+def class_similarity(v, matrix):
+    """sigmoid(V . E^T): per-query activation against every row of the
+    (N, C) class ``matrix``."""
     v = np.asarray(v, dtype=np.float64)
     matrix = np.asarray(matrix, dtype=np.float64)
     if v.shape[-1] != matrix.shape[1]:
@@ -270,7 +263,7 @@ def cosine_loss_grad(v_rows, c_rows, pairs):
 
 
 def match_cost_matrix(s, m_logits, targets, group, weights, seen_count):
-    """Assignment costs: w_cls*focal + w_bce*bce + w_dice*dice per (k, t).
+    """(K, T) assignment costs: w_cls*focal + w_bce*bce + w_dice*dice.
 
     ``targets`` is a list of (joint class id, binary mask). Seen-group
     target ids must lie below ``seen_count``, candidate-group ids at or
@@ -283,14 +276,12 @@ def match_cost_matrix(s, m_logits, targets, group, weights, seen_count):
     s = np.asarray(s, dtype=np.float64)
     if len(targets) > len(s):
         raise ValueError(f"{len(targets)} targets exceed {len(s)} queries in group {group!r}")
-    ids = tuple(int(t[0]) for t in targets)
-    for cid in ids:
+    for cid in (int(t[0]) for t in targets):
         if group == "seen" and cid >= seen_count:
             raise ValueError(f"seen group given candidate class id {cid}")
         if group == "candidate" and cid < seen_count:
             raise ValueError(f"candidate group given seen class id {cid}")
-    return CostMatrix(values=_weighted_costs(s, m_logits, targets, weights),
-                      row_group=group, target_ids=ids)
+    return _weighted_costs(s, m_logits, targets, weights)
 
 
 def matched_loss(assignment, s, m_logits, targets, weights):
@@ -323,17 +314,3 @@ def matched_loss(assignment, s, m_logits, targets, weights):
         neg, _ = _focal_parts(s[unmatched], weights.focal_alpha, weights.focal_gamma)
         loss += weights.w_cls * float(np.mean(neg.sum(axis=1)))
     return loss
-
-
-def sm_loss(matched, cos):
-    """Split-matching total: matched-assignment loss plus cosine term."""
-    return float(matched) + float(cos)
-
-
-def mfe_loss(ce, focal, global_term=None):
-    """Fusion-block supervision: cross entropy + focal (+ optional hook)."""
-    return float(ce) + float(focal) + (0.0 if global_term is None else float(global_term))
-
-
-def total_loss(sm, mfe):
-    return float(sm) + float(mfe)

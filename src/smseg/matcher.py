@@ -334,8 +334,8 @@ def split_match(preds_seen, preds_cand, seen_targets, cand_targets, joint, weigh
                                    ("candidate", preds_cand, cand_targets)):
         cost = np.zeros((len(v), 0))
         if targets:
-            cost = match_cost_matrix(class_similarity(v, joint), m, targets, group,
-                                     weights, joint.seen_count).values
+            cost = match_cost_matrix(class_similarity(v, joint.matrix), m, targets,
+                                     group, weights, joint.seen_count)
         a = hungarian(cost, group=group)
         pairs += [Pair(p.query + q0, p.target + t0, p.cost, group) for p in a.pairs]
         unmatched += [q + q0 for q in a.unmatched_queries]

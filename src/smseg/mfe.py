@@ -245,9 +245,9 @@ def _mfe_vjp(cache, params, dfd):
     return (df0, df1, df2), (dp0, dp1, dp2)
 
 
-def mfe_logits(fd, joint, temperature=DEFAULT_TEMPERATURE):
-    """Per-pixel class logits: cos(F_d pixel, class row) / temperature."""
-    matrix = joint.matrix if hasattr(joint, "matrix") else joint
+def mfe_logits(fd, matrix, temperature=DEFAULT_TEMPERATURE):
+    """Per-pixel class logits: cos(F_d pixel, row of the (N, C) class
+    ``matrix``) / temperature."""
     c, h, w = fd.shape
     if matrix.shape[1] != c:
         raise ValueError(f"embedding width {matrix.shape[1]} != channels {c}")

@@ -29,8 +29,7 @@ from .decoder import (DEFAULT_RANDOM_QUERIES, DEFAULT_RQ_SIGMA, DecoderParams,
 from .embeddings import (ClassEmbeddings, build_joint_embedding,
                          load_candidate_embeddings, pool_region_embeddings)
 from .losses import (CostWeights, class_similarity, cosine_loss,
-                     cross_entropy_map, focal_map, matched_loss, mfe_loss,
-                     sm_loss, total_loss)
+                     cross_entropy_map, focal_map, matched_loss)
 from .matcher import split_match
 from .metrics import EvalConfig, evaluate
 from .mfe import DEFAULT_TEMPERATURE, bilinear_resize, FeaturePyramid, \
@@ -264,14 +263,15 @@ def loss(v, m, targets, assignment, joint, weights):
     """Matched, cosine and split-matching losses of ``assignment`` over the
     stacked (joint id, mask) ``targets``. A candidate pair's cosine term
     uses its target's class row; a seen class id raises ValueError."""
-    matched = matched_loss(assignment, class_similarity(v, joint), m, targets, weights)
+    matched = matched_loss(assignment, class_similarity(v, joint.matrix), m, targets,
+                           weights)
     cand_pairs = [(p.query, p.target, targets[p.target][0])
                   for p in assignment.pairs if p.group == "candidate"]
     for q, t, cid in cand_pairs:
         if cid < joint.seen_count:
             raise ValueError(f"candidate pair ({q}, {t}) has seen class id {cid}")
     cos = cosine_loss(v, joint.matrix, [(q, cid) for q, _, cid in cand_pairs])
-    return {"matched": matched, "cosine": cos, "sm": sm_loss(matched, cos)}
+    return {"matched": matched, "cosine": cos, "sm": matched + cos}
 
 
 def seen_query_count(ksplit, rows):
@@ -304,12 +304,8 @@ def decoder_params(path, layers):
     return DecoderParams(wq=pm[0], wk=pm[1], wv=pm[2], layers=layers)
 
 
-def run_pipeline(config, global_loss_hook=None):
-    """Run every stage on the configured inputs; returns a PipelineResult.
-
-    ``global_loss_hook`` is an optional callable (fused_map, joint) ->
-    float merged into the fusion-block loss; it defaults to disabled.
-    """
+def run_pipeline(config):
+    """Run every stage on the configured inputs; returns a PipelineResult."""
     cfg = PipelineConfig.from_file(config) if not isinstance(
         config, PipelineConfig) else config
     weights = cfg.weights
@@ -396,17 +392,16 @@ def run_pipeline(config, global_loss_hook=None):
                                  f2=feats)
             fused = mfe_forward(pyr, init_mfe_params(
                 c, groups=cfg.mfe_groups, seed=cfg.mfe_seed))
-            logits = mfe_logits(fused, joint, temperature=cfg.temperature)
+            logits = mfe_logits(fused, joint.matrix, temperature=cfg.temperature)
             pseudo = _remap_labels(seen_labels, seen_ids, cfg.ignore_id)
             for u in range(cand.count):
                 pseudo[cand.masks[u].astype(bool)] = joint.seen_count + u
             ce = cross_entropy_map(logits, pseudo, cfg.ignore_id)
             foc = focal_map(logits, pseudo, cfg.ignore_id,
                             weights.focal_alpha, weights.focal_gamma)
-            hook = global_loss_hook(fused, joint) if global_loss_hook else None
-            losses.update(mfe_ce=ce, mfe_focal=foc, mfe=mfe_loss(ce, foc, hook))
+            losses.update(mfe_ce=ce, mfe_focal=foc, mfe=ce + foc)
             emit("Fd.smtf", fused)
-        losses["total"] = total_loss(losses["sm"], losses.get("mfe", 0.0))
+        losses["total"] = losses["sm"] + losses.get("mfe", 0.0)
         emit("loss.json", losses)
 
     with _stage("infer"):

@@ -167,8 +167,12 @@ def _infer(d, queries, decoder):
      "queries must be"),
     (lambda d: _infer(d, np.ones((2, 4), dtype=np.float32),
                       np.zeros((2, 4, 4), np.float32)), "decoder params must be"),
+    (lambda d: _infer(d, np.ones((2, 4), dtype=np.float32),
+                      np.zeros((3, 5, 5), np.float32)),
+     "decoder width 5 != 4 feature channels"),
 ], ids=["embed-no-masks", "match-ksplit", "match-seen-count", "loss-seen-count",
-        "mfe-params", "infer-queries-rank", "infer-decoder-shape"])
+        "mfe-params", "infer-queries-rank", "infer-decoder-shape",
+        "infer-decoder-width"])
 def test_input_errors_exit_1(bank, capsys, argv, message):
     assert main([str(a) for a in argv(bank)]) == 1
     captured = capsys.readouterr()

@@ -21,14 +21,13 @@ def test_window_starts_match_stated_rule():
 
 def test_window_seeds_constant_map():
     feats = np.full((3, 6, 6), 2.5, dtype=np.float32)
-    seeds, _ = cl.window_seeds(feats, 4)
+    seeds = cl.window_seeds(feats, 4)
     assert np.all(seeds == np.float32(2.5))
 
 
 def test_window_seeds_hand_case():
     feats = np.arange(16, dtype=np.float32).reshape(1, 4, 4)
-    seeds, prov = cl.window_seeds(feats, 2)
-    assert [p[1:] for p in prov][:3] == [(0, 0), (0, 1), (0, 2)]
+    seeds = cl.window_seeds(feats, 2)
     assert seeds[0, 0] == np.float32(2.5)        # (0+1+4+5)/4
 
 
@@ -36,7 +35,7 @@ def test_window_seeds_bitwise_vs_naive_oracle():
     rng = np.random.default_rng(11)
     for h, w, s in [(4, 4, 2), (5, 5, 4), (9, 7, 3), (6, 6, 6), (12, 10, 5)]:
         feats = rng.standard_normal((3, h, w)).astype(np.float32)
-        seeds, _ = cl.window_seeds(feats, s)
+        seeds = cl.window_seeds(feats, s)
         expect = naive_window_seeds(feats, s)
         assert seeds.dtype == np.float32
         assert np.array_equal(seeds, expect)
@@ -56,9 +55,8 @@ def test_multi_scale_single_equals_window_seeds():
     feats = rng.standard_normal((2, 10, 10)).astype(np.float32)
     cfg = cl.WindowConfig(window_sizes=(4,))
     got = cl.multi_scale_seeds(feats, cfg)
-    expect, prov = cl.window_seeds(feats, 4)
-    assert np.array_equal(got.seeds, expect)
-    assert got.provenance == prov
+    expect = cl.window_seeds(feats, 4)
+    assert np.array_equal(got, expect)
 
 
 def test_multi_scale_deterministic():
@@ -67,7 +65,7 @@ def test_multi_scale_deterministic():
     cfg = cl.WindowConfig(window_sizes=(4, 8))
     a = cl.multi_scale_seeds(feats, cfg)
     b = cl.multi_scale_seeds(feats, cfg)
-    assert a.seeds.tobytes() == b.seeds.tobytes()
+    assert a.tobytes() == b.tobytes()
 
 
 def test_kmeans_single_seed():
@@ -171,7 +169,7 @@ def test_kmeans_and_fuse_bitwise_vs_dense_oracle(metric, h, w):
     # last one partial, so blocked scoring must equal one dense product.
     feats = _blob_features(h, w, seed=h + w)
     cfg = cl.WindowConfig(window_sizes=(8, 16, 32), kmeans_iters=4, metric=metric)
-    seeds = cl.multi_scale_seeds(feats, cfg).seeds
+    seeds = cl.multi_scale_seeds(feats, cfg)
     rows = max(1, cl._BLOCK_BYTES // (4 * len(seeds)))
     assert rows < h * w and (h * w) % rows != 0
     result = _assert_lloyd_oracle(feats, seeds, cfg)
@@ -187,7 +185,7 @@ def test_kmeans_one_row_blocks_bitwise_vs_dense_oracle(metric, monkeypatch):
     # and masks, must still match bitwise, the objective to rounding.
     feats = _blob_features(24, 20, seed=5)
     cfg = cl.WindowConfig(window_sizes=(4, 8), kmeans_iters=5, metric=metric)
-    seeds = cl.multi_scale_seeds(feats, cfg).seeds
+    seeds = cl.multi_scale_seeds(feats, cfg)
     monkeypatch.setattr(cl, "_BLOCK_BYTES", 8 * len(seeds) - 1)
     result = _assert_lloyd_oracle(feats, seeds, cfg)
     _assert_fuse_oracle(result, 0.9)
@@ -197,7 +195,7 @@ def test_kmeans_one_row_blocks_bitwise_vs_dense_oracle(metric, monkeypatch):
 def test_kmeans_and_fuse_single_cluster_vs_oracle(metric):
     feats = _blob_features(16, 16, seed=2)
     cfg = cl.WindowConfig(window_sizes=(16,), kmeans_iters=3, metric=metric)
-    result = _assert_lloyd_oracle(feats, cl.multi_scale_seeds(feats, cfg).seeds, cfg)
+    result = _assert_lloyd_oracle(feats, cl.multi_scale_seeds(feats, cfg), cfg)
     assert result.centroids.shape[0] == 1
     masks = _assert_fuse_oracle(result, 0.9)
     assert masks.shape[0] == 1 and np.all(masks == 1)
@@ -356,7 +354,7 @@ def test_kmeans_proposal_noise_keeps_oracle_picks(metric, monkeypatch):
     # on some pixels but no pick, centroid or iteration count.
     feats = _blob_features(128, 128, seed=7)
     cfg = cl.WindowConfig(window_sizes=(8, 16, 32), kmeans_iters=4, metric=metric)
-    seeds = cl.multi_scale_seeds(feats, cfg).seeds
+    seeds = cl.multi_scale_seeds(feats, cfg)
     rng = np.random.default_rng(20)
     clean, flips = cl._propose, []
 
@@ -404,7 +402,7 @@ def test_kmeans_duplicate_seeds_keep_first_index(metric):
     # pixel: the run equals the one without copies, bit for bit.
     feats = _blob_features(24, 20, seed=3)
     cfg = cl.WindowConfig(window_sizes=(4, 8), kmeans_iters=5, metric=metric)
-    unique = cl.multi_scale_seeds(feats, cfg).seeds[::3]
+    unique = cl.multi_scale_seeds(feats, cfg)[::3]
     copies = np.concatenate([unique, unique[::-1], unique[::2]])
     result = _assert_lloyd_oracle(feats, copies, cfg)
     alone = cl.kmeans(feats, unique, cfg)
@@ -420,7 +418,7 @@ def test_kmeans_flat_map_never_rescores(metric, monkeypatch):
     feats = np.full((4, 32, 32), 0.25, dtype=np.float32)
     cfg = cl.WindowConfig(window_sizes=(4, 8), kmeans_iters=3, metric=metric)
     seeds = cl.multi_scale_seeds(feats, cfg)
-    assert len(seeds) > 1 and np.all(seeds.seeds == seeds.seeds[0])
+    assert len(seeds) > 1 and np.all(seeds == seeds[0])
     monkeypatch.setattr(cl, "_rescore", lambda *a: pytest.fail("rescored"))
     result = cl.kmeans(feats, seeds, cfg)
     assert result.centroids.shape[0] == 1 and np.all(result.assignments == 0)
@@ -433,7 +431,7 @@ def test_kmeans_extreme_scales_certify_most_pixels(factor, monkeypatch):
     # float64. Scaled by a power of two, few are.
     feats = _blob_features(96, 96, seed=96) * np.float32(factor)
     cfg = cl.WindowConfig(window_sizes=(8, 16, 32), kmeans_iters=4, metric="euclidean")
-    seeds = cl.multi_scale_seeds(feats, cfg).seeds
+    seeds = cl.multi_scale_seeds(feats, cfg)
     rescored, real = [], cl._rescore
 
     def spy(px, pairs, *args):
@@ -443,6 +441,21 @@ def test_kmeans_extreme_scales_certify_most_pixels(factor, monkeypatch):
     monkeypatch.setattr(cl, "_rescore", spy)
     result = _assert_lloyd_oracle(feats, seeds, cfg)
     assert sum(rescored) <= 0.03 * feats[0].size * len(result.objective_trace), rescored
+
+
+@pytest.mark.parametrize("exponent", [-100, -60])
+def test_cosine_kmeans_ignores_power_of_two_scale(exponent):
+    # Every pixel's norm here is below 1e-12. Cosine K-means must still see
+    # unit directions, so an exact rescaling leaves every bit of the run as
+    # it is at scale 1 (a norm floor left 5 clusters where scale 1 has 59).
+    feats = gen_synth(seed=1, blobs=4, seen=2, size=48, dim=8).features
+    cfg = cl.WindowConfig(kmeans_iters=2)
+    scaled = feats * np.float32(2.0 ** exponent)
+    base = cl.kmeans(feats, cl.multi_scale_seeds(feats, cfg), cfg)
+    got = cl.kmeans(scaled, cl.multi_scale_seeds(scaled, cfg), cfg)
+    assert got.assignments.tobytes() == base.assignments.tobytes()
+    assert got.centroids.tobytes() == base.centroids.tobytes()
+    assert got.objective_trace == base.objective_trace
 
 
 @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
@@ -456,7 +469,7 @@ def test_kmeans_held_pairs_flush_vs_oracle(metric, monkeypatch):
     noise = np.random.default_rng(24).standard_normal((8, 24, 24))
     feats = (1.0 + 1e-6 * noise).astype(np.float32)
     cfg = cl.WindowConfig(window_sizes=(4, 8), kmeans_iters=4, metric=metric)
-    seeds = cl.multi_scale_seeds(feats, cfg).seeds
+    seeds = cl.multi_scale_seeds(feats, cfg)
     default = cl.kmeans(feats, seeds, cfg)
     calls, real = [], cl._rescore
     monkeypatch.setattr(cl, "_BLOCK_BYTES", 4096)

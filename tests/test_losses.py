@@ -11,7 +11,7 @@ from smseg.matcher import Assignment, Pair
 def test_class_similarity_values():
     e = build_joint_embedding(
         ClassEmbeddings.from_matrix(np.eye(3, dtype=np.float32), (0, 1, 2)),
-        np.zeros((0, 3), dtype=np.float32))
+        np.zeros((0, 3), dtype=np.float32)).matrix
     s = L.class_similarity(np.zeros((2, 3), dtype=np.float32), e)
     assert np.allclose(s, 0.5)
     s = L.class_similarity(np.eye(3, dtype=np.float32), e)
@@ -147,7 +147,7 @@ def test_match_cost_matrix_recomposes_kernels():
     joint = _joint(2, 2, 6)
     v = rng.standard_normal((3, 6)).astype(np.float32)
     m = rng.standard_normal((3, 4, 4)).astype(np.float32)
-    s = L.class_similarity(v, joint)
+    s = L.class_similarity(v, joint.matrix)
     targets = [(0, (rng.random((4, 4)) > 0.5).astype(np.float64)),
                (1, (rng.random((4, 4)) > 0.5).astype(np.float64))]
     w = L.CostWeights()
@@ -157,7 +157,7 @@ def test_match_cost_matrix_recomposes_kernels():
             expect = (w.w_cls * L.focal_loss(s[k], cid)
                       + w.w_bce * L.bce_mask(m[k], mask)
                       + w.w_dice * L.dice_loss(L.sigmoid(m[k].astype(np.float64)), mask))
-            assert abs(cm.values[k, t] - expect) < 1e-9
+            assert abs(cm[k, t] - expect) < 1e-9
 
 
 def test_match_cost_matrix_weight_scaling():
@@ -165,7 +165,7 @@ def test_match_cost_matrix_weight_scaling():
     joint = _joint(2, 0, 4)
     v = rng.standard_normal((2, 4)).astype(np.float32)
     m = rng.standard_normal((2, 3, 3)).astype(np.float32)
-    s = L.class_similarity(v, joint)
+    s = L.class_similarity(v, joint.matrix)
     targets = [(0, (rng.random((3, 3)) > 0.5).astype(np.float64))]
     base = L.match_cost_matrix(s, m, targets, "seen", L.CostWeights(),
                                joint.seen_count)
@@ -173,7 +173,7 @@ def test_match_cost_matrix_weight_scaling():
     scaled = L.match_cost_matrix(
         s, m, targets, "seen",
         L.CostWeights(w_cls=lam, w_bce=lam, w_dice=lam), joint.seen_count)
-    assert np.allclose(scaled.values, lam * base.values, rtol=1e-12)
+    assert np.allclose(scaled, lam * base, rtol=1e-12)
 
 
 def test_match_cost_matrix_column_permutation():
@@ -181,13 +181,13 @@ def test_match_cost_matrix_column_permutation():
     joint = _joint(3, 0, 4)
     v = rng.standard_normal((3, 4)).astype(np.float32)
     m = rng.standard_normal((3, 3, 3)).astype(np.float32)
-    s = L.class_similarity(v, joint)
+    s = L.class_similarity(v, joint.matrix)
     targets = [(i, (rng.random((3, 3)) > 0.5).astype(np.float64)) for i in range(3)]
     a = L.match_cost_matrix(s, m, targets, "seen", L.CostWeights(), 3)
     perm = [2, 0, 1]
     b = L.match_cost_matrix(s, m, [targets[p] for p in perm], "seen",
                             L.CostWeights(), 3)
-    assert np.allclose(b.values, a.values[:, perm], rtol=1e-12)
+    assert np.allclose(b, a[:, perm], rtol=1e-12)
 
 
 def test_match_cost_matrix_group_violations():
@@ -209,7 +209,7 @@ def test_matched_loss_perfect_and_unmatched():
     joint = _joint(1, 0, 4)
     v = 50.0 * np.eye(1, 4, dtype=np.float32)
     m = np.full((1, 2, 2), 50.0, dtype=np.float32)
-    s = L.class_similarity(v, joint)
+    s = L.class_similarity(v, joint.matrix)
     targets = [(0, np.ones((2, 2)))]
     assignment = Assignment(pairs=[Pair(0, 0, 0.0, "seen")], group="seen")
     w = L.CostWeights()
@@ -227,7 +227,7 @@ def test_matched_loss_recomposition():
     joint = _joint(2, 2, 5)
     v = rng.standard_normal((4, 5)).astype(np.float32)
     m = rng.standard_normal((4, 3, 3)).astype(np.float32)
-    s = L.class_similarity(v, joint)
+    s = L.class_similarity(v, joint.matrix)
     targets = [(0, (rng.random((3, 3)) > 0.5).astype(np.float64)),
                (2, (rng.random((3, 3)) > 0.5).astype(np.float64))]
     assignment = Assignment(pairs=[Pair(1, 0, 0.0, "seen"), Pair(3, 1, 0.0, "candidate")],
@@ -243,13 +243,6 @@ def test_matched_loss_recomposition():
     expect /= 2
     expect += (L.focal_loss(s[0], None) + L.focal_loss(s[2], None)) / 2
     assert abs(got - expect) < 1e-9
-
-
-def test_composite_sums():
-    assert L.sm_loss(0.3, 0.2) == 0.5
-    assert L.mfe_loss(1.0, 2.0) == 3.0
-    assert L.mfe_loss(1.0, 2.0, 0.5) == 3.5
-    assert L.total_loss(0.5, 3.0) == 3.5
 
 
 def test_focal_map_matches_vector_kernel():
@@ -275,7 +268,7 @@ def _cost_fixture(seed, k, t, hw, n_seen, n_cand):
     m = (2.0 * rng.standard_normal((k,) + hw)).astype(np.float32)
     ids = rng.choice(np.arange(n_seen, n_seen + n_cand), size=t, replace=False)
     targets = [(int(cid), (rng.random(hw) > 0.5).astype(np.float64)) for cid in ids]
-    return L.class_similarity(v, joint), m, targets, joint.seen_count
+    return L.class_similarity(v, joint.matrix), m, targets, joint.seen_count
 
 
 COST_SHAPES = [(1, 1, (1, 1)), (3, 2, (4, 4)), (6, 5, (7, 5)), (9, 3, (16, 16))]
@@ -285,7 +278,7 @@ COST_SHAPES = [(1, 1, (1, 1)), (3, 2, (4, 4)), (6, 5, (7, 5)), (9, 3, (16, 16))]
 def test_matched_pair_loss_is_its_cost_entry_bitwise(k, t, hw):
     s, m, targets, seen_count = _cost_fixture(k * 100 + t, k, t, hw, 2, t + 1)
     w = L.CostWeights(w_cls=0.7, w_bce=1.3, w_dice=2.0, use_iou_in_loss=False)
-    costs = L.match_cost_matrix(s, m, targets, "candidate", w, seen_count).values
+    costs = L.match_cost_matrix(s, m, targets, "candidate", w, seen_count)
     for q in range(k):
         for tt in range(t):
             one = Assignment(pairs=[Pair(q, tt, 0.0, "candidate")], group="candidate")
@@ -306,7 +299,7 @@ def test_scalar_kernels_are_their_one_by_one_cost_term_bitwise(k, t, hw):
                        "dice": L.dice_loss(L.sigmoid(m[q]), mask)}
             for term, w in only.items():
                 entry = L.match_cost_matrix(s[q:q + 1], m[q:q + 1], [(cid, mask)],
-                                            "candidate", w, seen_count).values[0, 0]
+                                            "candidate", w, seen_count)[0, 0]
                 assert kernels[term].hex() == float(entry).hex(), (term, q, cid)
 
 

@@ -322,9 +322,9 @@ def test_split_match_no_candidates_equals_seen_only():
     joint, ps, pu, seen_targets, _ = _random_group_fixture(rng, 4, 3, 2, 0)
     w = L.CostWeights()
     combined = split_match(ps, pu, seen_targets, [], joint, w)
-    cm = L.match_cost_matrix(L.class_similarity(ps[0], joint), ps[1],
+    cm = L.match_cost_matrix(L.class_similarity(ps[0], joint.matrix), ps[1],
                              seen_targets, "seen", w, joint.seen_count)
-    seen_only = hungarian(cm.values, group="seen")
+    seen_only = hungarian(cm, group="seen")
     assert [(p.query, p.target) for p in combined.pairs] == \
         [(p.query, p.target) for p in seen_only.pairs]
     assert combined.unmatched_queries == seen_only.unmatched_queries + [4, 5, 6]
@@ -332,9 +332,9 @@ def test_split_match_no_candidates_equals_seen_only():
     # candidate pairs keep their target indices, queries shifted by 4
     joint, ps, pu, _, cand_targets = _random_group_fixture(rng, 4, 3, 0, 2)
     combined = split_match(ps, pu, [], cand_targets, joint, w)
-    cm = L.match_cost_matrix(L.class_similarity(pu[0], joint), pu[1],
+    cm = L.match_cost_matrix(L.class_similarity(pu[0], joint.matrix), pu[1],
                              cand_targets, "candidate", w, joint.seen_count)
-    cand_only = hungarian(cm.values, group="candidate")
+    cand_only = hungarian(cm, group="candidate")
     assert [(p.query, p.target, p.cost, p.group) for p in combined.pairs] == \
         [(p.query + 4, p.target, p.cost, p.group) for p in cand_only.pairs]
     assert combined.unmatched_queries == \
@@ -376,14 +376,14 @@ def test_split_match_cross_group_exclusion_and_oracle():
         # every target matched exactly once
         assert sorted(p.target for p in a.pairs) == list(range(t_s + t_u))
         # per-group totals equal the exhaustive group-respecting optimum
-        cm_s = L.match_cost_matrix(L.class_similarity(ps[0], joint), ps[1],
+        cm_s = L.match_cost_matrix(L.class_similarity(ps[0], joint.matrix), ps[1],
                                    st, "seen", w, joint.seen_count)
-        cm_u = L.match_cost_matrix(L.class_similarity(pu[0], joint), pu[1],
+        cm_u = L.match_cost_matrix(L.class_similarity(pu[0], joint.matrix), pu[1],
                                    ct, "candidate", w, joint.seen_count)
         got_s = math.fsum(p.cost for p in a.pairs if p.group == "seen")
         got_u = math.fsum(p.cost for p in a.pairs if p.group == "candidate")
-        assert got_s == brute_force_min_total(cm_s.values)
-        assert got_u == brute_force_min_total(cm_u.values)
+        assert got_s == brute_force_min_total(cm_s)
+        assert got_u == brute_force_min_total(cm_u)
 
 
 def test_split_match_capacity_errors():

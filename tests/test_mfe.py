@@ -220,7 +220,7 @@ def test_mfe_logits_values():
     fd = np.zeros((3, 1, 2), dtype=np.float32)
     fd[:, 0, 0] = [2.0, 0.0, 0.0]          # normalizes to e0
     fd[:, 0, 1] = [0.0, 0.0, -1.0]
-    logits = mfe.mfe_logits(fd, bank, temperature=0.07)
+    logits = mfe.mfe_logits(fd, bank.matrix, temperature=0.07)
     assert abs(logits[0, 0, 0] - 1.0 / 0.07) < 1e-4
     assert abs(logits[1, 0, 0]) < 1e-6
     assert np.abs(logits).max() <= 1.0 / 0.07 + 1e-4

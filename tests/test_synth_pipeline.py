@@ -118,16 +118,6 @@ def test_pipeline_mfe_branch(tmp_path):
     assert "Fd.smtf" in result.artifacts
 
 
-def test_pipeline_global_loss_hook(tmp_path):
-    cfg_path, _ = make_synth_run(tmp_path / "fix", seed=0, size=32, dim=8)
-    cfg = PipelineConfig.from_file(cfg_path)
-    cfg.mfe_enabled = True
-    cfg.mfe_groups = 4
-    result = run_pipeline(cfg, global_loss_hook=lambda fd, joint: 1.25)
-    assert result.losses["mfe"] == pytest.approx(
-        result.losses["mfe_ce"] + result.losses["mfe_focal"] + 1.25)
-
-
 def _dict_remap(labels, ids, fill):
     """The definition: a dict from class id to its position in ``ids``."""
     table = {cid: j for j, cid in enumerate(ids)}
