@@ -1,3 +1,5 @@
+import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -243,3 +245,36 @@ def test_file_decoder_names_a_missing_key(tmp_path, missing, key):
     with pytest.raises(PipelineStageError) as err:
         run_pipeline(cfg)
     assert err.value.stage == "decode" and key in str(err.value)
+
+
+# The pipeline workloads of perfbench/run.py: gen_synth shape, and whether
+# run.cfg gains an [mfe] section enabling the fusion branch.
+_WORKLOADS = {"pipeline-small": (dict(blobs=9, seen=5, size=64, dim=16), True),
+              "pipeline-large": (dict(blobs=4, seen=2, size=192, dim=32), False)}
+
+
+def _smtf_digest(artifacts):
+    """SHA-256 over (name, SHA-256 of bytes) of every *.smtf a run wrote."""
+    h = hashlib.sha256()
+    for name in sorted(n for n in artifacts if n.endswith(".smtf")):
+        h.update(name.encode())
+        h.update(hashlib.sha256(Path(artifacts[name]).read_bytes()).digest())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("workload, u", [
+    *(("pipeline-small", u) for u in (0, 1, 2, 63, 97, 128, 200, 255)),
+    ("pipeline-large", 0)])
+def test_pipeline_reference_digests(tmp_path, workload, u):
+    """Replay pinned universe fixtures of the perfbench pipeline workloads:
+    every written *.smtf byte and the hIoU must hold."""
+    ref_path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    ref = json.loads(ref_path.read_text())[workload][str(u)]
+    shape, mfe = _WORKLOADS[workload]
+    cfg_path, _ = make_synth_run(tmp_path / "fx", seed=u, **shape)
+    if mfe:
+        with open(cfg_path, "a") as fh:
+            fh.write("[mfe]\nenabled = true\n")
+    result = run_pipeline(str(cfg_path))
+    assert _smtf_digest(result.artifacts) == ref["smtf_sha256"]
+    assert result.report.hiou == ref["hiou"]
