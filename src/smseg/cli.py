@@ -111,7 +111,7 @@ def _cmd_loss(args):
         raise ValueError("assignment JSON lacks seen_count; pass --seen-count")
     pairs = [Pair(p["q"], p["t"], p.get("cost", 0.0), p.get("group", "seen"))
              for p in raw["pairs"]]
-    assignment = Assignment(pairs, "combined", raw.get("unmatched", []))
+    assignment = Assignment(pairs, raw.get("unmatched", []))
     payload = loss(load_tensor(args.pred_class), load_tensor(args.pred_masks),
                    _load_targets(args.targets), assignment,
                    _joint_from_file(args.embeds, seen_count),

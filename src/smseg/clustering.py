@@ -21,6 +21,9 @@ give bitwise identical outputs however the surrounding process is
 threaded. The one BLAS product in this module whose rounding can still
 reach an output is the centroid similarity that ``fuse_masks`` compares
 with ``tau``.
+
+Cosine K-means and fusion divide each nonzero row by its own norm, with no
+floor, so any nonzero row normalizes at any scale; a zero row stays zero.
 """
 
 import math
@@ -28,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .losses import normalize_rows
+
 _METRICS = ("cosine", "euclidean")
-_NORM_FLOOR = 1e-12
 _BLOCK_BYTES = 8 * 2 ** 20       # f32 proposal block budget of one K-means step
 _U32, _U64 = 2.0 ** -24, 2.0 ** -53    # unit roundoffs
 
@@ -124,12 +128,6 @@ def window_seeds(feats, size):
 def multi_scale_seeds(feats, cfg):
     """(n, C) window seeds of every configured window size, ascending."""
     return np.concatenate([window_seeds(feats, size) for size in cfg.window_sizes])
-
-
-def _normalize_rows(x):
-    """Rows divided by their norms; all-zero rows stay zero."""
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    return x / np.where(norms > 0, norms, 1.0)
 
 
 def _group_sums(group, rows, n):
@@ -305,8 +303,8 @@ def kmeans(feats, seeds, cfg):
             raise ValueError(f"kmeans {name} must be finite, got NaN or inf")
     cosine = cfg.metric == "cosine"
     if cosine:
-        x = _normalize_rows(x)
-        cents = _normalize_rows(cents)
+        x = normalize_rows(x)
+        cents = normalize_rows(cents)
     # A later copy of a centroid ties with the first everywhere and never
     # takes a pixel, so copies are dropped before they are scored.
     cents = cents[np.sort(np.unique(cents, axis=0, return_index=True)[1])]
@@ -337,7 +335,7 @@ def kmeans(feats, seeds, cfg):
         keep = counts > 0
         cents = sums[keep] / counts[keep, None]
         if cosine:
-            cents = _normalize_rows(cents)
+            cents = normalize_rows(cents)
 
     # Compact: drop centroids the final assignment never uses.
     counts = np.bincount(assign, minlength=len(cents))
@@ -374,7 +372,7 @@ def fuse_masks(result, tau=0.9):
     group_of = np.arange(k)                  # original cluster id -> group
 
     while len(vecs) > 1:
-        cents = _normalize_rows(vecs / np.maximum(weights, 1.0)[:, None])
+        cents = normalize_rows(vecs / np.maximum(weights, 1.0)[:, None])
         src, dst = np.nonzero(np.triu(cents @ cents.T >= tau, 1))
         if len(src) == 0:
             break
@@ -398,7 +396,8 @@ def fuse_masks(result, tau=0.9):
     labels = group_of[assignments]
     masks = (labels[None] == np.arange(len(vecs))[:, None, None]).astype(np.uint8)
     means = vecs / np.maximum(weights, 1.0)[:, None]
-    cents_out = [m / max(np.linalg.norm(m), _NORM_FLOOR) for m in means]
+    # one norm per row: np.linalg.norm(axis=1) can round the last bit apart
+    cents_out = [m / (np.linalg.norm(m) or 1.0) for m in means]
     return masks, np.array(cents_out, dtype=np.float32)
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .losses import sigmoid
 
 DEFAULT_RANDOM_QUERIES = 50
 DEFAULT_RQ_SIGMA = 0.02
@@ -136,8 +137,7 @@ def assemble_semantic_map(s, m, class_ids):
         raise ValueError(f"{s.shape[1]} score columns for {len(ids)} class ids")
     if s.shape[0] != m.shape[0]:
         raise ValueError("queries in scores and masks disagree")
-    probs = 1.0 / (1.0 + np.exp(-m))
-    scores = np.tensordot(s, probs, axes=([0], [0]))     # (N, H, W)
+    scores = np.tensordot(s, sigmoid(m), axes=([0], [0]))     # (N, H, W)
     order = np.argsort(ids, kind="stable")               # argmax in class-id order
     winner = np.argmax(scores[order], axis=0)
     id_arr = np.array(ids)[order]

@@ -10,25 +10,24 @@ Candidate embeddings either come from an external encoder (loaded from a
 file) or from the built-in stand-in that mask-pools the dense feature map.
 Rows are L2-normalized on every ingestion path: the similarity head is
 sigmoid(V . E^T), which is scale sensitive, and unit rows keep fixtures
-portable.
+portable. Any nonzero row normalizes at any scale; a zero row is an error.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .losses import normalize_rows
 from .tensor_store import load_tensor
 
-_NORM_FLOOR = 1e-12
 UNIT_ROW_TOL = 1e-4
 
 
 def _unit_rows(matrix):
     matrix = np.asarray(matrix, dtype=np.float64)
-    norms = np.linalg.norm(matrix, axis=1)
-    if matrix.shape[0] and norms.min() < _NORM_FLOOR:
+    if not np.all(np.any(matrix, axis=1)):
         raise ValueError("cannot normalize a zero embedding row")
-    return (matrix / np.maximum(norms[:, None], _NORM_FLOOR)).astype(np.float32)
+    return normalize_rows(matrix).astype(np.float32)
 
 
 @dataclass

@@ -44,13 +44,15 @@ def _clamp(p):
 
 
 def sigmoid(x):
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) in float64; exp's overflow below -709 gives the limit 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
+
+
+def normalize_rows(x):
+    """Rows divided by their norms at any scale; an all-zero row stays zero."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    return x / np.where(norms > 0, norms, 1.0)
 
 
 def class_similarity(v, matrix):
@@ -243,8 +245,9 @@ def cosine_loss(v_rows, c_rows, pairs):
             raise ValueError(f"pair ({q}, {t}) outside {len(v_rows)} query rows "
                              f"and {len(c_rows)} class rows")
         a, b = v_rows[q], c_rows[t]
-        denom = max(np.linalg.norm(a) * np.linalg.norm(b), 1e-12)
-        cos = min(max(float(a @ b) / denom, -1.0), 1.0)   # rounding can leak past 1
+        denom = np.linalg.norm(a) * np.linalg.norm(b)
+        # a zero row has cosine 0 with any row; rounding can leak past 1
+        cos = min(max(float(a @ b) / denom, -1.0), 1.0) if denom else 0.0
         total += 1.0 - cos
     return float(total) / len(pairs)
 
@@ -256,9 +259,10 @@ def cosine_loss_grad(v_rows, c_rows, pairs):
     for q, t in pairs:
         a, b = v_rows[q], c_rows[t]
         na, nb = np.linalg.norm(a), np.linalg.norm(b)
-        denom = max(na * nb, 1e-12)
-        cos = float(a @ b) / denom
-        grad[q] += -(b / denom - cos * a / max(na * na, 1e-12)) / len(pairs)
+        denom = na * nb
+        if denom:                    # a zero row's cosine is constant 0
+            cos = float(a @ b) / denom
+            grad[q] += -(b / denom - cos * a / (na * na)) / len(pairs)
     return cosine_loss(v_rows, c_rows, pairs), grad
 
 

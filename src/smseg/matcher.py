@@ -64,7 +64,6 @@ class Pair(NamedTuple):
 @dataclass
 class Assignment:
     pairs: list                      # Pair, ascending query index
-    group: str                       # "seen" | "candidate" | "combined"
     unmatched_queries: list = field(default_factory=list)
 
     @property
@@ -290,8 +289,7 @@ def hungarian(cost, group="combined"):
     if cost.size and not np.isfinite(cost).all():
         raise ValueError("cost matrix contains non-finite entries")
     if t == 0:
-        return Assignment(pairs=[], group=group,
-                          unmatched_queries=list(range(k))).validate()
+        return Assignment(pairs=[], unmatched_queries=list(range(k))).validate()
     # reduced costs stay within 4 max|cost| and totals within T max|cost|
     c_max = float(np.abs(cost).max())
     limit = np.finfo(np.float64).max / (t + 2)
@@ -312,10 +310,7 @@ def hungarian(cost, group="combined"):
 
     pairs = [Pair(q, tt, c, group) for q, tt, c in sorted(fixed)]
     matched = {p.query for p in pairs}
-    return Assignment(
-        pairs=pairs, group=group,
-        unmatched_queries=[q for q in range(k) if q not in matched],
-    ).validate()
+    return Assignment(pairs, [q for q in range(k) if q not in matched]).validate()
 
 
 def split_match(preds_seen, preds_cand, seen_targets, cand_targets, joint, weights):
@@ -340,4 +335,4 @@ def split_match(preds_seen, preds_cand, seen_targets, cand_targets, joint, weigh
         pairs += [Pair(p.query + q0, p.target + t0, p.cost, group) for p in a.pairs]
         unmatched += [q + q0 for q in a.unmatched_queries]
         q0, t0 = q0 + len(v), t0 + len(targets)
-    return Assignment(pairs, "combined", unmatched).validate()
+    return Assignment(pairs, unmatched).validate()

@@ -28,10 +28,9 @@ from . import rng
 from .losses import (bce_mask, bce_mask_grad, class_similarity, cosine_loss,
                      cosine_loss_grad, cross_entropy_map, cross_entropy_map_grad,
                      dice_loss, dice_loss_grad, focal_loss, focal_loss_grad,
-                     iou_loss, iou_loss_grad, sigmoid)
+                     iou_loss, iou_loss_grad, normalize_rows, sigmoid)
 
 DEFAULT_TEMPERATURE = 0.07
-_NORM_FLOOR = 1e-12
 
 
 @dataclass
@@ -246,14 +245,13 @@ def _mfe_vjp(cache, params, dfd):
 
 
 def mfe_logits(fd, matrix, temperature=DEFAULT_TEMPERATURE):
-    """Per-pixel class logits: cos(F_d pixel, row of the (N, C) class
-    ``matrix``) / temperature."""
+    """Per-pixel class logits: (N, C) ``matrix`` rows . unit F_d pixels /
+    temperature, the cosine for a bank's unit rows; a zero pixel scores 0."""
     c, h, w = fd.shape
     if matrix.shape[1] != c:
         raise ValueError(f"embedding width {matrix.shape[1]} != channels {c}")
-    flat = fd.reshape(c, h * w).astype(np.float64)
-    flat = flat / np.maximum(np.linalg.norm(flat, axis=0, keepdims=True), _NORM_FLOOR)
-    logits = (np.asarray(matrix, dtype=np.float64) @ flat) / temperature
+    pix = normalize_rows(fd.reshape(c, h * w).astype(np.float64).T)   # (P, C)
+    logits = (np.asarray(matrix, dtype=np.float64) @ pix.T) / temperature
     return logits.reshape(matrix.shape[0], h, w).astype(fd.dtype)
 
 

@@ -261,16 +261,21 @@ def match(v, m, k_seen, seen_targets, cand_targets, joint, weights):
 
 def loss(v, m, targets, assignment, joint, weights):
     """Matched, cosine and split-matching losses of ``assignment`` over the
-    stacked (joint id, mask) ``targets``. A candidate pair's cosine term
-    uses its target's class row; a seen class id raises ValueError."""
+    stacked (joint id, mask) ``targets``. A pair's group must be its target's,
+    "seen" below ``joint.seen_count`` (ValueError naming the pair otherwise).
+    A candidate pair's cosine term uses its target's class row."""
     matched = matched_loss(assignment, class_similarity(v, joint.matrix), m, targets,
                            weights)
-    cand_pairs = [(p.query, p.target, targets[p.target][0])
-                  for p in assignment.pairs if p.group == "candidate"]
-    for q, t, cid in cand_pairs:
-        if cid < joint.seen_count:
-            raise ValueError(f"candidate pair ({q}, {t}) has seen class id {cid}")
-    cos = cosine_loss(v, joint.matrix, [(q, cid) for q, _, cid in cand_pairs])
+    cand_pairs = []
+    for p in assignment.pairs:
+        cid = targets[p.target][0]
+        group = "seen" if cid < joint.seen_count else "candidate"
+        if p.group != group:
+            raise ValueError(f"{p.group} pair ({p.query}, {p.target}) has {group} "
+                             f"class id {cid}")
+        if group == "candidate":
+            cand_pairs.append((p.query, cid))
+    cos = cosine_loss(v, joint.matrix, cand_pairs)
     return {"matched": matched, "cosine": cos, "sm": matched + cos}
 
 

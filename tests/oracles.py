@@ -133,7 +133,9 @@ def dyadic_matrix(rng, k, t, denom=64, hi=4096):
 
 
 def _unit_rows(x):
-    return x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
+    """Rows divided by their norms; an all-zero row stays zero."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    return x / np.where(norms == 0.0, 1.0, norms)
 
 
 def fixed_order_dot(x, y):
@@ -230,7 +232,8 @@ def naive_fuse(assignments, centroids, tau):
     for g in range(len(groups)):
         masks[g] = np.isin(assignments, groups[g])
         mean = np.asarray(vecs[g]) / max(weights[g], 1.0)
-        cents_out[g] = mean / max(np.linalg.norm(mean), 1e-12)
+        norm = np.linalg.norm(mean)
+        cents_out[g] = mean / norm if norm else mean
     return masks, cents_out.astype(np.float32)
 
 

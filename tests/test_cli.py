@@ -63,20 +63,26 @@ def _write_targets(path, entries):
     path.write_text(json.dumps(payload))
 
 
-def test_match_then_loss(tmp_path, capsys):
+def _three_class_bank(d):
+    """Classes 0 and 1 seen and 2 a candidate, one query and one mask each."""
     width = 4
-    e = np.eye(3, width, dtype=np.float32)               # 2 seen + 1 candidate
-    save_tensor(e, tmp_path / "E.smtf")
+    e = np.eye(3, width, dtype=np.float32)
+    save_tensor(e, d / "E.smtf")
     v = 8.0 * (2.0 * np.eye(3, width, dtype=np.float32) - e.sum(0))
-    save_tensor(v, tmp_path / "V.smtf")
+    save_tensor(v, d / "V.smtf")
     masks = np.zeros((3, 4, 4), dtype=np.float32)
     for i in range(3):
         masks[i, i] = 1.0
-    save_tensor(20.0 * (2 * masks - 1), tmp_path / "M.smtf")
+    save_tensor(20.0 * (2 * masks - 1), d / "M.smtf")
     for i in range(3):
-        save_tensor(masks[i].astype(np.uint8), tmp_path / f"m{i}.smtf")
-    _write_targets(tmp_path / "seen.json", [(0, "m0.smtf"), (1, "m1.smtf")])
-    _write_targets(tmp_path / "cand.json", [(2, "m2.smtf")])
+        save_tensor(masks[i].astype(np.uint8), d / f"m{i}.smtf")
+    _write_targets(d / "seen.json", [(0, "m0.smtf"), (1, "m1.smtf")])
+    _write_targets(d / "cand.json", [(2, "m2.smtf")])
+    _write_targets(d / "all.json", [(0, "m0.smtf"), (1, "m1.smtf"), (2, "m2.smtf")])
+
+
+def test_match_then_loss(tmp_path, capsys):
+    _three_class_bank(tmp_path)
 
     out = _run(capsys, "match", "--pred-class", tmp_path / "V.smtf",
                "--pred-masks", tmp_path / "M.smtf",
@@ -90,8 +96,6 @@ def test_match_then_loss(tmp_path, capsys):
     assert {(p["q"], p["t"]) for p in raw["pairs"]} == {(0, 0), (1, 1), (2, 2)}
     assert all((p["q"] < 2) == (p["group"] == "seen") for p in raw["pairs"])
 
-    _write_targets(tmp_path / "all.json",
-                   [(0, "m0.smtf"), (1, "m1.smtf"), (2, "m2.smtf")])
     out = _run(capsys, "loss", "--pred-class", tmp_path / "V.smtf",
                "--pred-masks", tmp_path / "M.smtf",
                "--embeds", tmp_path / "E.smtf",
@@ -101,6 +105,29 @@ def test_match_then_loss(tmp_path, capsys):
     payload = json.loads((tmp_path / "loss.json").read_text())
     assert payload["sm"] == pytest.approx(payload["matched"] + payload["cosine"])
     assert payload["matched"] < 0.1                      # near-perfect fixture
+
+
+@pytest.mark.parametrize("pair, message", [
+    ({"q": 2, "t": 2}, "seen pair (2, 2) has candidate class id 2"),   # read as seen
+    ({"q": 2, "t": 2, "group": "seen"}, "seen pair (2, 2) has candidate class id 2"),
+    ({"q": 0, "t": 0, "group": "candidate"}, "candidate pair (0, 0) has seen class id 0"),
+])
+def test_loss_rejects_a_pair_outside_its_target_group(tmp_path, capsys, pair, message):
+    # A hand-edited assign.json whose pair group disagrees with its target's
+    # class id exits 1, in either direction, rather than drop or add a
+    # candidate cosine term.
+    _three_class_bank(tmp_path)
+    (tmp_path / "assign.json").write_text(json.dumps(
+        {"pairs": [pair], "unmatched": [], "seen_count": 2}))
+    assert main(["loss", "--pred-class", str(tmp_path / "V.smtf"),
+                 "--pred-masks", str(tmp_path / "M.smtf"),
+                 "--embeds", str(tmp_path / "E.smtf"),
+                 "--targets", str(tmp_path / "all.json"),
+                 "--assignment", str(tmp_path / "assign.json"),
+                 "--out", str(tmp_path / "loss.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert not (tmp_path / "loss.json").exists()
 
 
 def test_mfe_and_gradcheck(tmp_path, capsys):

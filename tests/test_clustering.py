@@ -268,6 +268,35 @@ def test_fuse_identical_centroids_merge():
     assert np.allclose(cents_out[0], [1.0, 0.0])
 
 
+def test_fuse_merges_at_exactly_tau():
+    # e1 and e1 have cosine exactly 1.0: a pair at tau merges.
+    assign = np.array([[0, 1]])
+    masks, _ = cl.fuse_masks(_cluster_result(assign, np.eye(2, 3)[[0, 0]]), tau=1.0)
+    assert masks.tolist() == [[[1, 1]]]
+
+
+@pytest.mark.parametrize("exponent", [-100, 100])
+def test_fuse_ignores_power_of_two_scale_vs_oracle(exponent):
+    # Fusion merges and renormalizes by direction only, so centroids scaled
+    # by a power of two fuse bitwise as at scale 1, here and in the oracle.
+    # A 1e-12 norm floor left 5 groups at 2^-100 where the oracle kept 48.
+    feats = _blob_features(48, 48, seed=1)
+    cfg = cl.WindowConfig(kmeans_iters=4, metric="euclidean")
+    result = cl.kmeans(feats, cl.multi_scale_seeds(feats, cfg), cfg)
+    base_masks, base_cents = cl.fuse_masks(result, tau=0.9)
+    scaled = _cluster_result(result.assignments,
+                             result.centroids * np.float32(2.0 ** exponent))
+    masks = _assert_fuse_oracle(scaled, 0.9)
+    assert masks.tobytes() == base_masks.tobytes()
+    assert cl.fuse_masks(scaled, tau=0.9)[1].tobytes() == base_cents.tobytes()
+
+
+def test_fuse_keeps_a_zero_centroid_zero():
+    masks, cents = cl.fuse_masks(_cluster_result([[0, 1, 2]], [[0.0, 0.0], [0.0, 0.0],
+                                                               [2.0, 0.0]]), tau=0.9)
+    assert masks.shape[0] == 3 and cents.tolist() == [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+
+
 def test_fuse_orthogonal_no_merge():
     assign = np.array([[0, 1], [0, 1]])
     cents = np.array([[1.0, 0.0], [0.0, 1.0]])

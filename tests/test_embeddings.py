@@ -110,3 +110,16 @@ def test_build_joint_width_mismatch():
     seen = emb.ClassEmbeddings.from_matrix(np.eye(2, dtype=np.float32), (0, 1))
     with pytest.raises(ValueError):
         emb.build_joint_embedding(seen, np.eye(1, 3, dtype=np.float32))
+
+
+def test_unit_rows_any_scale_and_zero_row_error():
+    # A nonzero row normalizes whatever its norm (here about 1e-18); only
+    # an all-zero row, which has no direction, is an error.
+    rows = np.array([[3.0, 4.0], [1.0, 0.0]]) * 2.0 ** -60
+    got = emb._unit_rows(rows)
+    assert got.tobytes() == emb._unit_rows(rows * 2.0 ** 60).tobytes()
+    assert got.tolist() == [[0.6000000238418579, 0.800000011920929], [1.0, 0.0]]
+    with pytest.raises(ValueError, match="zero embedding row"):
+        emb._unit_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="zero embedding row"):
+        emb.ClassEmbeddings.from_matrix(np.zeros((1, 3), dtype=np.float32), (0,))

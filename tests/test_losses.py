@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,7 @@ def test_focal_hand_values():
 
 
 def test_focal_gamma0_is_half_bce():
+    assert L.CostWeights(focal_gamma=0.0).focal_gamma == 0.0   # the boundary is valid
     rng = np.random.default_rng(1)
     p = rng.uniform(0.05, 0.95, size=8)
     for target in (None, 2, 5):
@@ -133,6 +135,31 @@ def test_cosine_loss_values():
     assert L.cosine_loss(v, c, []) == 0.0
     with pytest.raises(ValueError):
         L.cosine_loss(v, c, [(0, 5)])
+
+
+def test_cosine_loss_any_scale_and_zero_rows():
+    # Only direction matters at any norm; a zero row has cosine 0, so its
+    # loss is 1 and it pulls no gradient.
+    v = np.array([[3.0, 4.0], [0.0, 0.0]])
+    c = np.array([[4.0, 3.0], [0.0, 0.0]])
+    base = L.cosine_loss(v, c, [(0, 0)])
+    for k in (-500, -100, 100, 500):
+        scaled = L.cosine_loss_grad(v * 2.0 ** k, c * 2.0 ** k, [(0, 0)])
+        assert scaled[0] == base and np.isfinite(scaled[1]).all(), k
+    for pairs in ([(1, 0)], [(0, 1)], [(1, 1)]):
+        value, grad = L.cosine_loss_grad(v, c, pairs)
+        assert value == 1.0 and not grad.any(), pairs
+
+
+def test_sigmoid_saturates_without_warnings():
+    x = np.array([-1e300, -800.0, -30.0, 0.0, 30.0, 800.0, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = L.sigmoid(x)
+    assert got.dtype == np.float64
+    assert got[[0, 1, 3, 5, 6]].tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
+    assert abs(got[2] / math.exp(-30.0) - 1.0) < 1e-12
+    assert got[4] == 1.0 / (1.0 + math.exp(-30.0))
 
 
 def _joint(n_seen, n_cand, width):
@@ -211,13 +238,13 @@ def test_matched_loss_perfect_and_unmatched():
     m = np.full((1, 2, 2), 50.0, dtype=np.float32)
     s = L.class_similarity(v, joint.matrix)
     targets = [(0, np.ones((2, 2)))]
-    assignment = Assignment(pairs=[Pair(0, 0, 0.0, "seen")], group="seen")
+    assignment = Assignment(pairs=[Pair(0, 0, 0.0, "seen")])
     w = L.CostWeights()
     assert L.matched_loss(assignment, s, m, targets, w) < 1e-5
 
     # zero matched pairs, V = 0: loss is the all-negative focal of 0.5 rows
     s0 = np.full((3, 1), 0.5)
-    empty = Assignment(pairs=[], group="seen", unmatched_queries=[0, 1, 2])
+    empty = Assignment(pairs=[], unmatched_queries=[0, 1, 2])
     got = L.matched_loss(empty, s0, np.zeros((3, 2, 2)), targets, w)
     assert abs(got - L.focal_loss(np.array([0.5]), None)) < 1e-12
 
@@ -231,7 +258,7 @@ def test_matched_loss_recomposition():
     targets = [(0, (rng.random((3, 3)) > 0.5).astype(np.float64)),
                (2, (rng.random((3, 3)) > 0.5).astype(np.float64))]
     assignment = Assignment(pairs=[Pair(1, 0, 0.0, "seen"), Pair(3, 1, 0.0, "candidate")],
-                            group="combined", unmatched_queries=[0, 2])
+                            unmatched_queries=[0, 2])
     w = L.CostWeights(use_iou_in_loss=True)
     got = L.matched_loss(assignment, s, m, targets, w)
     expect = 0.0
@@ -281,7 +308,7 @@ def test_matched_pair_loss_is_its_cost_entry_bitwise(k, t, hw):
     costs = L.match_cost_matrix(s, m, targets, "candidate", w, seen_count)
     for q in range(k):
         for tt in range(t):
-            one = Assignment(pairs=[Pair(q, tt, 0.0, "candidate")], group="candidate")
+            one = Assignment(pairs=[Pair(q, tt, 0.0, "candidate")])
             got = L.matched_loss(one, s, m, targets, w)
             assert float(got).hex() == float(costs[q, tt]).hex(), (q, tt)
 
@@ -307,11 +334,11 @@ def test_matched_loss_pair_out_of_range():
     s, m, targets, _ = _cost_fixture(8, 3, 2, (3, 3), 2, 2)
     w = L.CostWeights()
     for q, t in ((3, 0), (-1, 0), (0, 2), (0, -1)):
-        bad = Assignment(pairs=[Pair(q, t, 0.0, "candidate")], group="candidate")
+        bad = Assignment(pairs=[Pair(q, t, 0.0, "candidate")])
         with pytest.raises(ValueError, match="out of range"):
             L.matched_loss(bad, s, m, targets, w)
     outside = [(s.shape[1], targets[0][1])]
-    one = Assignment(pairs=[Pair(0, 0, 0.0, "candidate")], group="candidate")
+    one = Assignment(pairs=[Pair(0, 0, 0.0, "candidate")])
     with pytest.raises(ValueError, match="outside joint space"):
         L.matched_loss(one, s, m, outside, w)
 

@@ -290,8 +290,7 @@ def test_empty_target_list():
 
 
 def test_assignment_validate():
-    bad = Assignment(pairs=[Pair(0, 0, 1.0, "seen"), Pair(0, 1, 1.0, "seen")],
-                     group="seen")
+    bad = Assignment(pairs=[Pair(0, 0, 1.0, "seen"), Pair(0, 1, 1.0, "seen")])
     with pytest.raises(ValueError):
         bad.validate()
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -202,11 +203,15 @@ def test_loss_cosine_reads_the_target_class_row():
 
 
 def test_loss_rejects_a_candidate_pair_with_a_seen_class():
+    # Targets 0 and 1 have classes 0 (seen) and 3 (candidate). Each pair
+    # whose group is not its target's raises, named by the first such pair.
     v, m, targets, joint = _loss_case()
-    assignment = Assignment([Pair(0, 1, 0.0, "seen"), Pair(1, 0, 0.0, "candidate")],
-                            "combined")
-    with pytest.raises(ValueError, match=r"candidate pair \(1, 0\) has seen class id 0"):
-        loss(v, m, targets, assignment, joint, CostWeights())
+    for pairs, message in (
+            ([Pair(1, 0, 0.0, "candidate")], r"candidate pair \(1, 0\) has seen class id 0"),
+            ([Pair(0, 1, 0.0, "seen")], r"seen pair \(0, 1\) has candidate class id 3"),
+            ([Pair(0, 1, 0.0, "seen"), Pair(1, 0, 0.0, "candidate")], r"seen pair \(0, 1\)")):
+        with pytest.raises(ValueError, match=message):
+            loss(v, m, targets, Assignment(pairs), joint, CostWeights())
 
 
 def test_file_decoder_uses_every_query_row(tmp_path):
@@ -278,3 +283,40 @@ def test_pipeline_reference_digests(tmp_path, workload, u):
     result = run_pipeline(str(cfg_path))
     assert _smtf_digest(result.artifacts) == ref["smtf_sha256"]
     assert result.report.hiou == ref["hiou"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pipeline_outputs_ignore_power_of_two_feature_scale(tmp_path, seed):
+    # Only direction matters up to the readout, so features scaled by an
+    # exact power of two, down to norms of 1e-30 and up to 1e30, must run
+    # without a warning and give the scale-1 candidates bit for bit. The
+    # oracle decoder's mask logits scale with the features, and so may the
+    # labels read from them.
+    cfg_path, fix = make_synth_run(tmp_path / "fx", seed=seed, blobs=9, seen=5,
+                                   size=64, dim=16)
+    outputs = {}
+    for k in (0, -100, -60, 40, 100):
+        save_tensor(fix.features * np.float32(2.0 ** k), tmp_path / f"F{k}.smtf")
+        cfg = PipelineConfig.from_file(cfg_path)
+        cfg.features, cfg.out_dir = str(tmp_path / f"F{k}.smtf"), f"out{k}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_pipeline(cfg)
+        outputs[k] = {name: Path(result.artifacts[name]).read_bytes() for name in
+                      ("cluster_assign.smtf", "Yu.smtf", "Cu.smtf", "E.smtf")}
+        assert outputs[k] == outputs[0], k
+
+
+def test_default_unseen_ids_follow_the_seen_ids(tmp_path):
+    # With an unseen bank and no [eval] unseen_ids, the U unseen rows take
+    # ids len(seen_ids) .. len(seen_ids) + U - 1, which are gen_synth's.
+    cfg_path, fix = make_synth_run(tmp_path / "fix", seed=0, size=32, dim=8)
+    cfg = PipelineConfig.from_file(cfg_path)
+    assert cfg.seen_ids == fix.seen_ids == (0, 1, 2)
+    assert cfg.unseen_ids == fix.unseen_ids == (3, 4)
+    explicit = run_pipeline(cfg)
+    cfg.unseen_ids, cfg.out_dir = (), "default"
+    default = run_pipeline(cfg)
+    assert default.report.to_dict() == explicit.report.to_dict()
+    labels = load_tensor(default.artifacts["labels.smtf"])
+    assert set(np.unique(labels).tolist()) == {0, 1, 2, 3, 4}
