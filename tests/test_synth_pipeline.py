@@ -206,10 +206,11 @@ def test_loss_rejects_a_candidate_pair_with_a_seen_class():
     # Targets 0 and 1 have classes 0 (seen) and 3 (candidate). Each pair
     # whose group is not its target's raises, named by the first such pair.
     v, m, targets, joint = _loss_case()
+    seen, cand = Pair(0, 1, 0.0, "seen"), Pair(1, 0, 0.0, "candidate")
     for pairs, message in (
-            ([Pair(1, 0, 0.0, "candidate")], r"candidate pair \(1, 0\) has seen class id 0"),
-            ([Pair(0, 1, 0.0, "seen")], r"seen pair \(0, 1\) has candidate class id 3"),
-            ([Pair(0, 1, 0.0, "seen"), Pair(1, 0, 0.0, "candidate")], r"seen pair \(0, 1\)")):
+            ([cand], r"candidate pair \(1, 0\) has seen class id 0"),
+            ([seen], r"seen pair \(0, 1\) has candidate class id 3"),
+            ([seen, cand], r"seen pair \(0, 1\)")):
         with pytest.raises(ValueError, match=message):
             loss(v, m, targets, Assignment(pairs), joint, CostWeights())
 
