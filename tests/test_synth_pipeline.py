@@ -286,6 +286,37 @@ def test_pipeline_reference_digests(tmp_path, workload, u):
     assert result.report.hiou == ref["hiou"]
 
 
+# hIoU and per-class IoU (percent) of default runs on 64², 9 blobs, 5 seen,
+# 16 channels, per (noise, seed). Quality holds to noise 0.15 and falls off
+# a cliff at 0.2; every IoU below 100 also pins how evaluate scales it.
+_LADDER = {
+    (0.05, 0): (100.0, [100.0] * 10),
+    (0.05, 1): (100.0, [100.0] * 10),
+    (0.15, 0): (97.40771386774725, [
+        99.59324155193993, 100.0, 99.00990099009901, 84.7457627118644, 100.0,
+        99.0, 94.0, 99.0, 98.0392156862745, 100.0]),
+    (0.15, 1): (96.77642330304276, [
+        98.811013767209, 100.0, 99.00990099009901, 84.03361344537815, 100.0,
+        83.33333333333334, 100.0, 100.0, 100.0, 98.0]),
+    (0.2, 0): (5.470438389895399, [
+        1.3141426783479349, 3.0, 5.769230769230769, 6.422018348623854, 4.0, 4.0,
+        6.958942240779402, 17.964071856287426, 3.8095238095238098, 4.391743522178305]),
+    (0.2, 1): (3.8972829878303026, [
+        3.44180225281602, 4.0, 5.0, 3.9603960396039604, 1.9607843137254901,
+        7.6190476190476195, 5.434782608695652, 1.0, 3.0, 4.737091425864519]),
+}
+
+
+@pytest.mark.parametrize("noise, seed", sorted(_LADDER))
+def test_hiou_noise_ladder(tmp_path, noise, seed):
+    hiou, per_class = _LADDER[noise, seed]
+    cfg_path, _ = make_synth_run(tmp_path / "fx", seed=seed, blobs=9, seen=5,
+                                 size=64, dim=16, noise=noise)
+    report = run_pipeline(cfg_path).report
+    assert report.per_class_iou.tolist() == pytest.approx(per_class, rel=1e-12)
+    assert report.hiou == pytest.approx(hiou, rel=1e-12)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_pipeline_outputs_ignore_power_of_two_feature_scale(tmp_path, seed):
     # Only direction matters up to the readout, so features scaled by an
