@@ -109,13 +109,15 @@ def _cmd_loss(args):
     seen_count = raw.get("seen_count", args.seen_count)
     if seen_count is None:
         raise ValueError("assignment JSON lacks seen_count; pass --seen-count")
-    pairs = [Pair(p["q"], p["t"], p.get("cost", 0.0), p.get("group", "seen"))
+    if "weights" not in raw:
+        raise ValueError("assignment JSON lacks the weights of its costs; rerun match")
+    pairs = [Pair(p["q"], p["t"], p.get("cost"), p.get("group", "seen"))
              for p in raw["pairs"]]
     assignment = Assignment(pairs, raw.get("unmatched", []))
     payload = loss(load_tensor(args.pred_class), load_tensor(args.pred_masks),
                    _load_targets(args.targets), assignment,
                    _joint_from_file(args.embeds, seen_count),
-                   _weights_from_json(args.weights))
+                   CostWeights(**raw["weights"]))
     _write_json(args.out, payload)
     print(json.dumps(payload))
 
@@ -225,7 +227,6 @@ def build_parser():
 
     p = command("loss", _cmd_loss, "losses for a stored assignment", "--pred-class",
                 "--pred-masks", "--embeds", "--targets", "--assignment", "--out")
-    p.add_argument("--weights", default="")
     p.add_argument("--seen-count", type=int, default=None)
 
     p = command("mfe", _cmd_mfe, "multi-scale fusion forward pass",

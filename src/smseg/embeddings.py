@@ -69,11 +69,12 @@ class JointEmbedding:
 
 
 def pool_region_embeddings(feats, masks):
-    """Mask-weighted mean of dense features, one unit row per mask.
+    """Mask-pooled dense features, one unit row per mask.
 
     Stand-in for an external region encoder: row u is
-    normalize(sum over mask_u of feats[:, h, w] / area_u). ``masks`` is a
-    (U, H, W) binary array; every mask must be nonempty.
+    normalize(sum over mask_u of feats[:, h, w]), the direction of the
+    region's mean feature. ``masks`` is a (U, H, W) binary array; every
+    mask must be nonempty.
     """
     mask_arr = np.asarray(masks)
     feats = np.asarray(feats, dtype=np.float64)
@@ -85,10 +86,9 @@ def pool_region_embeddings(feats, masks):
             f"mask spatial shape {mask_arr.shape[1:]} != features {feats.shape[1:]}")
     rows = np.zeros((mask_arr.shape[0], c), dtype=np.float64)
     for u, mask in enumerate(mask_arr.astype(bool)):
-        area = int(mask.sum())
-        if area == 0:
+        if not mask.any():
             raise ValueError(f"mask {u} is empty")
-        rows[u] = feats[:, mask].sum(axis=1) / area
+        rows[u] = feats[:, mask].sum(axis=1)
     return _unit_rows(rows)
 
 

@@ -4,11 +4,12 @@ All kernels compute in float64 and return python floats. Probabilities are
 clamped to [1e-7, 1 - 1e-7] before any log. Overlap losses (dice, iou)
 share a +1.0 smoothing term in numerator and denominator so empty masks
 stay finite. Focal, BCE and dice have one implementation each, a (K, T)
-term of K queries against T targets: ``match_cost_matrix`` and
-``matched_loss`` read it whole, ``focal_map`` reads the per-pixel focal
-parts, and ``focal_loss``, ``bce_mask`` and ``dice_loss`` are its 1 x 1
-case. Each differentiable kernel has a ``*_grad`` twin returning the plain
-kernel's value and its gradient w.r.t. the kernel's direct input, for the
+term of K queries against T targets: ``match_cost_matrix`` sums them
+weighted, once per run (``matched_loss`` reads each pair's cost from the
+match), ``focal_map`` reads the per-pixel focal parts, and
+``focal_loss``, ``bce_mask`` and ``dice_loss`` are its 1 x 1 case. Each
+differentiable kernel has a ``*_grad`` twin returning the plain kernel's
+value and its gradient w.r.t. the kernel's direct input, for the
 finite-difference harness in :mod:`smseg.mfe`.
 """
 
@@ -93,20 +94,6 @@ def _dice_term(m, y, eps=SMOOTH_EPS):
     """(K, T) dice of probability rows m (K, P) on mask rows y (T, P)."""
     return 1.0 - (2.0 * (m @ y.T) + eps) / (
         m.sum(axis=1)[:, None] + y.sum(axis=1)[None, :] + eps)
-
-
-def _weighted_costs(s, m_logits, targets, weights):
-    """(K, T) w_cls*focal + w_bce*bce + w_dice*dice of every query against
-    every (joint class id, mask) target."""
-    ids = [int(t[0]) for t in targets]
-    for cid in ids:
-        if not 0 <= cid < s.shape[1]:
-            raise ValueError(f"class id {cid} outside joint space {s.shape[1]}")
-    masks = np.stack([np.asarray(t[1], dtype=np.float64).ravel() for t in targets])
-    flat = np.asarray(m_logits, dtype=np.float64).reshape(len(s), -1)
-    return (weights.w_cls * _focal_term(s, ids, weights.focal_alpha, weights.focal_gamma)
-            + weights.w_bce * _bce_term(flat, masks)
-            + weights.w_dice * _dice_term(sigmoid(flat), masks))
 
 
 def dice_loss(m, y, eps=SMOOTH_EPS):
@@ -267,11 +254,12 @@ def cosine_loss_grad(v_rows, c_rows, pairs):
 
 
 def match_cost_matrix(s, m_logits, targets, group, weights, seen_count):
-    """(K, T) assignment costs: w_cls*focal + w_bce*bce + w_dice*dice.
+    """(K, T) assignment costs: w_cls*focal + w_bce*bce + w_dice*dice of
+    every query against every (joint class id, binary mask) target.
 
-    ``targets`` is a list of (joint class id, binary mask). Seen-group
-    target ids must lie below ``seen_count``, candidate-group ids at or
-    above it; the two groups never share a matrix.
+    Every target id must lie in the joint space of ``s``'s columns:
+    seen-group ids below ``seen_count``, candidate-group ids at or above
+    it. The two groups never share a matrix.
     """
     if group not in ("seen", "candidate"):
         raise ValueError(f"unknown query group {group!r}")
@@ -280,39 +268,43 @@ def match_cost_matrix(s, m_logits, targets, group, weights, seen_count):
     s = np.asarray(s, dtype=np.float64)
     if len(targets) > len(s):
         raise ValueError(f"{len(targets)} targets exceed {len(s)} queries in group {group!r}")
-    for cid in (int(t[0]) for t in targets):
-        if group == "seen" and cid >= seen_count:
-            raise ValueError(f"seen group given candidate class id {cid}")
-        if group == "candidate" and cid < seen_count:
-            raise ValueError(f"candidate group given seen class id {cid}")
-    return _weighted_costs(s, m_logits, targets, weights)
+    ids = [int(t[0]) for t in targets]
+    for cid in ids:
+        own = "seen" if cid < seen_count else "candidate"
+        if own != group:
+            raise ValueError(f"{group} group given {own} class id {cid}")
+        if not 0 <= cid < s.shape[1]:
+            raise ValueError(f"class id {cid} outside joint space {s.shape[1]}")
+    masks = np.stack([np.asarray(t[1], dtype=np.float64).ravel() for t in targets])
+    flat = np.asarray(m_logits, dtype=np.float64).reshape(len(s), -1)
+    return (weights.w_cls * _focal_term(s, ids, weights.focal_alpha, weights.focal_gamma)
+            + weights.w_bce * _bce_term(flat, masks)
+            + weights.w_dice * _dice_term(sigmoid(flat), masks))
 
 
 def matched_loss(assignment, s, m_logits, targets, weights):
     """Post-assignment training loss over all queries.
 
-    Matched pairs average their (query, target) entries of the same
-    w_cls*focal + w_bce*bce + w_dice*dice costs that ``match_cost_matrix``
-    builds, plus w_dice*iou when ``use_iou_in_loss`` (the iou term shares
-    the mask-loss weight). Unmatched queries average the all-negative
-    ("no object") focal term. Either mean is 0 over an empty set.
+    Matched pairs average their ``Pair.cost``, which must be the pair's
+    ``match_cost_matrix`` entry under the same ``weights``, plus w_dice*iou
+    when ``use_iou_in_loss`` (the iou term shares the mask-loss weight).
+    Unmatched queries average the all-negative ("no object") focal term.
+    Either mean is 0 over an empty set.
     """
     s = np.asarray(s, dtype=np.float64)
-    loss = 0.0
-    pairs = assignment.pairs
+    loss, pairs = 0.0, assignment.pairs
+    for pair in pairs:
+        if not (0 <= pair.query < len(s) and 0 <= pair.target < len(targets)):
+            raise ValueError(f"assignment pair ({pair.query}, {pair.target}) out of range")
+        if not isinstance(pair.cost, (int, float)) or not math.isfinite(pair.cost):
+            raise ValueError(f"assignment pair ({pair.query}, {pair.target}) has cost "
+                             f"{pair.cost!r}, not a finite number")
+        loss += pair.cost
+        if weights.use_iou_in_loss:
+            loss += weights.w_dice * iou_loss(sigmoid(m_logits[pair.query]),
+                                              targets[pair.target][1])
     if pairs:
-        for pair in pairs:
-            if not (0 <= pair.query < len(s) and 0 <= pair.target < len(targets)):
-                raise ValueError(f"assignment pair ({pair.query}, {pair.target}) out of range")
-        costs = _weighted_costs(s, m_logits, targets, weights)
-        matched_total = 0.0
-        for pair in pairs:
-            matched_total += costs[pair.query, pair.target]
-            if weights.use_iou_in_loss:
-                matched_total += weights.w_dice * iou_loss(
-                    sigmoid(m_logits[pair.query]), targets[pair.target][1])
-        loss = float(matched_total) / len(pairs)
-
+        loss /= len(pairs)
     unmatched = assignment.unmatched_queries
     if unmatched:
         neg, _ = _focal_parts(s[unmatched], weights.focal_alpha, weights.focal_gamma)

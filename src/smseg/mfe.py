@@ -133,10 +133,13 @@ def group_norm(x, gamma, beta, groups, eps=1e-5):
     if c % groups:
         raise ValueError(f"channels {c} not divisible by groups {groups}")
     xg = x.reshape(*x.shape[:-3], groups, -1)
-    mu = xg.mean(axis=-1, keepdims=True)
-    var = xg.var(axis=-1, keepdims=True)
-    xhat = ((xg - mu) / np.sqrt(var + eps)).reshape(x.shape)
-    return xhat * gamma[..., None, None] + beta[..., None, None]
+    d = xg - xg.mean(axis=-1, keepdims=True)
+    # a group whose deviations reach 1 scales down by an exact power of two
+    # (eps by its square): float32 squares stay finite and no output bit moves
+    s = np.ldexp(x.dtype.type(1), -np.maximum(np.frexp(abs(d).max(-1, keepdims=True))[1], 0))
+    d *= s
+    d /= np.sqrt(np.mean(d ** 2, axis=-1, keepdims=True) + eps * s * s)
+    return d.reshape(x.shape) * gamma[..., None, None] + beta[..., None, None]
 
 
 def group_norm_vjp(x, gamma, groups, eps, dout):

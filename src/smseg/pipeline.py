@@ -17,7 +17,7 @@ config keys are declared once, as ``PipelineConfig`` fields.
 import configparser
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -256,12 +256,14 @@ def match(v, m, k_seen, seen_targets, cand_targets, joint, weights):
         "total_cost": assignment.total_cost,
         "seen_count": joint.seen_count,
         "k_seen": k_seen,
+        "weights": asdict(weights),  # the cost model of every pair cost
     }
 
 
 def loss(v, m, targets, assignment, joint, weights):
     """Matched, cosine and split-matching losses of ``assignment`` over the
-    stacked (joint id, mask) ``targets``. A pair's group must be its target's,
+    stacked (joint id, mask) ``targets``. Each pair's cost must come from
+    ``match`` under the same ``weights``. A pair's group must be its target's,
     "seen" below ``joint.seen_count`` (ValueError naming the pair otherwise).
     A candidate pair's cosine term uses its target's class row."""
     matched = matched_loss(assignment, class_similarity(v, joint.matrix), m, targets,

@@ -1,10 +1,12 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from smseg import gen_synth, load_tensor, save_tensor, write_fixture
-from smseg.cli import main
+from smseg.cli import build_parser, main
 from smseg.decoder import DecoderParams
 from smseg.mfe import init_mfe_params
 
@@ -118,7 +120,8 @@ def test_loss_rejects_a_pair_outside_its_target_group(tmp_path, capsys, pair, me
     # candidate cosine term.
     _three_class_bank(tmp_path)
     (tmp_path / "assign.json").write_text(json.dumps(
-        {"pairs": [pair], "unmatched": [], "seen_count": 2}))
+        {"pairs": [{**pair, "cost": 0.0}], "unmatched": [], "seen_count": 2,
+         "weights": {}}))
     assert main(["loss", "--pred-class", str(tmp_path / "V.smtf"),
                  "--pred-masks", str(tmp_path / "M.smtf"),
                  "--embeds", str(tmp_path / "E.smtf"),
@@ -225,3 +228,26 @@ def test_cluster_non_finite_features_exit_1(fixture_dir, capsys, bad):
     assert captured.out == ""
     assert captured.err.startswith("error:") and "NaN or Inf" in captured.err
     assert not (d / "a.smtf").exists()
+
+
+def _readme_command_lines():
+    """The ``smseg`` lines of README's "Command line" bash block, as argv."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("smseg ")]
+
+
+def test_readme_command_lines_match_the_parser(capsys):
+    # Each documented command parses: no unknown or abbreviated flag, and
+    # every required flag present.
+    lines = _readme_command_lines()
+    assert len(lines) == 12
+    for argv in lines:
+        try:
+            args = vars(build_parser().parse_args(argv))
+        except SystemExit:
+            pytest.fail(f"smseg {' '.join(argv)}: {capsys.readouterr().err}")
+        for flag in (a for a in argv if a.startswith("--")):
+            assert flag[2:].replace("-", "_") in args, (argv[0], flag)

@@ -133,8 +133,9 @@ def _bad_mfe_params(d):
             "--params", d / "p.smtf", "--out", d / "Fd.smtf"]
 
 
-def _no_seen_count(d):
-    (d / "assign.json").write_text(json.dumps({"pairs": [], "unmatched": [0, 1]}))
+def _loss_of(d, assignment):
+    """loss of a hand-written assign.json against the bank's seen targets."""
+    (d / "assign.json").write_text(json.dumps(assignment))
     return ["loss", "--pred-class", d / "V.smtf", "--pred-masks", d / "M.smtf",
             "--embeds", d / "E.smtf", "--targets", d / "seen.json",
             "--assignment", d / "assign.json", "--out", d / "loss.json"]
@@ -161,7 +162,15 @@ def _infer(d, queries, decoder):
      "needs masks"),
     (lambda d: _match(d, "--ksplit", "1,2"), "does not cover"),
     (lambda d: _match(d, "--ksplit", "2,0", "--seen-count", "3"), "exceeds"),
-    (_no_seen_count, "lacks seen_count"),
+    (lambda d: _loss_of(d, {"pairs": [], "unmatched": [0, 1]}), "lacks seen_count"),
+    (lambda d: _loss_of(d, {"pairs": [], "unmatched": [0, 1], "seen_count": 2}),
+     "lacks the weights"),
+    (lambda d: _loss_of(d, {"pairs": [{"q": 1, "t": 1}], "seen_count": 2,
+                            "weights": {}}),
+     "pair (1, 1) has cost None, not a finite number"),
+    (lambda d: _loss_of(d, {"pairs": [{"q": 0, "t": 0, "cost": float("nan")}],
+                            "seen_count": 2, "weights": {}}),
+     "pair (0, 0) has cost nan"),
     (_bad_mfe_params, "params must be"),
     (lambda d: _infer(d, np.ones(4, dtype=np.float32), np.zeros((3, 4, 4), np.float32)),
      "queries must be"),
@@ -171,6 +180,7 @@ def _infer(d, queries, decoder):
                       np.zeros((3, 5, 5), np.float32)),
      "decoder width 5 != 4 feature channels"),
 ], ids=["embed-no-masks", "match-ksplit", "match-seen-count", "loss-seen-count",
+        "loss-weights", "loss-cost-missing", "loss-cost-nan",
         "mfe-params", "infer-queries-rank", "infer-decoder-shape",
         "infer-decoder-width"])
 def test_input_errors_exit_1(bank, capsys, argv, message):

@@ -230,6 +230,8 @@ def test_match_cost_matrix_group_violations():
         L.match_cost_matrix(s, m, [(0, mask)] * 3, "seen", L.CostWeights(), 2)
     with pytest.raises(ValueError):
         L.match_cost_matrix(s, m, [], "seen", L.CostWeights(), 2)
+    with pytest.raises(ValueError, match="outside joint space 3"):
+        L.match_cost_matrix(s, m, [(3, mask)], "candidate", L.CostWeights(), 2)
 
 
 def test_matched_loss_perfect_and_unmatched():
@@ -238,8 +240,9 @@ def test_matched_loss_perfect_and_unmatched():
     m = np.full((1, 2, 2), 50.0, dtype=np.float32)
     s = L.class_similarity(v, joint.matrix)
     targets = [(0, np.ones((2, 2)))]
-    assignment = Assignment(pairs=[Pair(0, 0, 0.0, "seen")])
     w = L.CostWeights()
+    cost = L.match_cost_matrix(s, m, targets, "seen", w, 1)[0, 0]
+    assignment = Assignment(pairs=[Pair(0, 0, float(cost), "seen")])
     assert L.matched_loss(assignment, s, m, targets, w) < 1e-5
 
     # zero matched pairs, V = 0: loss is the all-negative focal of 0.5 rows
@@ -257,9 +260,12 @@ def test_matched_loss_recomposition():
     s = L.class_similarity(v, joint.matrix)
     targets = [(0, (rng.random((3, 3)) > 0.5).astype(np.float64)),
                (2, (rng.random((3, 3)) > 0.5).astype(np.float64))]
-    assignment = Assignment(pairs=[Pair(1, 0, 0.0, "seen"), Pair(3, 1, 0.0, "candidate")],
-                            unmatched_queries=[0, 2])
     w = L.CostWeights(use_iou_in_loss=True)
+    seen_cost = L.match_cost_matrix(s, m, targets[:1], "seen", w, 2)[1, 0]
+    cand_cost = L.match_cost_matrix(s, m, targets[1:], "candidate", w, 2)[3, 0]
+    assignment = Assignment(pairs=[Pair(1, 0, float(seen_cost), "seen"),
+                                   Pair(3, 1, float(cand_cost), "candidate")],
+                            unmatched_queries=[0, 2])
     got = L.matched_loss(assignment, s, m, targets, w)
     expect = 0.0
     for q, t in ((1, 0), (3, 1)):
@@ -301,16 +307,17 @@ def _cost_fixture(seed, k, t, hw, n_seen, n_cand):
 COST_SHAPES = [(1, 1, (1, 1)), (3, 2, (4, 4)), (6, 5, (7, 5)), (9, 3, (16, 16))]
 
 
-@pytest.mark.parametrize("k,t,hw", COST_SHAPES)
-def test_matched_pair_loss_is_its_cost_entry_bitwise(k, t, hw):
-    s, m, targets, seen_count = _cost_fixture(k * 100 + t, k, t, hw, 2, t + 1)
-    w = L.CostWeights(w_cls=0.7, w_bce=1.3, w_dice=2.0, use_iou_in_loss=False)
-    costs = L.match_cost_matrix(s, m, targets, "candidate", w, seen_count)
-    for q in range(k):
-        for tt in range(t):
-            one = Assignment(pairs=[Pair(q, tt, 0.0, "candidate")])
-            got = L.matched_loss(one, s, m, targets, w)
-            assert float(got).hex() == float(costs[q, tt]).hex(), (q, tt)
+def test_matched_loss_reads_the_pair_costs():
+    # The matched term is the mean of the costs the pairs carry, whatever
+    # they are, plus the IoU term; no cost is recomputed.
+    s, m, targets, _ = _cost_fixture(5, 4, 2, (4, 4), 2, 3)
+    w = L.CostWeights(w_cls=0.7, w_dice=2.0, use_iou_in_loss=True)
+    pairs = [Pair(1, 0, 1000.25, "candidate"), Pair(2, 1, -3.5, "candidate")]
+    got = L.matched_loss(Assignment(pairs, unmatched_queries=[0, 3]), s, m, targets, w)
+    iou = sum(L.iou_loss(L.sigmoid(m[p.query]), targets[p.target][1]) for p in pairs)
+    unmatched = (L.focal_loss(s[0], None) + L.focal_loss(s[3], None)) / 2
+    expect = (1000.25 - 3.5 + w.w_dice * iou) / 2 + w.w_cls * unmatched
+    assert got == pytest.approx(expect, rel=1e-12)
 
 
 @pytest.mark.parametrize("k,t,hw", COST_SHAPES)
@@ -337,10 +344,14 @@ def test_matched_loss_pair_out_of_range():
         bad = Assignment(pairs=[Pair(q, t, 0.0, "candidate")])
         with pytest.raises(ValueError, match="out of range"):
             L.matched_loss(bad, s, m, targets, w)
-    outside = [(s.shape[1], targets[0][1])]
-    one = Assignment(pairs=[Pair(0, 0, 0.0, "candidate")])
-    with pytest.raises(ValueError, match="outside joint space"):
-        L.matched_loss(one, s, m, outside, w)
+
+
+@pytest.mark.parametrize("cost", [None, "0.5", math.nan, math.inf])
+def test_matched_loss_rejects_a_cost_that_is_not_a_finite_number(cost):
+    s, m, targets, _ = _cost_fixture(8, 3, 2, (3, 3), 2, 2)
+    bad = Assignment(pairs=[Pair(0, 1, 0.25, "candidate"), Pair(2, 0, cost, "candidate")])
+    with pytest.raises(ValueError, match=r"pair \(2, 0\) has cost .*not a finite number"):
+        L.matched_loss(bad, s, m, targets, L.CostWeights())
 
 
 def test_focal_map_label_outside_classes():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,10 @@ from smseg import gen_synth, load_tensor, save_tensor, write_fixture
 from smseg.clustering import (WindowConfig, fuse_masks, kmeans,
                               multi_scale_seeds, restrict_candidates)
 from smseg.embeddings import ClassEmbeddings, build_joint_embedding
-from smseg.losses import CostWeights
+from smseg.losses import CostWeights, class_similarity, match_cost_matrix, matched_loss
 from smseg.matcher import Assignment, Pair, split_match
 from smseg.pipeline import (PipelineConfig, PipelineStageError, _remap_labels,
-                            loss, make_synth_run, run_pipeline)
+                            _seen_targets, loss, make_synth_run, run_pipeline)
 
 
 def test_gen_synth_deterministic():
@@ -119,6 +120,34 @@ def test_pipeline_mfe_branch(tmp_path):
     assert result.losses["total"] == pytest.approx(
         result.losses["sm"] + result.losses["mfe"])
     assert "Fd.smtf" in result.artifacts
+
+
+@pytest.mark.parametrize("tau", [0.9, 1.0])
+def test_loss_reads_the_costs_in_assign_json(tmp_path, tau):
+    # The match computes the cost model once: loss.json's matched term is
+    # the one assign.json's costs and weights give, and each cost is its
+    # entry, to 1e-15, in a (K, T) matrix built afresh over every query.
+    cfg_path, fix = make_synth_run(tmp_path / "fx", seed=0, blobs=9, seen=5,
+                                   size=64, dim=16)
+    cfg = PipelineConfig.from_file(cfg_path)
+    cfg.tau = tau
+    out = {name: Path(path) for name, path in run_pipeline(cfg).artifacts.items()}
+    raw = json.loads(out["assign.json"].read_text())
+    assert raw["weights"] == asdict(cfg.weights)
+    w, seen_count = CostWeights(**raw["weights"]), raw["seen_count"]
+    s = class_similarity(load_tensor(out["V.smtf"]), load_tensor(out["E.smtf"]))
+    m = load_tensor(out["M.smtf"])
+    seen = _seen_targets(fix.seen_labels, fix.seen_ids, fix.ignore_id)
+    cand = [(seen_count + u, mask) for u, mask in enumerate(load_tensor(out["Yu.smtf"]))]
+    full = np.concatenate([match_cost_matrix(s, m, seen, "seen", w, seen_count),
+                           match_cost_matrix(s, m, cand, "candidate", w, seen_count)],
+                          axis=1)
+    pairs = [Pair(p["q"], p["t"], p["cost"], p["group"]) for p in raw["pairs"]]
+    assert len(pairs) == len(seen) + len(cand)
+    for p in pairs:
+        assert p.cost == pytest.approx(full[p.query, p.target], rel=1e-15, abs=0)
+    matched = matched_loss(Assignment(pairs, raw["unmatched"]), s, m, seen + cand, w)
+    assert json.loads(out["loss.json"].read_text())["matched"] == matched
 
 
 def _dict_remap(labels, ids, fill):
@@ -337,6 +366,21 @@ def test_pipeline_outputs_ignore_power_of_two_feature_scale(tmp_path, seed):
         outputs[k] = {name: Path(result.artifacts[name]).read_bytes() for name in
                       ("cluster_assign.smtf", "Yu.smtf", "Cu.smtf", "E.smtf")}
         assert outputs[k] == outputs[0], k
+
+
+@pytest.mark.parametrize("k", [64, 100])
+def test_mfe_branch_runs_at_any_feature_scale(tmp_path, k):
+    # group_norm squares float32 deviations near 2**k; they must not overflow.
+    cfg_path, fix = make_synth_run(tmp_path / "fx", seed=0, blobs=9, seen=5,
+                                   size=64, dim=16)
+    save_tensor(fix.features * np.float32(2.0 ** k), tmp_path / "F.smtf")
+    cfg = PipelineConfig.from_file(cfg_path)
+    cfg.features, cfg.mfe_enabled = str(tmp_path / "F.smtf"), True
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_pipeline(cfg)
+    assert np.isfinite(load_tensor(result.artifacts["Fd.smtf"])).all()
+    assert np.isfinite([result.losses["mfe_ce"], result.losses["mfe_focal"]]).all()
 
 
 def test_default_unseen_ids_follow_the_seen_ids(tmp_path):
