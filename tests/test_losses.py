@@ -6,7 +6,7 @@ import pytest
 
 from smseg import losses as L
 from smseg.embeddings import ClassEmbeddings, build_joint_embedding
-from smseg.matcher import Assignment, Pair
+from smseg.matcher import Assignment, Pair, hungarian
 
 
 def test_class_similarity_values():
@@ -305,6 +305,20 @@ def _cost_fixture(seed, k, t, hw, n_seen, n_cand):
 
 
 COST_SHAPES = [(1, 1, (1, 1)), (3, 2, (4, 4)), (6, 5, (7, 5)), (9, 3, (16, 16))]
+
+
+@pytest.mark.parametrize("k,t,hw", COST_SHAPES)
+def test_matched_pair_loss_is_its_cost_entry_bitwise(k, t, hw):
+    # A pair the matcher emits carries its cost entry unchanged, so its
+    # loss alone (no IoU term, no unmatched queries) is that entry.
+    s, m, targets, seen_count = _cost_fixture(k * 100 + t, k, t, hw, 2, t + 1)
+    w = L.CostWeights(w_cls=0.7, w_bce=1.3, w_dice=2.0, use_iou_in_loss=False)
+    costs = L.match_cost_matrix(s, m, targets, "candidate", w, seen_count)
+    pairs = hungarian(costs, group="candidate").pairs
+    assert len(pairs) == t
+    for p in pairs:
+        got = L.matched_loss(Assignment(pairs=[p]), s, m, targets, w)
+        assert float(got).hex() == float(costs[p.query, p.target]).hex(), p
 
 
 def test_matched_loss_reads_the_pair_costs():
