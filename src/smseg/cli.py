@@ -7,6 +7,7 @@ paths resolved against the JSON file's directory.
 """
 
 import argparse
+import dataclasses
 import inspect
 import json
 import math
@@ -44,8 +45,20 @@ def _load_targets(path):
             for entry in spec["targets"]]
 
 
+def _cost_weights(fields, source):
+    """CostWeights from the JSON object ``fields``; unknown keys are named."""
+    if not isinstance(fields, dict):
+        raise ValueError(f"{source}: weights must be a JSON object")
+    unknown = sorted(set(fields) - {f.name for f in dataclasses.fields(CostWeights)})
+    if unknown:
+        raise ValueError(f"{source}: unknown weight keys {unknown}")
+    return CostWeights(**fields)
+
+
 def _weights_from_json(path):
-    return CostWeights(**json.loads(Path(path).read_text())) if path else CostWeights()
+    if not path:
+        return CostWeights()
+    return _cost_weights(json.loads(Path(path).read_text()), path)
 
 
 def _joint_from_file(path, seen_count):
@@ -59,8 +72,7 @@ def _joint_from_file(path, seen_count):
 
 
 def _cmd_cluster(args):
-    result = cluster(load_tensor(args.features), args.windows, args.iters, args.tol,
-                     args.metric)
+    result = cluster(load_tensor(args.features), args.windows, args.iters, args.tol)
     save_tensor(result.assignments.astype(np.float32), args.out_assign)
     save_tensor(result.centroids, args.out_centroids)
     print(json.dumps({"clusters": int(result.centroids.shape[0]),
@@ -117,7 +129,7 @@ def _cmd_loss(args):
     payload = loss(load_tensor(args.pred_class), load_tensor(args.pred_masks),
                    _load_targets(args.targets), assignment,
                    _joint_from_file(args.embeds, seen_count),
-                   CostWeights(**raw["weights"]))
+                   _cost_weights(raw["weights"], args.assignment))
     _write_json(args.out, payload)
     print(json.dumps(payload))
 
@@ -204,8 +216,6 @@ def build_parser():
     p.add_argument("--windows", type=_ints, default=DEFAULTS.windows)
     p.add_argument("--iters", type=int, default=DEFAULTS.kmeans_iters)
     p.add_argument("--tol", type=float, default=DEFAULTS.kmeans_tol)
-    p.add_argument("--metric", default=DEFAULTS.metric,
-                   choices=("cosine", "euclidean"))
 
     p = command("fuse", _cmd_fuse, "merge similar clusters, restrict to ignore region",
                 "--assign", "--centroids", "--ignore", "--out-masks",

@@ -11,8 +11,8 @@ sums accumulate f64 in row-major pixel order, per-cluster sums add in
 pixel order), and K-means scores pixels in row blocks whose size depends
 only on the number of centroids and a fixed byte budget, never on threads
 or the host. K-means picks do not depend on BLAS either. A pick is defined
-in float64: the centroid of largest similarity (smallest d2) under a dot
-that adds channels in order, the first index among exact ties. A float32
+in float64: the centroid of largest cosine similarity under a dot that
+adds channels in order, the first index among exact ties. A float32
 BLAS product only proposes it. The proposal stands when its lead over the
 runner-up exceeds a bound on the product's rounding error, which holds
 for any order BLAS sums in; every other pixel is rescored by the
@@ -22,20 +22,19 @@ threaded. The one BLAS product in this module whose rounding can still
 reach an output is the centroid similarity that ``fuse_masks`` compares
 with ``tau``.
 
-Cosine K-means and fusion divide each nonzero row by its own norm, with no
-floor, so any nonzero row normalizes at any scale; a zero row stays zero.
+K-means compares directions only (spherical K-means). It and fusion divide
+each nonzero row by its own norm, with no floor, so a row normalizes at any
+scale; a zero row stays zero.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .losses import normalize_rows
 
-_METRICS = ("cosine", "euclidean")
 _BLOCK_BYTES = 8 * 2 ** 20       # f32 proposal block budget of one K-means step
-_U32, _U64 = 2.0 ** -24, 2.0 ** -53    # unit roundoffs
+_U32 = 2.0 ** -24                # float32 unit roundoff
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,6 @@ class WindowConfig:
     window_sizes: tuple = (8, 16, 32)
     kmeans_iters: int = 10
     kmeans_tol: float = 1e-4
-    metric: str = "cosine"
 
     def __post_init__(self):
         sizes = tuple(sorted(set(int(s) for s in self.window_sizes)))
@@ -60,8 +58,6 @@ class WindowConfig:
             raise ValueError("kmeans_iters must be >= 1")
         if not self.kmeans_tol > 0:
             raise ValueError("kmeans_tol must be > 0")
-        if self.metric not in _METRICS:
-            raise ValueError(f"metric must be one of {_METRICS}")
 
 
 @dataclass
@@ -138,15 +134,12 @@ def _group_sums(group, rows, n):
 
 @dataclass(frozen=True)
 class _Pixels:
-    """What one ``kmeans`` run knows about its pixels."""
+    """What one ``kmeans`` run knows about its normalized pixels x."""
 
     x_t: np.ndarray                      # (C, P) f64, channel-major
-    x32: np.ndarray                      # (P, D) f32 proposal rows x~: s x, or [s x, 1]
-    sq_x: np.ndarray                     # (P,) |x|^2
-    norm: np.ndarray                     # (P,) |x~|, the proposal row's norm
-    live: np.ndarray                     # (P,) bool, x~ has a nonzero entry
-    cosine: bool
-    scale: float                         # s, the power of two x~ and c~ are scaled by
+    x32: np.ndarray                      # (P, C) f32 proposal rows
+    norm: np.ndarray                     # (P,) |x|
+    live: np.ndarray                     # (P,) bool, x != 0 (|x| may underflow to 0)
 
 
 def _propose(x32, c32):
@@ -154,42 +147,25 @@ def _propose(x32, c32):
     return x32 @ c32.T
 
 
-def _proposal_scale(sq_norms):
-    """The power of two nearest 1 / the largest row norm, in log2.
-
-    Rows and centroids scaled by it have norms of at most sqrt(2), so their
-    float32 products neither overflow nor flush to zero whatever the data's
-    magnitude. Unit-norm rows give 1, and so do all-zero (or overflowing)
-    ones.
-    """
-    top = math.sqrt(max(sq_norms))
-    return 2.0 ** -round(math.log2(top)) if 0 < top < math.inf else 1.0
-
-
-def _margins(px, sq_c):
+def _margins(px, cents):
     """Per-pixel gap by which a float32 proposal is certainly the pick.
 
-    ``sq_c`` holds the squared norms of the scaled centroids s c. For
-    D-wide proposal rows, in any summation order, |x~.c~ - fl32(x~.c~)|
-    <= eps = gamma_{D+2} |x~| max|c~| (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., 3.1), plus 2^-149 D (|x~| + max|c~| + 1)
-    for subnormal rounding unless x~ is zero. The margin is 2.5 eps: the
-    errors of two scores plus half an eps, which covers any float64 dot,
-    the fixed-order one included. Euclidean adds the float64 rounding of
-    (sq_x - 2 dot) + sq_c, times s^2 like every score.
+    For C-wide rows, in any summation order, |x.c - fl32(x.c)| <= eps =
+    gamma_{C+2} |x| max|c| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 3.1), plus 2^-149 C (|x| + max|c| + 1) for
+    subnormal rounding unless x is zero. The margin is 2.5 eps: the errors
+    of two scores plus half an eps, which covers any float64 dot, the
+    fixed-order one included.
     """
-    width, top_sq = px.x32.shape[1], np.max(sq_c)
-    norm_c = np.sqrt(top_sq if px.cosine else top_sq + 0.25 * top_sq ** 2)  # max |c~|
+    width = px.x32.shape[1]
+    norm_c = np.sqrt(np.max(np.sum(cents * cents, axis=1)))
     gamma = (width + 2) * _U32 / (1.0 - (width + 2) * _U32)
-    margin = 2.5 * (gamma * px.norm * norm_c
-                    + px.live * (2.0 ** -149 * width * (px.norm + norm_c + 1.0)))
-    if not px.cosine:
-        margin += 4.0 * _U64 * (px.scale * np.sqrt(px.sq_x) + np.sqrt(top_sq)) ** 2
-    return margin
+    return 2.5 * (gamma * px.norm * norm_c
+                  + px.live * (2.0 ** -149 * width * (px.norm + norm_c + 1.0)))
 
 
-def _score(px, r, c_t, j, sq_c):
-    """Similarity (cosine) or d2 (euclidean) of pixels ``r`` to centroids ``j``.
+def _score(px, r, c_t, j):
+    """Similarity of pixels ``r`` to centroids ``j``.
 
     ``c_t`` is the (C, k) channel-major centroids. The dot adds one channel
     at a time in channel order with plain elementwise multiplies and adds,
@@ -199,21 +175,19 @@ def _score(px, r, c_t, j, sq_c):
     d = px.x_t[0, r] * c_t[0, j]
     for q in range(1, len(c_t)):
         d += px.x_t[q, r] * c_t[q, j]
-    return d if px.cosine else (px.sq_x[r] - 2.0 * d) + sq_c[j]
+    return d
 
 
-def _rescore(px, pairs, c_t, sq_c, assign):
+def _rescore(px, pairs, c_t, assign):
     """Set each listed pixel's pick to its exact best candidate.
 
     ``pairs`` holds (pixels, centroids) arrays, pixels ascending and each
     pixel's centroids ascending. The pick is the first index among exact
-    maxima of the similarity (minima of d2).
+    maxima of the similarity.
     """
     pix = np.concatenate([p for p, _ in pairs])
     cols = np.concatenate([c for _, c in pairs])
-    val = _score(px, pix, c_t, cols, sq_c)
-    if not px.cosine:
-        val = -val
+    val = _score(px, pix, c_t, cols)
     starts = np.flatnonzero(np.diff(pix, prepend=-1))
     best = np.repeat(np.maximum.reduceat(val, starts), np.diff(starts, append=len(pix)))
     hits = np.where(val == best, np.arange(len(val)), len(val))
@@ -223,19 +197,15 @@ def _rescore(px, pairs, c_t, sq_c, assign):
 def _assign_step(px, cents, assign):
     """One Lloyd assignment: propose in float32, certify, rescore the rest.
 
-    Fills ``assign`` with each pixel's pick and returns its similarity or
-    d2 there. Uncertain pixels' candidate pairs are held until about
-    ``hold`` of them accumulate, so rescoring memory stays bounded even
-    when every pixel is uncertain.
+    Fills ``assign`` with each pixel's pick and returns its similarity
+    there. Uncertain pixels' candidate pairs are held until about ``hold``
+    of them accumulate, so rescoring memory stays bounded even when every
+    pixel is uncertain.
     """
     k = len(cents)
-    sq_c = np.sum(cents * cents, axis=1)
-    cs = px.scale * cents
-    sq_cs = np.sum(cs * cs, axis=1)
-    c32 = (cs if px.cosine                        # euclidean: s^2 (x.c - |c|^2/2)
-           else np.column_stack([cs, -0.5 * sq_cs])).astype(np.float32)
+    c32 = cents.astype(np.float32)
     c_t = np.ascontiguousarray(cents.T)
-    margin = _margins(px, sq_cs)
+    margin = _margins(px, cents)
     rows = max(1, _BLOCK_BYTES // (4 * k))
     hold = _BLOCK_BYTES // 64
     step = max(1, hold // k)                  # uncertain pixels per batch
@@ -261,35 +231,33 @@ def _assign_step(px, cents, assign):
             pairs.append((s + u[near], cols))
             held += len(cols)
             if held > hold:
-                _rescore(px, pairs, c_t, sq_c, assign)
+                _rescore(px, pairs, c_t, assign)
                 pairs, held = [], 0
         del scores                            # one block alive at a time
     if pairs:
-        _rescore(px, pairs, c_t, sq_c, assign)
-    return _score(px, slice(None), c_t, assign, sq_c)
+        _rescore(px, pairs, c_t, assign)
+    return _score(px, slice(None), c_t, assign)
 
 
 def kmeans(feats, seeds, cfg):
-    """Lloyd iterations over (C, H, W) ``feats`` from the (n, C) ``seeds``.
+    """Spherical K-means over (C, H, W) ``feats`` from the (n, C) ``seeds``.
 
-    Cosine metric runs spherical K-means: pixels are L2-normalized once,
-    centroids are renormalized after every update, and the distortion is
-    sum(1 - cos). Euclidean uses squared distance. Iteration stops at
-    ``kmeans_iters`` or when the objective improves by less than
-    ``kmeans_tol``. Clusters that lose all members are dropped and ids
-    compacted; no reseeding, so the run stays deterministic. ``feats``
-    and ``seeds`` must be finite (ValueError otherwise).
+    Pixels are L2-normalized once, centroids are renormalized after every
+    update, and the distortion is sum(1 - cos) (Dhillon & Modha, Machine
+    Learning 2001). Iteration stops at ``kmeans_iters`` or when the
+    objective improves by less than ``kmeans_tol``. Clusters that lose all
+    members are dropped and ids compacted; no reseeding, so the run stays
+    deterministic. ``feats`` and ``seeds`` must be finite (ValueError
+    otherwise).
 
-    Each pixel takes the centroid of largest float64 similarity (smallest
-    d2) under a fixed-order dot, the first index among exact ties, so of
-    equal seeds only the first ever takes pixels. A float32 product
-    proposes the pick for ``_BLOCK_BYTES // (4 * k)`` pixels at a time (at
-    least one), a rounding bound certifies it, and the few uncertified
-    pixels are rescored in float64 (see the module docstring). Pixels and
-    centroids enter the product scaled by one power of two taken from the
-    data (``_proposal_scale``), an exact scaling that keeps the float32
-    scores in range at any feature magnitude. The objective sums the
-    fixed-order scores at the picks; centroid sums add in pixel order.
+    Each pixel takes the centroid of largest float64 similarity under a
+    fixed-order dot, the first index among exact ties, so of equal seeds
+    only the first ever takes pixels. A float32 product proposes the pick
+    for ``_BLOCK_BYTES // (4 * k)`` pixels at a time (at least one), a
+    rounding bound certifies it, and the few uncertified pixels are
+    rescored in float64 (see the module docstring). Unit rows keep the
+    float32 scores in range at any feature magnitude. The objective sums
+    the fixed-order scores at the picks; centroid sums add in pixel order.
     """
     if len(seeds) == 0:
         raise ValueError("kmeans needs at least one seed")
@@ -301,30 +269,19 @@ def kmeans(feats, seeds, cfg):
     for name, arr in (("feats", x), ("seeds", cents)):
         if not np.isfinite(arr).all():
             raise ValueError(f"kmeans {name} must be finite, got NaN or inf")
-    cosine = cfg.metric == "cosine"
-    if cosine:
-        x = normalize_rows(x)
-        cents = normalize_rows(cents)
+    x = normalize_rows(x)
+    cents = normalize_rows(cents)
     # A later copy of a centroid ties with the first everywhere and never
     # takes a pixel, so copies are dropped before they are scored.
     cents = cents[np.sort(np.unique(cents, axis=0, return_index=True)[1])]
 
-    sq_x = np.sum(x * x, axis=1)
-    scale = _proposal_scale([np.max(sq_x), np.max(np.sum(cents * cents, axis=1))])
-    norm = scale * np.sqrt(sq_x)              # |s x|, at most sqrt(2)
-    x32 = np.empty((len(x), c if cosine else c + 1), dtype=np.float32)
-    x32[:, :c] = scale * x
-    if not cosine:
-        x32[:, c] = 1.0
-    px = _Pixels(x_t=x.T, x32=x32, sq_x=sq_x,
-                 norm=norm if cosine else np.sqrt(norm * norm + 1.0),
-                 live=np.any(x, axis=1) | (not cosine), cosine=cosine, scale=scale)
+    px = _Pixels(x_t=x.T, x32=x.astype(np.float32, order="C"),
+                 norm=np.sqrt(np.sum(x * x, axis=1)), live=np.any(x, axis=1))
     trace = []
     assign = np.empty(len(x), dtype=np.int64)
     for it in range(cfg.kmeans_iters):
         chosen = _assign_step(px, cents, assign)
-        obj = float(np.sum(1.0 - chosen) if cosine
-                    else np.sum(np.maximum(chosen, 0.0)))
+        obj = float(np.sum(1.0 - chosen))
         trace.append(obj)
         if it > 0 and trace[-2] - obj < cfg.kmeans_tol:
             break
@@ -333,9 +290,7 @@ def kmeans(feats, seeds, cfg):
         counts = np.bincount(assign, minlength=len(cents))
         sums = _group_sums(assign, x, len(cents))
         keep = counts > 0
-        cents = sums[keep] / counts[keep, None]
-        if cosine:
-            cents = normalize_rows(cents)
+        cents = normalize_rows(sums[keep] / counts[keep, None])
 
     # Compact: drop centroids the final assignment never uses.
     counts = np.bincount(assign, minlength=len(cents))

@@ -45,6 +45,7 @@ assignment indexes the stacked queries and targets. A group with no
 targets is a (K, 0) problem that leaves every query unmatched.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -146,13 +147,11 @@ def _lsa(cost):
 
 
 def _min_completion(cost, rows, cols):
-    """Optimal total for matching every target in ``cols`` within ``rows``."""
+    """Costs of an optimal matching of every target in ``cols`` within ``rows``."""
     if not cols:
-        return 0.0, []
-    sub = cost[np.ix_(rows, cols)]
-    col_of_row = _lsa(sub.T)[0]      # solver rows = targets
-    entries = [float(cost[rows[col_of_row[t]], cols[t]]) for t in range(len(cols))]
-    return math.fsum(entries), entries
+        return []
+    col_of_row = _lsa(cost[np.ix_(rows, cols)].T)[0]      # solver rows = targets
+    return [float(cost[rows[col_of_row[t]], cols[t]]) for t in range(len(cols))]
 
 
 def _resolve_phase_two(cost, best_total, reduced, rc_tol):
@@ -162,8 +161,10 @@ def _resolve_phase_two(cost, best_total, reduced, rc_tol):
     when an optimal ``_lsa`` completion of the remaining targets still
     reaches ``best_total`` (compared with ``math.fsum``). Candidates are
     pruned by reduced cost first and rescanned without pruning if the
-    pruned pass comes up empty. Returns the (q, t, cost) pairs in
-    discovery order.
+    pruned pass comes up empty. If the rescan finds none either, the
+    cheapest extension it tried (the first in (query, target) order among
+    equals) is kept and its total becomes ``best_total``. Returns the (q,
+    t, cost) pairs in discovery order.
     """
     k, t = cost.shape
     fixed = []                        # (q, t, cost) in discovery order
@@ -172,37 +173,26 @@ def _resolve_phase_two(cost, best_total, reduced, rc_tol):
     rem_t = list(range(t))
 
     while rem_t:
-        chosen = None
+        chosen, cheapest = None, None
         for prune in (True, False):
-            for q in rem_q:
-                for tt in rem_t:
-                    if prune and reduced[q, tt] > rc_tol:
-                        continue
-                    rows = [r for r in rem_q if r != q]
-                    cols = [c for c in rem_t if c != tt]
-                    _, entries = _min_completion(cost, rows, cols)
-                    trial = math.fsum(fixed_costs + [float(cost[q, tt])] + entries)
-                    if trial == best_total:
-                        chosen = (q, tt)
-                        break
-                if chosen:
+            for q, tt in itertools.product(rem_q, rem_t):
+                if prune and reduced[q, tt] > rc_tol:
+                    continue
+                rows = [r for r in rem_q if r != q]
+                cols = [c for c in rem_t if c != tt]
+                trial = math.fsum(fixed_costs + [float(cost[q, tt])]
+                                  + _min_completion(cost, rows, cols))
+                if trial == best_total:
+                    chosen = (q, tt)
                     break
+                if not prune and (cheapest is None or trial < cheapest[0]):
+                    cheapest = (trial, q, tt)
             if chosen:
                 break
         if chosen is None:
             # fp-degenerate case: phase one's total was not reachable by
             # fsum bookkeeping; fall back to the cheapest extension.
-            best_trial = None
-            for q in rem_q:
-                for tt in rem_t:
-                    rows = [r for r in rem_q if r != q]
-                    cols = [c for c in rem_t if c != tt]
-                    _, entries = _min_completion(cost, rows, cols)
-                    trial = math.fsum(fixed_costs + [float(cost[q, tt])] + entries)
-                    if best_trial is None or trial < best_trial[0]:
-                        best_trial = (trial, q, tt)
-            best_total, q, tt = best_trial
-            chosen = (q, tt)
+            best_total, *chosen = cheapest
         q, tt = chosen
         fixed.append((q, tt, float(cost[q, tt])))
         fixed_costs.append(float(cost[q, tt]))

@@ -73,20 +73,20 @@ class MfeParams:
 
 @dataclass
 class FeaturePyramid:
-    f0: np.ndarray                   # coarsest, (C, H2/r^2, W2/r^2)
-    f1: np.ndarray
+    """Three levels, each twice the resolution of the one before."""
+
+    f0: np.ndarray                   # coarsest, (C, H2/4, W2/4)
+    f1: np.ndarray                   # (C, H2/2, W2/2)
     f2: np.ndarray                   # finest, (C, H2, W2)
-    scale: int = 2
 
     def __post_init__(self):
         if self.f2.ndim < 3:
             raise ValueError(f"finest level must be (..., C, H, W), got {self.f2.shape}")
         c, h2, w2 = self.f2.shape[-3:]
-        r = self.scale
         for i, f in enumerate((self.f0, self.f1)):
-            div = r ** (2 - i)
+            div = 2 ** (2 - i)
             if h2 % div or w2 % div:
-                raise ValueError(f"finest {h2}x{w2} not divisible by scale^{2 - i}")
+                raise ValueError(f"finest {h2}x{w2} not divisible by {div}")
             if f.shape[-3:] != (c, h2 // div, w2 // div):
                 raise ValueError(
                     f"level {i} shape {f.shape} != expected {(c, h2 // div, w2 // div)}")

@@ -94,7 +94,6 @@ class PipelineConfig:
     windows: tuple = _key("clustering", "windows", WindowConfig.window_sizes, _ints)
     kmeans_iters: int = _key("clustering", "iters", WindowConfig.kmeans_iters, int)
     kmeans_tol: float = _key("clustering", "tol", WindowConfig.kmeans_tol, float)
-    metric: str = _key("clustering", "metric", WindowConfig.metric)
     tau: float = _key("fusion", "tau", 0.9, float)
     min_area: int = _key("fusion", "min_area", 16, int)
     # matching: the fields of CostWeights, read back by ``weights``
@@ -215,10 +214,9 @@ def _remap_labels(labels, ids, fill):
 # subcommand calls one. They reach the library through this module's own
 # imports, so a wrapper put on ``smseg.pipeline.kmeans`` sees every call.
 
-def cluster(feats, windows, iters, tol, metric):
+def cluster(feats, windows, iters, tol):
     """Multi-window seeds refined by Lloyd iterations: a ClusterResult."""
-    wcfg = WindowConfig(window_sizes=windows, kmeans_iters=iters, kmeans_tol=tol,
-                        metric=metric)
+    wcfg = WindowConfig(window_sizes=windows, kmeans_iters=iters, kmeans_tol=tol)
     return kmeans(feats, multi_scale_seeds(feats, wcfg), wcfg)
 
 
@@ -347,8 +345,7 @@ def run_pipeline(config):
         unseen_bank = ClassEmbeddings.from_matrix(unseen_matrix, unseen_ids)
 
     with _stage("cluster"):
-        clusters = cluster(feats, cfg.windows, cfg.kmeans_iters, cfg.kmeans_tol,
-                           cfg.metric)
+        clusters = cluster(feats, cfg.windows, cfg.kmeans_iters, cfg.kmeans_tol)
         emit("cluster_assign.smtf", clusters.assignments.astype(np.float32))
         emit("cluster_centroids.smtf", clusters.centroids)
 

@@ -147,40 +147,29 @@ def fixed_order_dot(x, y):
     return d
 
 
-def naive_lloyd(feats, seeds, iters, tol, metric, dot=np.matmul):
-    """Unblocked Lloyd: the whole (pixels x centroids) score matrix per step.
+def naive_lloyd(feats, seeds, iters, tol, dot=np.matmul):
+    """Unblocked spherical Lloyd: the whole (pixels x centroids) score
+    matrix per step.
 
     Returns (assignments (H, W) int32, centroids (k, C) f32, objective
     trace), with unused centroids dropped and ids compacted. ``dot(x,
     cents.T)`` gives the scores: a BLAS product unless another is passed.
     """
     c, h, w = feats.shape
-    x = np.asarray(feats, dtype=np.float64).reshape(c, h * w).T
-    cents = np.asarray(seeds, dtype=np.float64).copy()
-    cosine = metric == "cosine"
-    if cosine:
-        x, cents = _unit_rows(x), _unit_rows(cents)
+    x = _unit_rows(np.asarray(feats, dtype=np.float64).reshape(c, h * w).T)
+    cents = _unit_rows(np.asarray(seeds, dtype=np.float64))
     trace = []
     for it in range(iters):
-        rows = np.arange(len(x))
-        if cosine:
-            sims = dot(x, cents.T)
-            assign = np.argmax(sims, axis=1)
-            obj = float(np.sum(1.0 - sims[rows, assign]))
-        else:
-            d2 = (np.sum(x * x, axis=1)[:, None] - 2.0 * dot(x, cents.T)
-                  + np.sum(cents * cents, axis=1)[None, :])
-            assign = np.argmin(d2, axis=1)
-            obj = float(np.sum(np.maximum(d2[rows, assign], 0.0)))
+        sims = dot(x, cents.T)
+        assign = np.argmax(sims, axis=1)
+        obj = float(np.sum(1.0 - sims[np.arange(len(x)), assign]))
         trace.append(obj)
         if (it > 0 and trace[-2] - obj < tol) or it == iters - 1:
             break
         counts = np.bincount(assign, minlength=len(cents))
         sums = np.zeros_like(cents)
         np.add.at(sums, assign, x)
-        cents = sums[counts > 0] / counts[counts > 0, None]
-        if cosine:
-            cents = _unit_rows(cents)
+        cents = _unit_rows(sums[counts > 0] / counts[counts > 0, None])
     used = np.flatnonzero(np.bincount(assign, minlength=len(cents)))
     new_id = np.full(len(cents), -1, dtype=np.int64)
     new_id[used] = np.arange(len(used))

@@ -27,7 +27,6 @@ def test_cluster_fuse_embed_chain(fixture_dir, capsys):
     d, fix = fixture_dir
     out = _run(capsys, "cluster", "--features", d / "O.smtf",
                "--windows", "4,8,16", "--iters", "10", "--tol", "1e-4",
-               "--metric", "cosine",
                "--out-assign", d / "assign.smtf",
                "--out-centroids", d / "cent.smtf")
     info = json.loads(out)

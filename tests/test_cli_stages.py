@@ -147,6 +147,11 @@ def _match(d, *extra):
             "--out", d / "assign.json", *extra]
 
 
+def _bogus_weights(d):
+    (d / "weights.json").write_text(json.dumps({"w_cls": 2.0, "bogus": 1.0}))
+    return d / "weights.json"
+
+
 def _infer(d, queries, decoder):
     """infer on 4-channel features with the given queries and decoder tensors."""
     save_tensor(np.ones((4, 3, 3), dtype=np.float32), d / "F.smtf")
@@ -165,6 +170,11 @@ def _infer(d, queries, decoder):
     (lambda d: _loss_of(d, {"pairs": [], "unmatched": [0, 1]}), "lacks seen_count"),
     (lambda d: _loss_of(d, {"pairs": [], "unmatched": [0, 1], "seen_count": 2}),
      "lacks the weights"),
+    (lambda d: _loss_of(d, {"pairs": [], "unmatched": [0, 1], "seen_count": 2,
+                            "weights": {"w_cls": 2.0, "bogus": 1.0}}),
+     "unknown weight keys ['bogus']"),
+    (lambda d: _match(d, "--ksplit", "2,0", "--weights", _bogus_weights(d)),
+     "unknown weight keys ['bogus']"),
     (lambda d: _loss_of(d, {"pairs": [{"q": 1, "t": 1}], "seen_count": 2,
                             "weights": {}}),
      "pair (1, 1) has cost None, not a finite number"),
@@ -180,7 +190,7 @@ def _infer(d, queries, decoder):
                       np.zeros((3, 5, 5), np.float32)),
      "decoder width 5 != 4 feature channels"),
 ], ids=["embed-no-masks", "match-ksplit", "match-seen-count", "loss-seen-count",
-        "loss-weights", "loss-cost-missing", "loss-cost-nan",
+        "loss-weights", "loss-weights-key", "match-weights-key", "loss-cost-missing", "loss-cost-nan",
         "mfe-params", "infer-queries-rank", "infer-decoder-shape",
         "infer-decoder-width"])
 def test_input_errors_exit_1(bank, capsys, argv, message):

@@ -9,6 +9,9 @@ from smseg.synth import gen_synth
 from oracles import (fixed_order_dot, naive_fuse, naive_lloyd, naive_window_seeds,
                      naive_window_starts)
 
+# K-means is cosine only; these cases keep the ids they had under two metrics.
+cosine = pytest.mark.parametrize("metric", ["cosine"])
+
 
 def test_window_starts_match_stated_rule():
     assert cl.window_starts(4, 2) == [0, 1, 2]
@@ -102,13 +105,12 @@ def test_kmeans_two_orthogonal_populations():
     assert len(result.objective_trace) <= 3
 
 
-@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@cosine
 def test_kmeans_objective_non_increasing(metric):
     rng = np.random.default_rng(7)
     for trial in range(10):
         feats = rng.standard_normal((4, 8, 8)).astype(np.float32)
-        cfg = cl.WindowConfig(window_sizes=(4,), kmeans_iters=8,
-                              kmeans_tol=1e-12, metric=metric)
+        cfg = cl.WindowConfig(window_sizes=(4,), kmeans_iters=8, kmeans_tol=1e-12)
         result = cl.kmeans(feats, cl.multi_scale_seeds(feats, cfg), cfg)
         trace = result.objective_trace
         assert all(b <= a for a, b in zip(trace, trace[1:]))
@@ -142,8 +144,7 @@ def _assert_lloyd_oracle(feats, seeds, cfg):
     # The objective adds a fixed-order dot per pixel where the oracle reads
     # a BLAS product, so it is compared to rounding; the rest bitwise.
     result = cl.kmeans(feats, seeds, cfg)
-    assign, cents, trace = naive_lloyd(feats, seeds, cfg.kmeans_iters,
-                                       cfg.kmeans_tol, cfg.metric)
+    assign, cents, trace = naive_lloyd(feats, seeds, cfg.kmeans_iters, cfg.kmeans_tol)
     assert result.assignments.dtype == np.int32
     assert result.assignments.tobytes() == assign.tobytes()
     assert result.centroids.tobytes() == cents.tobytes()
@@ -162,13 +163,13 @@ def _assert_fuse_oracle(result, tau):
     return masks
 
 
-@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@cosine
 @pytest.mark.parametrize("h, w", [(100, 100), (128, 128), (96, 160)])
 def test_kmeans_and_fuse_bitwise_vs_dense_oracle(metric, h, w):
     # 756, 1235 and 931 seeds: every map takes several row blocks, the
     # last one partial, so blocked scoring must equal one dense product.
     feats = _blob_features(h, w, seed=h + w)
-    cfg = cl.WindowConfig(window_sizes=(8, 16, 32), kmeans_iters=4, metric=metric)
+    cfg = cl.WindowConfig(window_sizes=(8, 16, 32), kmeans_iters=4)
     seeds = cl.multi_scale_seeds(feats, cfg)
     rows = max(1, cl._BLOCK_BYTES // (4 * len(seeds)))
     assert rows < h * w and (h * w) % rows != 0
@@ -177,24 +178,24 @@ def test_kmeans_and_fuse_bitwise_vs_dense_oracle(metric, h, w):
         _assert_fuse_oracle(result, tau)
 
 
-@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@cosine
 def test_kmeans_one_row_blocks_bitwise_vs_dense_oracle(metric, monkeypatch):
     # When one row of scores outgrows the budget, blocks floor at one row.
     # A one-row block is a matrix-vector product, which BLAS may sum in
     # another order than the matrix product: the picks, and so centroids
     # and masks, must still match bitwise, the objective to rounding.
     feats = _blob_features(24, 20, seed=5)
-    cfg = cl.WindowConfig(window_sizes=(4, 8), kmeans_iters=5, metric=metric)
+    cfg = cl.WindowConfig(window_sizes=(4, 8), kmeans_iters=5)
     seeds = cl.multi_scale_seeds(feats, cfg)
     monkeypatch.setattr(cl, "_BLOCK_BYTES", 8 * len(seeds) - 1)
     result = _assert_lloyd_oracle(feats, seeds, cfg)
     _assert_fuse_oracle(result, 0.9)
 
 
-@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@cosine
 def test_kmeans_and_fuse_single_cluster_vs_oracle(metric):
     feats = _blob_features(16, 16, seed=2)
-    cfg = cl.WindowConfig(window_sizes=(16,), kmeans_iters=3, metric=metric)
+    cfg = cl.WindowConfig(window_sizes=(16,), kmeans_iters=3)
     result = _assert_lloyd_oracle(feats, cl.multi_scale_seeds(feats, cfg), cfg)
     assert result.centroids.shape[0] == 1
     masks = _assert_fuse_oracle(result, 0.9)
@@ -233,12 +234,12 @@ def test_fuse_merges_over_several_rounds_vs_oracle():
     assert masks.tolist() == [[[1, 1, 1, 1, 0]], [[0, 0, 0, 0, 1]]]
 
 
-@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@cosine
 def test_kmeans_peak_memory_bounded_by_block_budget(metric):
     # 128 x 128 pixels, 1235 seeds: the dense score matrix would be
     # 16384 * 1235 * 8 bytes = 154 MiB.
     feats = _blob_features(128, 128, dim=16, seed=1)
-    cfg = cl.WindowConfig(window_sizes=(8, 16, 32), kmeans_iters=3, metric=metric)
+    cfg = cl.WindowConfig(window_sizes=(8, 16, 32), kmeans_iters=3)
     seeds = cl.multi_scale_seeds(feats, cfg)
     pixels, dense = 128 * 128, 128 * 128 * len(seeds) * 8
     tracemalloc.start()
@@ -279,10 +280,14 @@ def test_fuse_merges_at_exactly_tau():
 def test_fuse_ignores_power_of_two_scale_vs_oracle(exponent):
     # Fusion merges and renormalizes by direction only, so centroids scaled
     # by a power of two fuse bitwise as at scale 1, here and in the oracle.
-    # A 1e-12 norm floor left 5 groups at 2^-100 where the oracle kept 48.
     feats = _blob_features(48, 48, seed=1)
-    cfg = cl.WindowConfig(kmeans_iters=4, metric="euclidean")
-    result = cl.kmeans(feats, cl.multi_scale_seeds(feats, cfg), cfg)
+    cfg = cl.WindowConfig(kmeans_iters=4)
+    clusters = cl.kmeans(feats, cl.multi_scale_seeds(feats, cfg), cfg)
+    # each cluster's mean raw pixel: centroids of unequal, non-unit norms
+    pix = feats.reshape(len(feats), -1).T.astype(np.float64)
+    labels = clusters.assignments.ravel()
+    result = _cluster_result(clusters.assignments, [
+        pix[labels == i].mean(axis=0) for i in range(len(clusters.centroids))])
     base_masks, base_cents = cl.fuse_masks(result, tau=0.9)
     scaled = _cluster_result(result.assignments,
                              result.centroids * np.float32(2.0 ** exponent))
@@ -370,19 +375,17 @@ def test_kmeans_rejects_non_finite_inputs(where, bad):
     feats = rng.standard_normal((3, 6, 6)).astype(np.float32)
     seeds = rng.standard_normal((4, 3)).astype(np.float32)
     (feats[1, 2, 3:4] if where == "feats" else seeds[2, 1:2])[:] = bad
-    for metric in ("cosine", "euclidean"):
-        cfg = cl.WindowConfig(window_sizes=(2,), metric=metric)
-        with pytest.raises(ValueError, match=where):
-            cl.kmeans(feats, seeds, cfg)
+    with pytest.raises(ValueError, match=where):
+        cl.kmeans(feats, seeds, cl.WindowConfig(window_sizes=(2,)))
 
 
-@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@cosine
 def test_kmeans_proposal_noise_keeps_oracle_picks(metric, monkeypatch):
     # Moving every float32 proposal by up to 4 ulp, which is more than any
     # other BLAS split or kernel could, changes the proposal's own argmax
     # on some pixels but no pick, centroid or iteration count.
     feats = _blob_features(128, 128, seed=7)
-    cfg = cl.WindowConfig(window_sizes=(8, 16, 32), kmeans_iters=4, metric=metric)
+    cfg = cl.WindowConfig(window_sizes=(8, 16, 32), kmeans_iters=4)
     seeds = cl.multi_scale_seeds(feats, cfg)
     rng = np.random.default_rng(20)
     clean, flips = cl._propose, []
@@ -402,35 +405,29 @@ def test_kmeans_proposal_noise_keeps_oracle_picks(metric, monkeypatch):
 @pytest.mark.parametrize("metric, seeds, winner", [
     # cos(2e-6) and cos(1e-6) both round to 1.0 in float32
     ("cosine", [[np.cos(2e-6), np.sin(2e-6)], [np.cos(1e-6), np.sin(1e-6)]], 1),
-    # x.c - |c|^2/2 is exactly 0.5 in float32 for both; d2 is 2^-30, 2^-32
-    ("euclidean", [[1.0 + 2.0 ** -15, 0.0], [1.0 + 2.0 ** -16, 0.0]], 1),
     # mirror images: exact ties in float64 too, so the first index wins
     ("cosine", [[0.6, -0.8], [0.6, 0.8]], 0),
-    ("euclidean", [[1.0, 1.0], [1.0, -1.0]], 0),
 ])
 def test_kmeans_float32_ties_are_rescored(metric, seeds, winner, monkeypatch):
     seeds = np.array(seeds)
     feats = np.array([1.0, 0.0]).reshape(2, 1, 1)
-    aug = seeds if metric == "cosine" else np.column_stack(
-        [seeds, -0.5 * np.sum(seeds * seeds, axis=1)])
-    proposal = cl._propose(np.float32([[1.0, 0.0, 1.0][:aug.shape[1]]]),
-                           aug.astype(np.float32))
+    proposal = cl._propose(np.float32([[1.0, 0.0]]), seeds.astype(np.float32))
     assert proposal[0, 0] == proposal[0, 1]
     rescored, real = [], cl._rescore
     monkeypatch.setattr(cl, "_rescore", lambda *a: rescored.append(1) or real(*a))
-    cfg = cl.WindowConfig(window_sizes=(1,), kmeans_iters=1, metric=metric)
+    cfg = cl.WindowConfig(window_sizes=(1,), kmeans_iters=1)
     result = _assert_lloyd_oracle(feats, seeds, cfg)
     assert rescored
-    pick = seeds[winner] / (np.linalg.norm(seeds[winner]) if metric == "cosine" else 1.0)
+    pick = seeds[winner] / np.linalg.norm(seeds[winner])
     assert result.centroids.tobytes() == pick.astype(np.float32)[None].tobytes()
 
 
-@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@cosine
 def test_kmeans_duplicate_seeds_keep_first_index(metric):
     # A later copy ties with the first everywhere, so it never takes a
     # pixel: the run equals the one without copies, bit for bit.
     feats = _blob_features(24, 20, seed=3)
-    cfg = cl.WindowConfig(window_sizes=(4, 8), kmeans_iters=5, metric=metric)
+    cfg = cl.WindowConfig(window_sizes=(4, 8), kmeans_iters=5)
     unique = cl.multi_scale_seeds(feats, cfg)[::3]
     copies = np.concatenate([unique, unique[::-1], unique[::2]])
     result = _assert_lloyd_oracle(feats, copies, cfg)
@@ -440,12 +437,12 @@ def test_kmeans_duplicate_seeds_keep_first_index(metric):
     assert result.objective_trace == alone.objective_trace
 
 
-@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@cosine
 def test_kmeans_flat_map_never_rescores(metric, monkeypatch):
     # Every window seed of a flat map is the same vector; scoring the
     # copies would leave every pixel tied across all of them.
     feats = np.full((4, 32, 32), 0.25, dtype=np.float32)
-    cfg = cl.WindowConfig(window_sizes=(4, 8), kmeans_iters=3, metric=metric)
+    cfg = cl.WindowConfig(window_sizes=(4, 8), kmeans_iters=3)
     seeds = cl.multi_scale_seeds(feats, cfg)
     assert len(seeds) > 1 and np.all(seeds == seeds[0])
     monkeypatch.setattr(cl, "_rescore", lambda *a: pytest.fail("rescored"))
@@ -455,11 +452,11 @@ def test_kmeans_flat_map_never_rescores(metric, monkeypatch):
 
 @pytest.mark.parametrize("factor", [1e-30, 1e18])
 def test_kmeans_extreme_scales_certify_most_pixels(factor, monkeypatch):
-    # Unscaled, the float32 proposals of these maps all flush to the same
-    # value (x 1e-30) or overflow (x 1e18), and every pixel was rescored in
-    # float64. Scaled by a power of two, few are.
+    # Products of these maps' raw pixels would flush to zero in float32
+    # (x 1e-30) or overflow it (x 1e18), and every pixel would be rescored
+    # in float64. Unit pixels are proposed instead, so few are.
     feats = _blob_features(96, 96, seed=96) * np.float32(factor)
-    cfg = cl.WindowConfig(window_sizes=(8, 16, 32), kmeans_iters=4, metric="euclidean")
+    cfg = cl.WindowConfig(window_sizes=(8, 16, 32), kmeans_iters=4)
     seeds = cl.multi_scale_seeds(feats, cfg)
     rescored, real = [], cl._rescore
 
@@ -472,11 +469,12 @@ def test_kmeans_extreme_scales_certify_most_pixels(factor, monkeypatch):
     assert sum(rescored) <= 0.03 * feats[0].size * len(result.objective_trace), rescored
 
 
-@pytest.mark.parametrize("exponent", [-100, -60])
+@pytest.mark.parametrize("exponent", [-100, -60, 40, 100])
 def test_cosine_kmeans_ignores_power_of_two_scale(exponent):
-    # Every pixel's norm here is below 1e-12. Cosine K-means must still see
-    # unit directions, so an exact rescaling leaves every bit of the run as
-    # it is at scale 1 (a norm floor left 5 clusters where scale 1 has 59).
+    # K-means sees unit directions only, so an exact rescaling leaves every
+    # bit of the run as it is at scale 1: at 2^-60 every pixel's norm is
+    # below 1e-12 (a norm floor there left 5 clusters where scale 1 has 59),
+    # and at 2^100 its float32 products would overflow.
     feats = gen_synth(seed=1, blobs=4, seen=2, size=48, dim=8).features
     cfg = cl.WindowConfig(kmeans_iters=2)
     scaled = feats * np.float32(2.0 ** exponent)
@@ -487,7 +485,19 @@ def test_cosine_kmeans_ignores_power_of_two_scale(exponent):
     assert got.objective_trace == base.objective_trace
 
 
-@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_kmeans_rescores_pixels_whose_norm_underflows():
+    # The squares of these float64 pixels underflow, so their norm is 0 and
+    # they stay as they are, and their float32 proposals are all zero. They
+    # are not zero, and the float64 dot still tells the centroids apart.
+    feats = _blob_features(24, 24, dim=8, seed=1)
+    cfg = cl.WindowConfig(window_sizes=(4, 8), kmeans_iters=1)
+    tiny = feats.astype(np.float64) * 1e-170
+    assert not np.any(np.linalg.norm(tiny, axis=0))
+    result = _assert_lloyd_oracle(tiny, cl.multi_scale_seeds(feats, cfg), cfg)
+    assert len(result.centroids) > 1
+
+
+@cosine
 def test_kmeans_held_pairs_flush_vs_oracle(metric, monkeypatch):
     # A near-flat map leaves most pixels uncertain, and a small budget
     # makes the held candidate pairs outgrow it inside a row block, so they
@@ -497,15 +507,15 @@ def test_kmeans_held_pairs_flush_vs_oracle(metric, monkeypatch):
     # tie (cosine, pixel 278 of step 2), so the oracle sums in fixed order.
     noise = np.random.default_rng(24).standard_normal((8, 24, 24))
     feats = (1.0 + 1e-6 * noise).astype(np.float32)
-    cfg = cl.WindowConfig(window_sizes=(4, 8), kmeans_iters=4, metric=metric)
+    cfg = cl.WindowConfig(window_sizes=(4, 8), kmeans_iters=4)
     seeds = cl.multi_scale_seeds(feats, cfg)
     default = cl.kmeans(feats, seeds, cfg)
     calls, real = [], cl._rescore
     monkeypatch.setattr(cl, "_BLOCK_BYTES", 4096)
     monkeypatch.setattr(cl, "_rescore", lambda *a: calls.append(1) or real(*a))
     result = cl.kmeans(feats, seeds, cfg)
-    assign, cents, trace = naive_lloyd(feats, seeds, cfg.kmeans_iters,
-                                       cfg.kmeans_tol, metric, fixed_order_dot)
+    assign, cents, trace = naive_lloyd(feats, seeds, cfg.kmeans_iters, cfg.kmeans_tol,
+                                       fixed_order_dot)
     assert len(calls) > 10 * len(result.objective_trace)
     assert result.objective_trace == trace
     for other in (assign, default.assignments):

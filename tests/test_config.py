@@ -40,6 +40,7 @@ def test_readme_config_block_lists_every_declared_key(tmp_path):
     ("[clustering]\nwindow = 4,8\n", "window"),
     ("[clustering]\niters = 5\n[fusoin]\ntau = 0.5\n", "fusoin"),
     ("[inputs]\nfeatures = O.smtf\nfeature = O.smtf\n", "feature"),
+    ("[clustering]\nmetric = cosine\n", "metric"),
 ])
 def test_unknown_section_or_key_is_named(tmp_path, text, name):
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
@@ -93,8 +94,8 @@ def test_cli_defaults_are_the_config_defaults():
     parser, default = build_parser(), PipelineConfig()
     args = parser.parse_args(["cluster", "--features", "f", "--out-assign", "a",
                               "--out-centroids", "c"])
-    assert (args.windows, args.iters, args.tol, args.metric) == (
-        default.windows, default.kmeans_iters, default.kmeans_tol, default.metric)
+    assert (args.windows, args.iters, args.tol) == (
+        default.windows, default.kmeans_iters, default.kmeans_tol)
     args = parser.parse_args(["fuse", "--assign", "a", "--centroids", "c",
                               "--ignore", "i", "--out-masks", "m",
                               "--out-centroids", "c"])
@@ -133,7 +134,7 @@ def test_fixture_config_loads_as_the_hand_written_one(tmp_path, synth_args, ids,
 def test_to_text_round_trips_every_key(tmp_path):
     cfg = PipelineConfig(
         features="f.smtf", windows=(4, 8), kmeans_iters=3, kmeans_tol=2.5e-7,
-        metric="euclidean", use_iou_in_loss=False, ksplit=(3, 2), rq_sigma=0.125,
+        use_iou_in_loss=False, ksplit=(3, 2), rq_sigma=0.125,
         mfe_enabled=True, temperature=1 / 3, seen_ids=(0, 7), percent=False,
         base_dir=str(tmp_path.resolve()))
     sections = dict.fromkeys(section for section, _ in PipelineConfig.declared())

@@ -68,14 +68,15 @@ def test_random_ties_match_reference():
             lexicographic_optimum(cost)
 
 
-def _resolve_pairs(cost):
-    """Pairs of the re-solve phase two, run on hungarian's phase one."""
+def _resolve_pairs(cost, miss=0.0):
+    """Pairs of the re-solve phase two, run on hungarian's phase one with
+    its optimal total lowered by ``miss``."""
     col_of_row, u_t, v_q = M._lsa(cost.T)
     best = math.fsum(float(cost[col_of_row[i], i]) for i in range(cost.shape[1]))
     reduced = cost - v_q[:, None] - u_t[None, :]
     rc_tol = 1e-9 * (1.0 + float(np.abs(cost).max()))
     return sorted((q, t) for q, t, _ in
-                  M._resolve_phase_two(cost, best, reduced, rc_tol))
+                  M._resolve_phase_two(cost, best - miss, reduced, rc_tol))
 
 
 def test_tight_phase_two_equals_resolves(monkeypatch):
@@ -104,6 +105,18 @@ def test_tight_phase_two_equals_resolves(monkeypatch):
         assert kind > 1 or not fallbacks, (kind, cost)
         assert got == _resolve_pairs(cost), (kind, cost)
         fallbacks.clear()
+
+
+def test_resolve_falls_back_to_the_cheapest_extension():
+    # No matching reaches a total 1.0 below the optimum, so the first step
+    # keeps the cheapest extension, the first in (q, t) order among equals,
+    # and takes its total; the pairs are still the reference's.
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        k = int(rng.integers(1, 7))
+        t = int(rng.integers(1, k + 1))
+        cost = np.rint(4.0 * rng.random((k, t))) / 4.0
+        assert tuple(_resolve_pairs(cost, miss=1.0)) == lexicographic_optimum(cost), cost
 
 
 def _check_dual_certificate(cost, exact):
