@@ -8,23 +8,25 @@ region and are large enough to matter.
 
 Determinism contract: every reduction below has a fixed order (window
 sums accumulate f64 in row-major pixel order, per-cluster sums add in
-pixel order), and K-means scores pixels in row blocks whose size depends
-only on the number of centroids and a fixed byte budget, never on threads
-or the host. K-means picks do not depend on BLAS either. A pick is defined
-in float64: the centroid of largest cosine similarity under a dot that
-adds channels in order, the first index among exact ties. A float32
+pixel order), and K-means and fusion score in row blocks whose size
+depends only on the number of centroids and a fixed byte budget, never on
+threads or the host. No output depends on BLAS either. A K-means pick is
+defined in float64: the centroid of largest cosine similarity under a dot
+that adds channels in order, the first index among exact ties. A float32
 BLAS product only proposes it. The proposal stands when its lead over the
 runner-up exceeds a bound on the product's rounding error, which holds
 for any order BLAS sums in; every other pixel is rescored by the
-fixed-order dot over the centroids within that bound. So identical inputs
+fixed-order dot over the centroids within that bound. Fusion joins two
+centroids when their fixed-order float64 dot is at least ``tau``; a
+float64 BLAS product proposes the dot, and only pairs within the same
+kind of bound of ``tau`` are scored in fixed order. So identical inputs
 give bitwise identical outputs however the surrounding process is
-threaded. The one BLAS product in this module whose rounding can still
-reach an output is the centroid similarity that ``fuse_masks`` compares
-with ``tau``.
+threaded.
 
 K-means compares directions only (spherical K-means). It and fusion divide
-each nonzero row by its own norm, with no floor, so a row normalizes at any
-scale; a zero row stays zero.
+each nonzero row by its own norm, with no floor, and scale a row by an
+exact power of two first where its squares would underflow or overflow,
+so a row normalizes at any scale; a zero row stays zero.
 """
 
 from dataclasses import dataclass
@@ -33,8 +35,7 @@ import numpy as np
 
 from .losses import normalize_rows
 
-_BLOCK_BYTES = 8 * 2 ** 20       # f32 proposal block budget of one K-means step
-_U32 = 2.0 ** -24                # float32 unit roundoff
+_BLOCK_BYTES = 8 * 2 ** 20       # working-set budget of one scoring block
 
 
 @dataclass(frozen=True)
@@ -138,43 +139,47 @@ class _Pixels:
 
     x_t: np.ndarray                      # (C, P) f64, channel-major
     x32: np.ndarray                      # (P, C) f32 proposal rows
-    norm: np.ndarray                     # (P,) |x|
-    live: np.ndarray                     # (P,) bool, x != 0 (|x| may underflow to 0)
+    norm: np.ndarray                     # (P,) |x|, 1 or 0 up to rounding
 
 
-def _propose(x32, c32):
-    """Float32 scores of one row block against every centroid."""
-    return x32 @ c32.T
+def _propose(x, c):
+    """BLAS dots of a row block with the rows of ``c``: a proposal that
+    ``_margins`` certifies, never an output."""
+    return x @ c.T
 
 
-def _margins(px, cents):
-    """Per-pixel gap by which a float32 proposal is certainly the pick.
+def _margins(norm, cents, dtype):
+    """Per-row gap by which a proposal in ``dtype`` certainly holds.
 
-    For C-wide rows, in any summation order, |x.c - fl32(x.c)| <= eps =
-    gamma_{C+2} |x| max|c| (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., 3.1), plus 2^-149 C (|x| + max|c| + 1) for
-    subnormal rounding unless x is zero. The margin is 2.5 eps: the errors
-    of two scores plus half an eps, which covers any float64 dot, the
-    fixed-order one included.
+    For C-wide rows, in any summation order, |x.c - fl(x.c)| <= eps =
+    gamma_{C+2} |x| max|c| with gamma_n = n u / (1 - n u) for the unit
+    roundoff u of ``dtype`` (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 3.1), plus C (|x| + max|c| + 1) times the smallest
+    subnormal for subnormal rounding unless x is zero (rows are unit or
+    zero, so |x| is 0 only then). The margin is 2.5 eps: the errors of two
+    scores plus half an eps, which covers any float64 dot, the fixed-order
+    one included.
     """
-    width = px.x32.shape[1]
+    fmt = np.finfo(dtype)
+    unit, tiny = float(fmt.eps) / 2, float(fmt.smallest_subnormal)
+    width = cents.shape[1]
     norm_c = np.sqrt(np.max(np.sum(cents * cents, axis=1)))
-    gamma = (width + 2) * _U32 / (1.0 - (width + 2) * _U32)
-    return 2.5 * (gamma * px.norm * norm_c
-                  + px.live * (2.0 ** -149 * width * (px.norm + norm_c + 1.0)))
+    gamma = (width + 2) * unit / (1.0 - (width + 2) * unit)
+    return 2.5 * (gamma * norm * norm_c
+                  + (norm > 0) * (tiny * width * (norm + norm_c + 1.0)))
 
 
-def _score(px, r, c_t, j):
-    """Similarity of pixels ``r`` to centroids ``j``.
+def _score(x_t, r, c_t, j):
+    """Dots of rows ``r`` of ``x_t`` with rows ``j`` of ``c_t``.
 
-    ``c_t`` is the (C, k) channel-major centroids. The dot adds one channel
-    at a time in channel order with plain elementwise multiplies and adds,
-    so no BLAS kernel, thread split or operand layout can move a bit of it
+    Both are channel-major (C, n). The dot adds one channel at a time in
+    channel order with plain elementwise multiplies and adds, so no BLAS
+    kernel, thread split or operand layout can move a bit of it
     (``np.einsum`` sums in a layout-dependent order).
     """
-    d = px.x_t[0, r] * c_t[0, j]
+    d = x_t[0, r] * c_t[0, j]
     for q in range(1, len(c_t)):
-        d += px.x_t[q, r] * c_t[q, j]
+        d += x_t[q, r] * c_t[q, j]
     return d
 
 
@@ -187,7 +192,7 @@ def _rescore(px, pairs, c_t, assign):
     """
     pix = np.concatenate([p for p, _ in pairs])
     cols = np.concatenate([c for _, c in pairs])
-    val = _score(px, pix, c_t, cols)
+    val = _score(px.x_t, pix, c_t, cols)
     starts = np.flatnonzero(np.diff(pix, prepend=-1))
     best = np.repeat(np.maximum.reduceat(val, starts), np.diff(starts, append=len(pix)))
     hits = np.where(val == best, np.arange(len(val)), len(val))
@@ -205,7 +210,7 @@ def _assign_step(px, cents, assign):
     k = len(cents)
     c32 = cents.astype(np.float32)
     c_t = np.ascontiguousarray(cents.T)
-    margin = _margins(px, cents)
+    margin = _margins(px.norm, cents, np.float32)
     rows = max(1, _BLOCK_BYTES // (4 * k))
     hold = _BLOCK_BYTES // 64
     step = max(1, hold // k)                  # uncertain pixels per batch
@@ -236,7 +241,7 @@ def _assign_step(px, cents, assign):
         del scores                            # one block alive at a time
     if pairs:
         _rescore(px, pairs, c_t, assign)
-    return _score(px, slice(None), c_t, assign)
+    return _score(px.x_t, slice(None), c_t, assign)
 
 
 def kmeans(feats, seeds, cfg):
@@ -276,7 +281,7 @@ def kmeans(feats, seeds, cfg):
     cents = cents[np.sort(np.unique(cents, axis=0, return_index=True)[1])]
 
     px = _Pixels(x_t=x.T, x32=x.astype(np.float32, order="C"),
-                 norm=np.sqrt(np.sum(x * x, axis=1)), live=np.any(x, axis=1))
+                 norm=np.sqrt(np.sum(x * x, axis=1)))
     trace = []
     assign = np.empty(len(x), dtype=np.int64)
     for it in range(cfg.kmeans_iters):
@@ -304,6 +309,68 @@ def kmeans(feats, seeds, cfg):
     )
 
 
+def _hook(parent, i, j):
+    """Join the ends of edges (i, j) in the forest ``parent``, where every
+    node points at its root and a root is its component's smallest node.
+
+    Each round hooks every larger root onto the smallest root it meets,
+    then jumps pointers until each node points at its root again
+    (Shiloach & Vishkin, J. Algorithms 1982). Hooks only ever lower a
+    pointer, so the forest stays acyclic and the result does not depend on
+    the order of the edges.
+    """
+    while True:
+        # each edge as its ends' roots; one whose ends share a root is done
+        i, j = parent[i], parent[j]
+        split = i != j
+        if not split.any():
+            return parent
+        i, j = i[split], j[split]
+        np.minimum.at(parent, np.maximum(i, j), np.minimum(i, j))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+
+
+def _tau_components(cents, tau):
+    """Each row's component in the graph joining rows whose dot is >= ``tau``,
+    labelled by the component's smallest row.
+
+    The dot is the fixed-order one of ``_score``. A float64 BLAS product
+    proposes it for ``_BLOCK_BYTES // (64 * k)`` rows at a time (at least
+    one) against the rows at or after the block. A proposal more than
+    ``_margins`` away from ``tau`` stands; the others are decided by
+    ``_score``, so no BLAS rounding reaches a label. Each block's edges are
+    hooked into the forest at once and the block is freed: 64 bytes per
+    entry cover its score and the index arrays ``_hook`` holds per edge,
+    and no pair list outlives a block.
+    """
+    k = len(cents)
+    c_t = np.ascontiguousarray(cents.T)
+    margin = _margins(np.sqrt(np.sum(cents * cents, axis=1)), cents, np.float64)
+    parent = np.arange(k)
+    rows = max(1, _BLOCK_BYTES // (64 * k))
+    for s in range(0, k - 1, rows):
+        gap = _propose(cents[s:s + rows], cents[s:])
+        gap -= tau
+        r = len(gap)
+        gap[:, :r][np.tri(r, dtype=bool)] = -np.inf        # pairs i < j only
+        m = margin[s:s + r, None]
+        i, j = np.nonzero(gap > m)
+        near = np.abs(gap, out=gap) <= m
+        del gap
+        if near.any():
+            ui, uj = np.nonzero(near)
+            near = _score(c_t, s + ui, c_t, s + uj) >= tau
+            i, j = np.concatenate([i, ui[near]]), np.concatenate([j, uj[near]])
+        i += s
+        j += s
+        parent = _hook(parent, i, j)
+    return parent
+
+
 def fuse_masks(result, tau=0.9):
     """Merge clusters whose centroids agree in direction.
 
@@ -311,10 +378,13 @@ def fuse_masks(result, tau=0.9):
     transitively (connected components of the thresholded similarity
     graph, which do not depend on any scan order); each group's centroid
     is the member-pixel-count-weighted mean of the original centroids,
-    renormalized. Merge rounds repeat until no pair crosses ``tau``, so
-    fusing the output again changes nothing. Groups are emitted in
-    ascending order of their smallest original cluster id, and group sums
-    add members in ascending id order.
+    renormalized. The cosine is the fixed-order float64 dot of the unit
+    centroids; BLAS only proposes it (see ``_tau_components``), and the
+    similarity is scored one row block at a time, so memory stays bounded
+    by the block budget. Merge rounds repeat until no pair crosses
+    ``tau``, so fusing the output again changes nothing. Groups are
+    emitted in ascending order of their smallest original cluster id, and
+    group sums add members in ascending id order.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
@@ -328,28 +398,17 @@ def fuse_masks(result, tau=0.9):
 
     while len(vecs) > 1:
         cents = normalize_rows(vecs / np.maximum(weights, 1.0)[:, None])
-        src, dst = np.nonzero(np.triu(cents @ cents.T >= tau, 1))
-        if len(src) == 0:
+        # Labels are each component's smallest group index, and group
+        # indices follow smallest original id: np.unique keeps that order.
+        roots, inverse = np.unique(_tau_components(cents, tau), return_inverse=True)
+        if len(roots) == len(vecs):
             break
-        # Min-label propagation with pointer jumping: every node ends up
-        # labelled with the smallest group index in its component. Group
-        # indices follow smallest original id, and np.unique keeps that.
-        labels = np.arange(len(vecs))
-        while True:
-            new = labels.copy()
-            np.minimum.at(new, src, labels[dst])
-            np.minimum.at(new, dst, labels[src])
-            new = new[new]
-            if np.array_equal(new, labels):
-                break
-            labels = new
-        roots, inverse = np.unique(labels, return_inverse=True)
         vecs = _group_sums(inverse, vecs, len(roots))
         weights = np.bincount(inverse, weights=weights, minlength=len(roots))
         group_of = inverse[group_of]
 
     labels = group_of[assignments]
-    masks = (labels[None] == np.arange(len(vecs))[:, None, None]).astype(np.uint8)
+    masks = (labels[None] == np.arange(len(vecs))[:, None, None]).view(np.uint8)
     means = vecs / np.maximum(weights, 1.0)[:, None]
     # one norm per row: np.linalg.norm(axis=1) can round the last bit apart
     cents_out = [m / (np.linalg.norm(m) or 1.0) for m in means]
@@ -363,10 +422,10 @@ def restrict_candidates(masks, centroids, ignore_mask, min_area=16):
     if masks.shape[1:] != ignore_mask.shape:
         raise ValueError(
             f"mask shape {masks.shape[1:]} != ignore region {ignore_mask.shape}")
-    clipped = (masks.astype(bool) & ignore_mask.astype(bool))
+    clipped = np.logical_and(masks, ignore_mask)
     areas = clipped.sum(axis=(1, 2))
     keep = areas >= min_area
     return CandidateMaskSet(
-        masks=clipped[keep].astype(np.uint8),
+        masks=clipped[keep].view(np.uint8),
         centroids=np.asarray(centroids, dtype=np.float32)[keep],
     )

@@ -131,7 +131,7 @@ def assemble_semantic_map(s, m, class_ids):
     Column j of ``s`` scores class ``class_ids[j]``.
     """
     s = np.asarray(s, dtype=np.float64)
-    m = np.asarray(m, dtype=np.float64)
+    m = np.asarray(m)
     ids = [int(i) for i in class_ids]
     if s.shape[1] != len(ids):
         raise ValueError(f"{s.shape[1]} score columns for {len(ids)} class ids")

@@ -45,15 +45,37 @@ def _clamp(p):
 
 
 def sigmoid(x):
-    """1 / (1 + exp(-x)) in float64; exp's overflow below -709 gives the limit 0."""
+    """1 / (1 + exp(-x)) in float64; exp's overflow below -709 gives the limit 0.
+
+    An array is worked in one float64 buffer, with the same IEEE operations
+    and so the same bits as the plain formula.
+    """
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
+        if np.ndim(x) == 0:
+            return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
+        t = np.negative(x, dtype=np.float64)
+        np.exp(t, out=t)
+        t += 1.0
+        return np.reciprocal(t, out=t)
 
 
 def normalize_rows(x):
-    """Rows divided by their norms at any scale; an all-zero row stays zero."""
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    return x / np.where(norms > 0, norms, 1.0)
+    """Rows divided by their norms at any scale; an all-zero row stays zero.
+
+    A row whose norm is zero or outside [2^-500, 2^500] is first scaled by
+    an exact power of two, so its squares neither underflow nor overflow;
+    every other row keeps the bits of the plain ``x / |x|``.
+    """
+    with np.errstate(over="ignore"):                 # such norms are redone below
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
+    out = x / np.where(norms > 0, norms, 1.0)
+    far = ~((norms >= 2.0 ** -500) & (norms <= 2.0 ** 500))[:, 0]
+    if far.any():
+        rows = x[far]
+        rows = np.ldexp(rows, -np.frexp(np.max(np.abs(rows), axis=1, keepdims=True))[1])
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        out[far] = rows / np.where(norms > 0, norms, 1.0)
+    return out
 
 
 def class_similarity(v, matrix):

@@ -133,7 +133,10 @@ def dyadic_matrix(rng, k, t, denom=64, hi=4096):
 
 
 def _unit_rows(x):
-    """Rows divided by their norms; an all-zero row stays zero."""
+    """Rows divided by their norms; an all-zero row stays zero. Every row is
+    first scaled by the power of two that brings its largest entry into
+    [0.5, 1), so no square underflows or overflows at any scale."""
+    x = np.ldexp(x, -np.frexp(np.max(np.abs(x), axis=1, keepdims=True))[1])
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     return x / np.where(norms == 0.0, 1.0, norms)
 
@@ -179,6 +182,7 @@ def naive_lloyd(feats, seeds, iters, tol, dot=np.matmul):
 
 def naive_fuse(assignments, centroids, tau):
     """Union-find over an ascending (i, j) pair scan, repeated to a fixpoint.
+    The similarity is the whole fixed-order dot matrix: no BLAS rounding.
 
     Returns (masks (G, H, W) u8, centroids (G, C) f32), groups ordered by
     their smallest original cluster id.
@@ -197,7 +201,7 @@ def naive_fuse(assignments, centroids, tau):
 
     while len(groups) > 1:
         cents = _unit_rows(np.array([v / max(wt, 1.0) for v, wt in zip(vecs, weights)]))
-        sim = cents @ cents.T
+        sim = fixed_order_dot(cents, cents.T)
         parent = list(range(len(groups)))
         merged = False
         for i in range(len(groups)):

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -276,6 +277,52 @@ def test_fuse_merges_at_exactly_tau():
     assert masks.tolist() == [[[1, 1]]]
 
 
+def test_fuse_proposal_noise_keeps_oracle_groups(monkeypatch):
+    # Each K-means cluster is split into its even and odd columns, which
+    # share its centroid, so each pair of halves has cosine 1 up to the
+    # last bits. Moving every fusion proposal by up to 4 ulp, more than any
+    # other BLAS split or kernel could, flips many of them across tau = 1,
+    # yet the groups and centroids still equal naive_fuse's, which scores
+    # by the fixed-order dot.
+    feats = _blob_features(64, 64, seed=7)
+    cfg = cl.WindowConfig(window_sizes=(8, 16, 32), kmeans_iters=4)
+    clusters = cl.kmeans(feats, cl.multi_scale_seeds(feats, cfg), cfg)
+    k = len(clusters.centroids)
+    result = _cluster_result(clusters.assignments + k * (np.arange(64) % 2),
+                             np.concatenate([clusters.centroids] * 2))
+    rng = np.random.default_rng(21)
+    clean, flips = cl._propose, []
+
+    def noisy(x, c):
+        scores = clean(x, c)
+        moved = scores + rng.integers(-4, 5, size=scores.shape) * np.spacing(scores)
+        flips.append(np.count_nonzero((moved >= tau) != (scores >= tau)))
+        return moved
+
+    monkeypatch.setattr(cl, "_propose", noisy)
+    for tau in (1.0, 0.9):
+        _assert_fuse_oracle(result, tau)
+    assert sum(flips) > 0
+
+
+def test_fuse_peak_memory_bounded_by_block_budget():
+    # 2000 centroids in a narrow cone: every pair is an edge, the most a
+    # block can hold. The dense similarity would be 2000^2 * 8 = 32 MB.
+    k, width = 2000, 16
+    cents = np.eye(1, width) + 0.05 * np.random.default_rng(31).standard_normal((k, width))
+    result = _cluster_result(np.arange(k)[None], cents)
+    tracemalloc.start()
+    try:
+        masks, _ = cl.fuse_masks(result, tau=0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert masks.shape == (1, 1, k)
+    # one block, and a few (k, C) and (k,) arrays
+    dense, bound = k * k * 8, cl._BLOCK_BYTES + 8 * k * width * 8 + 16 * k * 8
+    assert peak < bound < dense / 2, (peak, bound, dense)
+
+
 @pytest.mark.parametrize("exponent", [-100, 100])
 def test_fuse_ignores_power_of_two_scale_vs_oracle(exponent):
     # Fusion merges and renormalizes by direction only, so centroids scaled
@@ -485,16 +532,43 @@ def test_cosine_kmeans_ignores_power_of_two_scale(exponent):
     assert got.objective_trace == base.objective_trace
 
 
-def test_kmeans_rescores_pixels_whose_norm_underflows():
-    # The squares of these float64 pixels underflow, so their norm is 0 and
-    # they stay as they are, and their float32 proposals are all zero. They
-    # are not zero, and the float64 dot still tells the centroids apart.
+@pytest.mark.parametrize("factor", [1e-160, 1e-170])
+def test_kmeans_normalizes_pixels_whose_squares_underflow(factor):
+    # The squares of these float64 pixels lose bits (x 1e-160) or underflow
+    # to zero (x 1e-170), so a plain norm leaves them not quite unit, or
+    # not normalized at all: one cluster with objective 576 at x 1e-170.
+    # Each row is scaled by a power of two before its norm instead, so the
+    # map clusters as at x 1, and as the dense oracle says.
     feats = _blob_features(24, 24, dim=8, seed=1)
-    cfg = cl.WindowConfig(window_sizes=(4, 8), kmeans_iters=1)
-    tiny = feats.astype(np.float64) * 1e-170
-    assert not np.any(np.linalg.norm(tiny, axis=0))
-    result = _assert_lloyd_oracle(tiny, cl.multi_scale_seeds(feats, cfg), cfg)
-    assert len(result.centroids) > 1
+    cfg = cl.WindowConfig(window_sizes=(4, 8), kmeans_iters=3)
+    seeds = cl.multi_scale_seeds(feats, cfg)
+    base = cl.kmeans(feats, seeds, cfg)
+    result = _assert_lloyd_oracle(feats.astype(np.float64) * factor, seeds, cfg)
+    assert len(base.centroids) > 1
+    assert result.assignments.tobytes() == base.assignments.tobytes()
+    assert result.centroids.tobytes() == base.centroids.tobytes()
+    assert np.allclose(result.objective_trace, base.objective_trace, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("dtype, bits", [(np.float32, 24), (np.float64, 53)])
+def test_margins_cover_the_exact_rounding_bound(dtype, bits):
+    # K-means certifies float32 proposals and fusion float64 ones by
+    # 2.5 gamma_{C+2} |x| max|c|, gamma_n = n u / (1 - n u) (Higham 3.1).
+    # Here gamma is exact. The float margin may round a few ulp low; a
+    # gamma short by a factor (1 - n u), as with a multiplication in place
+    # of that division, falls short by 2 n u, far more.
+    width = 32
+    rng = np.random.default_rng(30)
+    x = rng.standard_normal((64, width))
+    cents = rng.standard_normal((16, width))
+    norm = np.sqrt(np.sum(x * x, axis=1))
+    norm_c = Fraction(float(np.sqrt(np.max(np.sum(cents * cents, axis=1)))))
+    got = cl._margins(norm, cents, dtype)
+    n_u = Fraction(width + 2, 2 ** bits)
+    gamma = n_u / (1 - n_u)
+    ulps = 1 - Fraction(4, 2 ** 53)
+    for margin, nx in zip(got.tolist(), norm.tolist()):
+        assert Fraction(margin) >= Fraction(5, 2) * gamma * Fraction(nx) * norm_c * ulps
 
 
 @cosine

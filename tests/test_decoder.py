@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,23 @@ def test_assemble_scale_invariance():
     a = dec.assemble_semantic_map(s, m, (0, 1, 2, 3))
     b = dec.assemble_semantic_map(4.0 * s, m, (0, 1, 2, 3))
     assert np.array_equal(a, b)
+
+
+def test_assemble_peak_memory_is_one_float64_mask_stack():
+    # The float32 mask logits go straight into the sigmoid's one float64
+    # buffer: no float64 copy of them, and no temporaries of their size.
+    k, n, h, w = 48, 4, 64, 64
+    rng_np = np.random.default_rng(7)
+    s = rng_np.random((k, n))
+    m = rng_np.standard_normal((k, h, w)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        dec.assemble_semantic_map(s, m, range(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack, scores = k * h * w * 8, n * h * w * 8
+    assert peak <= stack + scores + 64 * 1024, (peak, stack, scores)
 
 
 def test_gaussian_stream_offsets():

@@ -162,6 +162,41 @@ def test_sigmoid_saturates_without_warnings():
     assert got[4] == 1.0 / (1.0 + math.exp(-30.0))
 
 
+def test_sigmoid_is_bitwise_the_plain_formula():
+    # One float64 buffer worked in place: the same IEEE operations, so the
+    # same bits, on either float width, on scalars and past exp's range.
+    rng = np.random.default_rng(8)
+    edges = [-800.0, -30.0, 0.0, 30.0, 800.0]
+    x64 = np.concatenate([20.0 * rng.standard_normal(999), edges, [-1e300, 1e300]])
+    x32 = np.concatenate([20.0 * rng.standard_normal(999), edges]).astype(np.float32)
+    cases = [x64, x64.reshape(2, -1)[:, ::3], x32, *edges, np.float32(-800.0),
+             np.array(800.0), 7]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in cases:
+            got = L.sigmoid(x)
+            with np.errstate(over="ignore"):
+                want = 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
+            assert type(got) is type(want) and got.dtype == np.float64
+            assert np.shape(got) == np.shape(x) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("exponent", [-900, -600, 600, 900])
+def test_normalize_rows_at_any_power_of_two_scale(exponent):
+    # Squares of these rows underflow or overflow. Such rows are scaled by a
+    # power of two first, so they normalize bitwise as at scale 1, where
+    # every row keeps the plain x / |x| bits; a zero row stays zero.
+    x = np.random.default_rng(9).standard_normal((20, 8))
+    x[3] = 0.0
+    plain = x / np.where(np.any(x, axis=1), np.linalg.norm(x, axis=1), 1.0)[:, None]
+    assert L.normalize_rows(x).tobytes() == plain.tobytes()
+    scaled = x * 2.0 ** exponent
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(scaled, axis=1)          # every one 0 or inf
+    assert not np.any(np.isfinite(norms) & (norms > 0))
+    assert L.normalize_rows(scaled).tobytes() == plain.tobytes()
+
+
 def _joint(n_seen, n_cand, width):
     eye = np.eye(n_seen + n_cand, width, dtype=np.float32)
     return build_joint_embedding(
