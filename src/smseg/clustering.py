@@ -29,6 +29,7 @@ exact power of two first where its squares would underflow or overflow,
 so a row normalizes at any scale; a zero row stays zero.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ import numpy as np
 from .losses import normalize_rows
 
 _BLOCK_BYTES = 8 * 2 ** 20       # working-set budget of one scoring block
+_SEED_BYTES = 2 * 2 ** 20        # working-set budget of one window-seed chunk
 
 
 @dataclass(frozen=True)
@@ -101,25 +103,32 @@ def window_seeds(feats, size):
 
     ``feats`` is (C, H, W). Returns the (n_windows, C) float32 seeds,
     windows in row-major order of their starts. Window sums accumulate in
-    float64, one window-local pixel at a time in row-major order, are
-    divided by s^2, then rounded once to float32 — the exact sequence a
+    float64 from 0.0, one window-local pixel at a time in row-major order,
+    are divided by s^2, then rounded once to float32 — the exact sequence a
     naive per-window double loop performs.
+
+    The taps are gathered by flat pixel index, a few channels at a time
+    under ``_SEED_BYTES``, and each chunk is summed along its tap axis.
     """
     feats = np.asarray(feats)
     c, h, w = feats.shape
     if size > min(h, w):
         raise ValueError(f"window {size} exceeds feature map {h}x{w}")
-    rows = window_starts(h, size)
-    cols = window_starts(w, size)
-    f64 = feats.astype(np.float64)
-    ri = np.array(rows)[:, None]
-    cj = np.array(cols)[None, :]
-    acc = np.zeros((c, len(rows), len(cols)), dtype=np.float64)
-    for du in range(size):
-        for dv in range(size):
-            acc += f64[:, ri + du, cj + dv]
-    seeds = (acc / float(size * size)).astype(np.float32)
-    return seeds.transpose(1, 2, 0).reshape(len(rows) * len(cols), c)
+    taps = np.arange(size)
+    rows = np.add.outer(taps, window_starts(h, size)) * w       # (s, R): tap row offsets
+    cols = np.add.outer(taps, window_starts(w, size))           # (s, C'): tap columns
+    index = (rows[:, None, :, None] + cols[None, :, None, :]).reshape(size * size, -1)
+    flat = feats.reshape(c, h * w)
+    acc = np.empty((c, index.shape[1]))
+    step = max(1, _SEED_BYTES // (8 * index.size))
+    for lo in range(0, c, step):
+        chunk = np.take(flat[lo:lo + step], index, axis=1)      # (k, s^2, windows)
+        chunk = chunk.astype(np.float64, copy=False)
+        if index.shape[1] == 1:      # numpy would sum a lone window's taps pairwise
+            acc[lo:lo + step] = functools.reduce(np.add, chunk.transpose(1, 0, 2), 0.0)
+        else:                        # initial=0.0 keeps 0.0 + (-0.0) = 0.0
+            acc[lo:lo + step] = np.add.reduce(chunk, axis=1, initial=0.0)
+    return (acc / float(size * size)).astype(np.float32).T.copy()
 
 
 def multi_scale_seeds(feats, cfg):

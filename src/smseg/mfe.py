@@ -386,28 +386,16 @@ def _probed(forward, vjp):
     return value, lambda a: vjp(a, a["_probe"])
 
 
-def _per_item(x, ndim, kernel):
-    """``kernel`` of each item of ``x`` (its last ``ndim`` axes), as an array
-    shaped like the leading axes; a scalar when there are none."""
-    out = np.empty(x.shape[:x.ndim - ndim])
-    for i in np.ndindex(out.shape):
-        out[i] = kernel(x[i])
-    return out[()]
-
-
-def _mapped(key, ndim, kernel):
-    """The value of a scalar-loss ``kernel(a)`` taken once per leading batch
-    index of ``a[key]``, an array of ``ndim`` axes in the unbatched case."""
-    return lambda a: _per_item(a[key], ndim, lambda x: kernel({**a, key: x}))
-
-
 def _conditioned(draw, value, grads):
-    """A row whose draw is also redrawn while a gradient's norm is under the floor."""
+    """A row whose draw is also redrawn while a gradient's norm is under the
+    floor; an accepted draw returns ``(arrays, grads(arrays))``, so the
+    gradients it checked are not taken again."""
     def clear(seed):
         a = draw(seed)
-        if a is not None and all(np.linalg.norm(g) >= _GRAD_NORM_FLOOR
-                                 for g in grads(a).values()):
-            return a
+        if a is not None:
+            g = grads(a)
+            if all(np.linalg.norm(v) >= _GRAD_NORM_FLOOR for v in g.values()):
+                return a, g
     return clear, value, grads
 
 
@@ -428,15 +416,15 @@ def _mfe_grads(a, dfd):
 
 
 def _dice_sum(a):
-    """Sum over channels of dice(sigmoid(fd[c]), _dice_y[c]), one per leading
-    batch index of ``fd``. Dice stays one call per map: its matrix product
-    does not round alike when rows from several maps are stacked."""
-    def channel_sum(fd):
-        total = 0.0
-        for c, f in enumerate(fd):
-            total += dice_loss(sigmoid(f), a["_dice_y"][c])
-        return total
-    return _per_item(mfe_forward(_pyramid(a), _mfe_params(a)), 3, channel_sum)
+    """Sum over channels of dice(sigmoid(fd[c]), _dice_y[c]): one float per
+    leading batch index of ``fd``, a Python float when it has none. Each
+    channel's maps take one batched ``dice_loss`` call, and the channels
+    add in order."""
+    fd = mfe_forward(_pyramid(a), _mfe_params(a))
+    total = 0.0
+    for c, y in enumerate(a["_dice_y"]):
+        total = total + dice_loss(sigmoid(fd[..., c, :, :]), y)
+    return total
 
 
 def _dice_sum_dfd(a, fd):
@@ -454,7 +442,8 @@ def _class_similarity_vjp(a, dout):
 
 # op -> (draw(seed), value(arrays), grads(arrays)), as ``_build_case`` returns
 # them. Keys that start with "_" are held fixed. Kernels are looked up when a
-# case runs, so a patched module attribute is the one checked.
+# case runs, so a patched module attribute is the one checked. A loss row's
+# kernel takes the whole batch of perturbed copies in one call.
 _CASES = {
     "conv": (
         lambda s: {"x": _draw(s, 0, (3, 5, 5)), "w": _draw(s, 1, (3, 3, 3, 3), -0.5, 0.5),
@@ -483,25 +472,25 @@ _CASES = {
         lambda s: _draw_mfe(s, _dice_y=_binary(s, 5_000_000, (2, 8, 8))),
         _dice_sum, lambda a: _mfe_grads(a, lambda fd: _dice_sum_dfd(a, fd))),
     "dice": (lambda s: _draw_target(s, "m", 0.05, 0.95),
-             _mapped("m", 2, lambda a: dice_loss(a["m"], a["_y"])),
+             lambda a: dice_loss(a["m"], a["_y"]),
              lambda a: {"m": dice_loss_grad(a["m"], a["_y"])[1]}),
     "iou": (lambda s: _draw_target(s, "m", 0.05, 0.95),
-            _mapped("m", 2, lambda a: iou_loss(a["m"], a["_y"])),
+            lambda a: iou_loss(a["m"], a["_y"]),
             lambda a: {"m": iou_loss_grad(a["m"], a["_y"])[1]}),
     "bce": (lambda s: _draw_target(s, "x", -2.0, 2.0),
-            _mapped("x", 2, lambda a: bce_mask(a["x"], a["_y"])),
+            lambda a: bce_mask(a["x"], a["_y"]),
             lambda a: {"x": bce_mask_grad(a["x"], a["_y"])[1]}),
     # probabilities kept off the clamp boundary: the target term's
     # curvature grows as 1/p^3, which central differences cannot track
     "focal": (lambda s: {"p": _draw(s, 0, (12,), 0.15, 0.85),
                          "_target": int(rng.raw64(s, 1, start=77)[0] % 12)},
-              _mapped("p", 1, lambda a: focal_loss(a["p"], a["_target"])),
+              lambda a: focal_loss(a["p"], a["_target"]),
               lambda a: {"p": focal_loss_grad(a["p"], a["_target"])[1]}),
     "cross_entropy": (_draw_labels,
-                      _mapped("x", 3, lambda a: cross_entropy_map(a["x"], a["_labels"], 255)),
+                      lambda a: cross_entropy_map(a["x"], a["_labels"], 255),
                       lambda a: {"x": cross_entropy_map_grad(a["x"], a["_labels"], 255)[1]}),
     "cosine": (lambda s: {"v": _draw(s, 0, (3, 6)), "_c": _draw(s, 1, (3, 6))},
-               _mapped("v", 2, lambda a: cosine_loss(a["v"], a["_c"], [(0, 1), (2, 0)])),
+               lambda a: cosine_loss(a["v"], a["_c"], [(0, 1), (2, 0)]),
                lambda a: {"v": cosine_loss_grad(a["v"], a["_c"], [(0, 1), (2, 0)])[1]}),
     "class_similarity": (
         lambda s: {"v": _draw(s, 0, (3, 6)), "_e": _draw(s, 1, (4, 6)),
@@ -510,6 +499,20 @@ _CASES = {
 }
 
 GRADCHECK_OPS = tuple(_CASES)
+
+
+def _case(op, seed):
+    """``_build_case``'s (arrays, value, grads), then the analytic gradients
+    when the draw already took them, else None."""
+    if op not in _CASES:
+        raise ValueError(f"gradcheck does not support op {op!r}")
+    draw, value, grads = _CASES[op]
+    for attempt in range(512):
+        drawn = draw(seed + 7919 * attempt)
+        if drawn is not None:
+            arrays, analytic = drawn if isinstance(drawn, tuple) else (drawn, None)
+            return arrays, value, grads, analytic
+    raise RuntimeError(f"could not build a well-conditioned {op} fixture")
 
 
 def _build_case(op, seed):
@@ -521,14 +524,7 @@ def _build_case(op, seed):
     with respect to each checked array, keyed like ``arrays``. A draw that
     returns None is retried at ``seed + 7919 * attempt``.
     """
-    if op not in _CASES:
-        raise ValueError(f"gradcheck does not support op {op!r}")
-    draw, value, grads = _CASES[op]
-    for attempt in range(512):
-        arrays = draw(seed + 7919 * attempt)
-        if arrays is not None:
-            return arrays, value, grads
-    raise RuntimeError(f"could not build a well-conditioned {op} fixture")
+    return _case(op, seed)[:3]
 
 
 def grad_check(op, seed=0, step=1e-3):
@@ -541,7 +537,8 @@ def grad_check(op, seed=0, step=1e-3):
     computed once. An array with N entries is stacked into a (2N, *shape)
     batch of its +step and -step copies, one entry moved in each, and the
     op's forward value runs once on the batch; N central differences are
-    taken from the 2N values it returns.
+    taken from the 2N values it returns (a single value is broadcast to
+    all 2N).
 
     A non-finite error on any array (NaN or inf in either gradient) is
     returned as is, so it fails every ``err < bound`` test. ``step`` must
@@ -549,16 +546,17 @@ def grad_check(op, seed=0, step=1e-3):
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and > 0, got {step!r}")
-    arrays, value, grads = _build_case(op, seed)
+    arrays, value, grads, analytic = _case(op, seed)
     worst = 0.0
-    for name, ana in grads(arrays).items():
+    for name, ana in (analytic or grads(arrays)).items():
         arr = arrays[name]
         n = arr.size
         batch = np.repeat(arr.reshape(1, n), 2 * n, axis=0)
         at = np.arange(n)
         batch[at, at] += step                   # rows [0, n): entry i + step
         batch[n + at, at] -= step               # rows [n, 2n): entry i - step
-        vals = value({**arrays, name: batch.reshape(2 * n, *arr.shape)})
+        vals = np.broadcast_to(value({**arrays, name: batch.reshape(2 * n, *arr.shape)}),
+                               (2 * n,))
         num = (vals[:n] - vals[n:]) / (2.0 * step)
         ana_flat = np.asarray(ana, dtype=np.float64).reshape(-1)
         err = (np.linalg.norm(num - ana_flat)

@@ -45,6 +45,33 @@ def test_window_seeds_bitwise_vs_naive_oracle():
         assert np.array_equal(seeds, expect)
 
 
+@pytest.mark.parametrize("budget", [1, 3000, cl._SEED_BYTES])
+def test_window_seeds_chunks_bitwise_vs_naive_oracle(budget, monkeypatch):
+    # budget 1 takes one channel a chunk, 3000 bytes a few; bytes compare signs
+    monkeypatch.setattr(cl, "_SEED_BYTES", budget)
+    rng = np.random.default_rng(12)
+    for c, h, w, s in [(5, 9, 7, 3), (4, 12, 10, 5), (3, 6, 6, 6), (1, 5, 5, 5), (1, 9, 9, 4)]:
+        feats = (rng.standard_normal((c, h, w)) * 10.0 ** rng.uniform(-3, 3, (c, h, w))
+                 ).astype(np.float32)
+        feats[0, :s, :s] = -0.0                  # window 0 of channel 0 is all -0.0
+        got = cl.window_seeds(feats, s)
+        assert got[0, 0].tobytes() == np.float32(0.0).tobytes()
+        assert got.tobytes() == naive_window_seeds(feats, s).tobytes(), (c, h, w, s)
+
+
+@pytest.mark.parametrize("c, h, w", [(1, 4, 4), (2, 4, 4), (1, 4, 5)])
+def test_window_seeds_sum_in_tap_order_where_pairwise_rounds_apart(c, h, w):
+    # Taps 1, 2^-54 (x7), 2^-24, 2^-54 (x7) sum in order to the float32 tie
+    # 1 + 2^-24, which rounds to even; numpy's pairwise sum would carry the
+    # 2^-54s past the tie, so window 0 would round up.
+    feats = np.full((c, h, w), 2.0 ** -54, dtype=np.float32)
+    feats[:, 0, 0] = 1.0
+    feats[:, 2, 0] = 2.0 ** -24
+    got = cl.window_seeds(feats, 4)
+    assert got[0].tolist() == [0.0625] * c
+    assert got.tobytes() == naive_window_seeds(feats, 4).tobytes()
+
+
 def test_multi_scale_seed_count_64():
     feats = np.zeros((2, 64, 64), dtype=np.float32)
     cfg = cl.WindowConfig(window_sizes=(8, 16, 32))

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -409,3 +410,66 @@ def test_focal_map_label_outside_classes():
         labels = np.array([[0, 1], [255, bad]])
         with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
             L.focal_map(logits, labels, 255)
+
+
+def test_pipeline_loss_kernels_pinned():
+    # cross_entropy_map, iou_loss and cosine_loss write loss.json. Values
+    # recorded before batching; 12 classes pass numpy's 8-element unrolled
+    # sum, and summing classes in order instead moves this cross entropy
+    rng = np.random.default_rng(16)
+    logits = (3.0 * rng.standard_normal((12, 9, 15))).astype(np.float32)
+    labels = rng.integers(0, 12, (9, 15))
+    labels[0, :4] = 255
+    assert L.cross_entropy_map(logits, labels).hex() == "0x1.556806f335fd3p+2"
+    rng = np.random.default_rng(21)
+    m = rng.uniform(0.0, 1.0, (9, 15))
+    y = (rng.random((9, 15)) > 0.5).astype(np.float64)
+    v = rng.standard_normal((5, 16)).astype(np.float32)
+    c = rng.standard_normal((4, 16)).astype(np.float32)
+    assert L.iou_loss(m, y).hex() == "0x1.59de8913c0a30p-1"
+    assert L.cosine_loss(v, c, [(0, 1), (4, 3), (2, 2)]).hex() == "0x1.453b4a204123bp+0"
+
+
+BAD_INPUTS = {
+    "cosine-pair": (L.cosine_loss, L.cosine_loss_grad,
+                    (np.ones((3, 4)), np.ones((2, 4)), [(5, 0)])),
+    "focal-target": (L.focal_loss, L.focal_loss_grad, (np.full(4, 0.5), 7)),
+    "cross-entropy-label": (L.cross_entropy_map, L.cross_entropy_map_grad,
+                            (np.zeros((3, 2, 2)), np.full((2, 2), 5))),
+    "cross-entropy-shape": (L.cross_entropy_map, L.cross_entropy_map_grad,
+                            (np.zeros((3, 2, 3)), np.zeros((3, 2), dtype=int))),
+    "dice-shape": (L.dice_loss, L.dice_loss_grad, (np.zeros(4), np.zeros(5))),
+    "bce-shape": (L.bce_mask, L.bce_mask_grad, (np.zeros(4), np.zeros(5))),
+    "iou-shape": (L.iou_loss, L.iou_loss_grad, (np.zeros(4), np.zeros(5))),
+    # equal sizes used to be flattened; leading axes now mean a batch
+    "dice-transposed": (L.dice_loss, L.dice_loss_grad, (np.zeros((2, 3)), np.zeros((3, 2)))),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_INPUTS))
+def test_grad_twins_raise_the_plain_kernels_named_error(name):
+    plain, twin, args = BAD_INPUTS[name]
+    with pytest.raises(ValueError) as named:
+        plain(*args)
+    message = str(named.value)
+    if name.endswith(("shape", "transposed")):
+        assert str(args[0].shape) in message and str(args[1].shape) in message
+    with pytest.raises(ValueError, match=re.escape(message)):
+        twin(*args)
+
+
+def test_grad_twins_take_one_item():
+    y = np.array([0.0, 1.0, 1.0])
+    for twin, args in ((L.dice_loss_grad, (np.full((2, 3), 0.5), y)),
+                       (L.iou_loss_grad, (np.full((2, 3), 0.5), y)),
+                       (L.bce_mask_grad, (np.zeros((2, 3)), y)),
+                       (L.focal_loss_grad, (np.full((2, 3), 0.5), 1)),
+                       (L.cross_entropy_map_grad, (np.zeros((2, 3, 3)), np.zeros(3, dtype=int))),
+                       (L.cosine_loss_grad, (np.ones((2, 3, 3)), np.ones((2, 3)), [(0, 0)]))):
+        with pytest.raises(ValueError, match=r"takes one item, not a batch of \(2,\)"):
+            twin(*args)
+
+
+def test_batched_kernels_with_nothing_to_average():
+    assert L.cosine_loss(np.ones((4, 3, 2)), np.ones((1, 2)), []).tolist() == [0.0] * 4
+    assert L.cross_entropy_map(np.ones((4, 3, 2, 2)), np.full((2, 2), 255)).tolist() == [0.0] * 4

@@ -385,6 +385,58 @@ def test_gradcheck_fixtures_pinned():
         assert _fixture_digest(op) == want, op
 
 
+# ``float.hex`` of ``grad_check(op, seed)`` at seeds 0-2 under numpy 2.4.6 (as CI
+# pins it). The harness must keep every result bit for bit however it batches.
+GRAD_CHECK_HEX = {
+    "conv": [
+        "0x1.6882178ac2a8bp-41", "0x1.00ed39e530bb5p-41", "0x1.26850bc01920ap-41"],
+    "group_norm": [
+        "0x1.65ea8b3698de4p-25", "0x1.020812e84b5a4p-24", "0x1.f492764b5477bp-25"],
+    "bilinear": [
+        "0x1.763f145a2789cp-42", "0x1.2b0e9d8692a72p-42", "0x1.071955b92b11fp-43"],
+    "relu": [
+        "0x1.ff4567eae54f8p-45", "0x1.6f200612a60e4p-44", "0x1.142de05bf06eap-44"],
+    "dense_block": [
+        "0x1.fe94f7a1a7f05p-25", "0x1.3a3a1ac65e6c6p-24", "0x1.a8c31aec4fe41p-24"],
+    "mfe": [
+        "0x1.972f54a52ef41p-21", "0x1.b8cbf6d72b995p-23", "0x1.66981460b4ebdp-22"],
+    "mfe_dice": [
+        "0x1.1830ab51d69aap-21", "0x1.5f650bfa8a1e0p-22", "0x1.ae54e8c617dbfp-21"],
+    "dice": [
+        "0x1.add5510e91231p-33", "0x1.ee14fbe6a16a0p-33", "0x1.06f45dd2e505ap-32"],
+    "iou": [
+        "0x1.cf6b1908a8b9cp-34", "0x1.3408493488829p-33", "0x1.312e181c68a69p-33"],
+    "bce": [
+        "0x1.8db277983c255p-26", "0x1.8a948e1b331ecp-26", "0x1.8b2b62093ca78p-26"],
+    "focal": [
+        "0x1.4e1def455507ap-17", "0x1.27ea655e8e361p-17", "0x1.362c64551a57bp-18"],
+    "cross_entropy": [
+        "0x1.8eccf7c328358p-26", "0x1.c57e0516eddd4p-26", "0x1.cee003914f2cbp-26"],
+    "cosine": [
+        "0x1.f66ee1b727f9dp-21", "0x1.e83951ca19dc1p-22", "0x1.6c95790e17b23p-21"],
+    "class_similarity": [
+        "0x1.941c273d7f11ap-25", "0x1.7d8351af22313p-25", "0x1.e629e619215ebp-26"],
+}
+
+
+def test_grad_check_results_pinned():
+    assert mfe.GRADCHECK_OPS == tuple(GRAD_CHECK_HEX)
+    for op, want in GRAD_CHECK_HEX.items():
+        assert [float(mfe.grad_check(op, seed=s)).hex() for s in range(3)] == want, op
+
+
+@pytest.mark.parametrize("op", ["dense_block", "mfe", "mfe_dice"])
+def test_grad_check_reuses_a_conditioned_draws_gradients(op, monkeypatch):
+    # the draw takes the gradients for its norm floor; grad_check takes none
+    calls = []
+    vjp = mfe._dense_block_vjp
+    monkeypatch.setattr(mfe, "_dense_block_vjp", lambda *a: calls.append(1) or vjp(*a))
+    mfe._build_case(op, 0)
+    drawn = len(calls)
+    mfe.grad_check(op, seed=0)
+    assert drawn > 0 and len(calls) == 2 * drawn
+
+
 @pytest.mark.parametrize("op", ["dense_block", "mfe", "mfe_dice"])
 def test_build_case_gives_up_with_named_error(op, monkeypatch):
     calls = []
@@ -468,6 +520,45 @@ def test_batched_shapes_validate_trailing_dimensions():
                    (f0, f1, np.zeros((8, 8)))):
         with pytest.raises(ValueError):
             mfe.FeaturePyramid(*levels)
+
+
+def _loss_kernels():
+    """name -> (kernel of the argument it differentiates, draw(*batch)).
+    Masks of 135 pixels pass numpy's 128-element pairwise block, and 12
+    classes its 8-element unrolled one; class row 2 of the cosine is zero."""
+    rng = np.random.default_rng(20)
+    y = (rng.random((9, 15)) > 0.5).astype(np.float64)
+    labels = rng.integers(0, 12, (9, 15))
+    labels[0, :4] = 255
+    c = rng.standard_normal((3, 7))
+    c[2] = 0.0
+
+    def uniform(*shape):
+        return lambda *batch: rng.uniform(0.05, 0.95, (*batch, *shape))
+
+    def normal(*shape):
+        return lambda *batch: 2.0 * rng.standard_normal((*batch, *shape))
+
+    return {
+        "dice": (lambda m: losses.dice_loss(m, y), uniform(9, 15)),
+        "iou": (lambda m: losses.iou_loss(m, y), uniform(9, 15)),
+        "bce": (lambda x: losses.bce_mask(x, y), normal(9, 15)),
+        "focal": (lambda p: losses.focal_loss(p, 3), uniform(12)),
+        "focal_no_object": (lambda p: losses.focal_loss(p, None), uniform(12)),
+        "cross_entropy": (lambda x: losses.cross_entropy_map(x, labels), normal(12, 9, 15)),
+        "cosine": (lambda v: losses.cosine_loss(v, c, [(0, 1), (3, 2), (0, 0)]), normal(4, 7)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_loss_kernels()))
+def test_loss_kernels_batch_bitwise(name):
+    kernel, draw = _loss_kernels()[name]
+    assert type(kernel(draw())) is float
+    _same_as_stacked(kernel, draw(3))
+    _same_as_stacked(kernel, draw(2, 3))
+    _same_as_stacked(kernel, np.moveaxis(np.ascontiguousarray(np.moveaxis(draw(3), 0, -1)),
+                                         -1, 0))            # items interleaved in memory
+    _same_as_stacked(kernel, draw(6)[::2])                  # every other item of a stack
 
 
 @pytest.mark.parametrize("op", mfe.GRADCHECK_OPS)
