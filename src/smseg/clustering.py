@@ -136,6 +136,15 @@ def multi_scale_seeds(feats, cfg):
     return np.concatenate([window_seeds(feats, size) for size in cfg.window_sizes])
 
 
+def _blocks(n, size):
+    """Slices of ``size`` items (at least 2) covering ``range(n)``; a lone
+    last item joins the slice before it. numpy and BLAS take a one-row
+    operand as a vector and sum it in another order than its rows in a
+    larger block, so only a one-item ``n`` gives a one-item slice."""
+    stops = list(range(max(2, size), n - 1, max(2, size))) + [n]
+    return [slice(a, b) for a, b in zip([0] + stops[:-1], stops)]
+
+
 def _group_sums(group, rows, n):
     """(n, C) per-group sums of ``rows``, each group added in row order."""
     return np.stack([np.bincount(group, weights=col, minlength=n)
@@ -147,7 +156,6 @@ class _Pixels:
     """What one ``kmeans`` run knows about its normalized pixels x."""
 
     x_t: np.ndarray                      # (C, P) f64, channel-major
-    x32: np.ndarray                      # (P, C) f32 proposal rows
     norm: np.ndarray                     # (P,) |x|, 1 or 0 up to rounding
 
 
@@ -220,13 +228,13 @@ def _assign_step(px, cents, assign):
     c32 = cents.astype(np.float32)
     c_t = np.ascontiguousarray(cents.T)
     margin = _margins(px.norm, cents, np.float32)
-    rows = max(1, _BLOCK_BYTES // (4 * k))
+    rows = max(1, _BLOCK_BYTES // (4 * (k + len(px.x_t))))  # scores and proposal rows
     hold = _BLOCK_BYTES // 64
     step = max(1, hold // k)                  # uncertain pixels per batch
     pairs, held = [], 0
     for s in range(0, len(assign), rows):
         blk = slice(s, s + rows)
-        scores = _propose(px.x32[blk], c32)
+        scores = _propose(px.x_t[:, blk].T.astype(np.float32, order="C"), c32)
         pick = np.argmax(scores, axis=1)
         at = np.arange(len(pick))
         top = scores[at, pick]
@@ -267,30 +275,43 @@ def kmeans(feats, seeds, cfg):
     Each pixel takes the centroid of largest float64 similarity under a
     fixed-order dot, the first index among exact ties, so of equal seeds
     only the first ever takes pixels. A float32 product proposes the pick
-    for ``_BLOCK_BYTES // (4 * k)`` pixels at a time (at least one), a
+    for ``_BLOCK_BYTES // (4 (k + C))`` pixels at a time (at least one), a
     rounding bound certifies it, and the few uncertified pixels are
     rescored in float64 (see the module docstring). Unit rows keep the
     float32 scores in range at any feature magnitude. The objective sums
     the fixed-order scores at the picks; centroid sums add in pixel order.
+
+    Memory: one float64 (C, P) copy of the pixels, normalized in place
+    ``_BLOCK_BYTES // (16 C)`` pixels at a time, plus one scoring block of
+    ``_BLOCK_BYTES`` (float32 scores and the proposal rows built for it
+    from that copy), plus (P,) vectors and a few (k, C) centroid arrays.
     """
     if len(seeds) == 0:
         raise ValueError("kmeans needs at least one seed")
     c, h, w = np.asarray(feats).shape
-    x = np.asarray(feats, dtype=np.float64).reshape(c, h * w).T   # (P, C)
+    # The one private copy of the pixels, channel-major and normalized in
+    # place. Its pixel rows x are strided views, so each row's norm adds
+    # its channels in order, in a block of any size but one row.
+    x_t = np.array(feats, dtype=np.float64, order="C").reshape(c, h * w)
+    x = x_t.T                                                     # (P, C)
+    norm = np.empty(len(x))
+    for blk in _blocks(len(x), _BLOCK_BYTES // (16 * max(c, 1))):
+        rows = x[blk]
+        if not np.isfinite(rows).all():
+            raise ValueError("kmeans feats must be finite, got NaN or inf")
+        normalize_rows(rows, out=rows)
+        norm[blk] = np.sqrt(np.sum(rows * rows, axis=1))
     # C order: row norms and sums then reduce in one order whatever the
     # layout of ``seeds`` (window seeds come out column-major).
     cents = np.array(seeds, dtype=np.float64, order="C")
-    for name, arr in (("feats", x), ("seeds", cents)):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"kmeans {name} must be finite, got NaN or inf")
-    x = normalize_rows(x)
+    if not np.isfinite(cents).all():
+        raise ValueError("kmeans seeds must be finite, got NaN or inf")
     cents = normalize_rows(cents)
     # A later copy of a centroid ties with the first everywhere and never
     # takes a pixel, so copies are dropped before they are scored.
     cents = cents[np.sort(np.unique(cents, axis=0, return_index=True)[1])]
 
-    px = _Pixels(x_t=x.T, x32=x.astype(np.float32, order="C"),
-                 norm=np.sqrt(np.sum(x * x, axis=1)))
+    px = _Pixels(x_t=x_t, norm=norm)
     trace = []
     assign = np.empty(len(x), dtype=np.int64)
     for it in range(cfg.kmeans_iters):

@@ -20,11 +20,14 @@ sigma 0.02, the first eight appended values are the frozen contract
 vector in ``RQ_SEED0_FIRST8``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
+from .clustering import _BLOCK_BYTES, _blocks
+from .embeddings import check_class_ids
 from .losses import sigmoid
 
 DEFAULT_RANDOM_QUERIES = 50
@@ -79,9 +82,12 @@ class Predictions:
 
 
 def _softmax_rows(x):
-    x = x - x.max(axis=1, keepdims=True)
-    e = np.exp(x)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row softmax of ``x`` in place: exp(x - max) / sum, the same IEEE
+    operations and so the same bits as out of place."""
+    x -= x.max(axis=1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=1, keepdims=True)
+    return x
 
 
 def decode(queries, feats, params):
@@ -91,6 +97,11 @@ def decode(queries, feats, params):
     pixels F', then Q <- Q + A (F' Wv). Afterwards V = Q and
     M[k, h, w] = V[k] . feats[:, h, w]. Queries and decoder weights must
     be as wide as ``feats`` has channels (ValueError otherwise).
+
+    Memory: a layer's (K, P) attention logits are scaled and softmaxed in
+    their one buffer, which is freed before the (K, P) mask logits are
+    made. Beyond its outputs, decode holds that one (K, P) array and the
+    (P, C) key and value products.
     """
     feats = np.asarray(feats)
     c, h, w = feats.shape
@@ -103,8 +114,10 @@ def decode(queries, feats, params):
     pix = feats.reshape(c, h * w).T                      # (P, C)
     scale = 1.0 / np.sqrt(np.float32(c))
     for _ in range(params.layers):
-        attn = _softmax_rows((q @ params.wq) @ (pix @ params.wk).T * scale)
-        q = q + attn @ (pix @ params.wv)
+        attn = (q @ params.wq) @ (pix @ params.wk).T
+        attn *= scale
+        q = q + _softmax_rows(attn) @ (pix @ params.wv)
+        del attn
     m = (q @ pix.T).reshape(len(q), h, w)
     return Predictions(v=q, m=m)
 
@@ -128,17 +141,30 @@ def assemble_semantic_map(s, m, class_ids):
 
     score[c, h, w] = sum_k s[k, c] * sigmoid(m[k, h, w]); each pixel takes
     the argmax class, ties resolved toward the smallest dataset class id.
-    Column j of ``s`` scores class ``class_ids[j]``.
+    Column j of ``s`` scores class ``class_ids[j]``. There must be at
+    least one class id, and each must be nonnegative and fit int32
+    (ValueError otherwise); the map is uint8 when every id is below 256.
+
+    Memory: pixels are read ``_BLOCK_BYTES // (8 (K + 2 N))`` at a time
+    (never one alone, which BLAS would sum as a vector), so the float64
+    sigmoid of a block's K mask logits and its N class scores in two
+    orders stay within the block budget at any H x W.
     """
     s = np.asarray(s, dtype=np.float64)
     m = np.asarray(m)
-    ids = [int(i) for i in class_ids]
+    ids = check_class_ids(class_ids)
+    if not ids:
+        raise ValueError("assemble_semantic_map needs at least one class id")
     if s.shape[1] != len(ids):
         raise ValueError(f"{s.shape[1]} score columns for {len(ids)} class ids")
     if s.shape[0] != m.shape[0]:
         raise ValueError("queries in scores and masks disagree")
-    scores = np.tensordot(s, sigmoid(m), axes=([0], [0]))     # (N, H, W)
+    k, n = s.shape
+    flat = m.reshape(k, math.prod(m.shape[1:]))
     order = np.argsort(ids, kind="stable")               # argmax in class-id order
-    winner = np.argmax(scores[order], axis=0)
-    id_arr = np.array(ids)[order]
-    return id_arr[winner].astype(np.uint8 if max(ids) < 256 else np.int32)
+    id_arr = np.array(ids)[order].astype(np.uint8 if max(ids) < 256 else np.int32)
+    labels = np.empty(flat.shape[1], dtype=id_arr.dtype)
+    for blk in _blocks(flat.shape[1], _BLOCK_BYTES // (8 * (k + 2 * n))):
+        scores = np.tensordot(s, sigmoid(flat[:, blk]), axes=([0], [0]))   # (N, b)
+        labels[blk] = id_arr[np.argmax(scores[order], axis=0)]
+    return labels.reshape(m.shape[1:])

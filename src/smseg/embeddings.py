@@ -21,6 +21,23 @@ from .losses import normalize_rows
 from .tensor_store import load_tensor
 
 UNIT_ROW_TOL = 1e-4
+_MAX_CLASS_ID = int(np.iinfo(np.int32).max)
+
+
+def check_class_ids(class_ids):
+    """``class_ids`` as a tuple of ints, each in [0, 2^31 - 1].
+
+    ValueError names the first id outside: a label map holds ids as
+    ``uint8`` or ``int32``, where a negative id would wrap onto another
+    (-1 onto the default ignore id 255) and a larger one would not fit.
+    """
+    ids = tuple(int(c) for c in class_ids)
+    for c in ids:
+        if c < 0:
+            raise ValueError(f"class id {c} is negative")
+        if c > _MAX_CLASS_ID:
+            raise ValueError(f"class id {c} does not fit int32")
+    return ids
 
 
 def _unit_rows(matrix):
@@ -40,7 +57,7 @@ class ClassEmbeddings:
     @classmethod
     def from_matrix(cls, matrix, class_ids):
         matrix = _unit_rows(matrix)
-        class_ids = tuple(int(c) for c in class_ids)
+        class_ids = check_class_ids(class_ids)
         if len(class_ids) != matrix.shape[0]:
             raise ValueError("one class id per embedding row required")
         if len(set(class_ids)) != len(class_ids):

@@ -67,19 +67,20 @@ def sigmoid(x):
         return np.reciprocal(t, out=t)
 
 
-def normalize_rows(x):
+def normalize_rows(x, out=None):
     """Rows divided by their norms at any scale; an all-zero row stays zero.
 
     A row whose norm is zero or outside [2^-500, 2^500] is first scaled by
     an exact power of two, so its squares neither underflow nor overflow;
-    every other row keeps the bits of the plain ``x / |x|``.
+    every other row keeps the bits of the plain ``x / |x|``. ``out`` may be
+    ``x`` itself, which then normalizes in place.
     """
     with np.errstate(over="ignore"):                 # such norms are redone below
         norms = np.linalg.norm(x, axis=1, keepdims=True)
-    out = x / np.where(norms > 0, norms, 1.0)
     far = ~((norms >= 2.0 ** -500) & (norms <= 2.0 ** 500))[:, 0]
-    if far.any():
-        rows = x[far]
+    rows = x[far]                                    # a copy, taken before ``out`` is written
+    out = np.divide(x, np.where(norms > 0, norms, 1.0), out=out)
+    if len(rows):
         rows = np.ldexp(rows, -np.frexp(np.max(np.abs(rows), axis=1, keepdims=True))[1])
         norms = np.linalg.norm(rows, axis=1, keepdims=True)
         out[far] = rows / np.where(norms > 0, norms, 1.0)

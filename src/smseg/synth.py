@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
+from .clustering import _BLOCK_BYTES
 from .embeddings import ClassEmbeddings
 from .tensor_store import save_tensor
 
@@ -45,6 +46,22 @@ class SynthFixture:
         return self.unseen_embeddings.class_ids
 
 
+def _feature_chunk(labels, seed, noise, lo, hi):
+    """Entries lo..hi-1 of the flat (C, H, W) features in float64, as
+    d + noise * g rounds them: g from the stream, d the one-hot direction
+    of each pixel's class in ``labels``."""
+    pixels = len(labels)
+    if noise > 0:
+        g = rng.gaussians(seed, hi - lo, start_pair=lo // 2)
+        g *= noise
+    else:
+        g = np.zeros(hi - lo)
+    for ch in range(lo // pixels, (hi - 1) // pixels + 1):     # adds d, 0 or 1
+        a, b = max(lo, ch * pixels), min(hi, (ch + 1) * pixels)
+        g[a - lo:b - lo] += labels[a - ch * pixels:b - ch * pixels] == ch
+    return g
+
+
 def gen_synth(seed=0, blobs=4, seen=2, size=64, dim=16, noise=0.05,
               ignore_id=255):
     """Build a blob fixture. Identical arguments give identical bits.
@@ -53,6 +70,12 @@ def gen_synth(seed=0, blobs=4, seen=2, size=64, dim=16, noise=0.05,
     class 0 is the background (always seen), blob i carries class i+1.
     Blobs beyond the first ``seen`` are hidden: their pixels are ignored
     in ``seen_labels`` and set in ``ignore_mask``.
+
+    Feature (ch, px) is float32(d + noise * g): d is 1 where pixel px has
+    class ch and 0 elsewhere, g is draw ch * H * W + px of
+    ``rng.gaussians(seed)``. The float32 features are written in chunks of
+    whole Box-Muller pairs of that stream, ``_BLOCK_BYTES // 32`` draws at
+    a time, so beyond its output gen_synth holds one chunk.
     """
     if not 0 <= seen <= blobs:
         raise ValueError(f"seen blob count {seen} outside [0, {blobs}]")
@@ -75,11 +98,12 @@ def gen_synth(seed=0, blobs=4, seen=2, size=64, dim=16, noise=0.05,
         boxes.append((b + 1, r0, c0, side))
 
     directions = np.eye(dim, dtype=np.float64)[:n_classes]
-    feats = directions[gt.ravel()].T.reshape(dim, size, size)
-    if noise > 0:
-        feats = feats + noise * rng.gaussians(seed, dim * size * size).reshape(
-            dim, size, size)
-    feats = feats.astype(np.float32)
+    feats = np.empty(dim * size * size, dtype=np.float32)
+    step = 2 * max(1, _BLOCK_BYTES // 64)              # whole Box-Muller pairs
+    for lo in range(0, len(feats), step):
+        hi = min(lo + step, len(feats))
+        feats[lo:hi] = _feature_chunk(gt.ravel(), seed, noise, lo, hi)
+    feats = feats.reshape(dim, size, size)
 
     seen_labels = gt.copy()
     ignore = np.zeros_like(gt)

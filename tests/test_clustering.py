@@ -199,7 +199,7 @@ def test_kmeans_and_fuse_bitwise_vs_dense_oracle(metric, h, w):
     feats = _blob_features(h, w, seed=h + w)
     cfg = cl.WindowConfig(window_sizes=(8, 16, 32), kmeans_iters=4)
     seeds = cl.multi_scale_seeds(feats, cfg)
-    rows = max(1, cl._BLOCK_BYTES // (4 * len(seeds)))
+    rows = max(1, cl._BLOCK_BYTES // (4 * (len(seeds) + feats.shape[0])))
     assert rows < h * w and (h * w) % rows != 0
     result = _assert_lloyd_oracle(feats, seeds, cfg)
     for tau in (0.9, 0.5):
@@ -262,24 +262,41 @@ def test_fuse_merges_over_several_rounds_vs_oracle():
     assert masks.tolist() == [[[1, 1, 1, 1, 0]], [[0, 0, 0, 0, 1]]]
 
 
-@cosine
-def test_kmeans_peak_memory_bounded_by_block_budget(metric):
-    # 128 x 128 pixels, 1235 seeds: the dense score matrix would be
-    # 16384 * 1235 * 8 bytes = 154 MiB.
-    feats = _blob_features(128, 128, dim=16, seed=1)
-    cfg = cl.WindowConfig(window_sizes=(8, 16, 32), kmeans_iters=3)
+def _kmeans_peak_and_bound(feats, cfg):
     seeds = cl.multi_scale_seeds(feats, cfg)
-    pixels, dense = 128 * 128, 128 * 128 * len(seeds) * 8
+    c, h, w = feats.shape
     tracemalloc.start()
     try:
         cl.kmeans(feats, seeds, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one score block plus its argmax and row index, and a few (P, C)
-    # copies of the pixels and (P,) vectors
-    bound = cl._BLOCK_BYTES * 5 // 4 + 4 * pixels * feats.shape[0] * 8 + 8 * pixels * 8
+    # one scoring block (scores and proposal rows) plus its argmax and row
+    # index, one float64 (P, C) copy of the pixels, (P,) vectors, and a
+    # few (k, C) centroid arrays
+    bound = (cl._BLOCK_BYTES * 5 // 4 + h * w * c * 8 + 8 * h * w * 8
+             + 8 * len(seeds) * c * 8)
+    return peak, bound, h * w * len(seeds) * 8
+
+
+@cosine
+def test_kmeans_peak_memory_bounded_by_block_budget(metric):
+    # 128 x 128 pixels, 1235 seeds: the dense score matrix would be
+    # 16384 * 1235 * 8 bytes = 154 MiB.
+    feats = _blob_features(128, 128, dim=16, seed=1)
+    cfg = cl.WindowConfig(window_sizes=(8, 16, 32), kmeans_iters=3)
+    peak, bound, dense = _kmeans_peak_and_bound(feats, cfg)
     assert peak < bound < dense / 2, (peak, bound, dense)
+
+
+def test_kmeans_peak_memory_holds_one_copy_of_wide_pixels():
+    # 128 channels and 274 seeds: one (P, C) float64 copy is 16 MiB, two
+    # the score block's size. A second pixel copy, or proposal rows
+    # outside the block budget, break the bound.
+    feats = _blob_features(128, 128, dim=128, seed=1)
+    cfg = cl.WindowConfig(window_sizes=(16, 32), kmeans_iters=3)
+    peak, bound, _ = _kmeans_peak_and_bound(feats, cfg)
+    assert peak < bound, (peak, bound)
 
 
 def _cluster_result(assign, cents):

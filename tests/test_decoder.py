@@ -5,6 +5,8 @@ import pytest
 
 from smseg import decoder as dec
 from smseg import rng
+from smseg import synth
+from smseg.embeddings import ClassEmbeddings
 
 from oracles import naive_semantic_map
 
@@ -173,24 +175,117 @@ def test_assemble_scale_invariance():
     assert np.array_equal(a, b)
 
 
-def test_assemble_peak_memory_is_one_float64_mask_stack():
-    # The float32 mask logits go straight into the sigmoid's one float64
-    # buffer: no float64 copy of them, and no temporaries of their size.
-    k, n, h, w = 48, 4, 64, 64
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("h, w", [(64, 64), (256, 256)])
+def test_assemble_peak_memory_bounded_by_block_budget(h, w):
+    # The readout takes the sigmoid, class scores and argmax one pixel
+    # block at a time: its peak is one block plus the uint8 map, at any
+    # H x W. At 256 x 256 one float64 mask stack alone is 24 MiB.
+    k, n = 48, 4
     rng_np = np.random.default_rng(7)
     s = rng_np.random((k, n))
     m = rng_np.standard_normal((k, h, w)).astype(np.float32)
-    tracemalloc.start()
-    try:
-        dec.assemble_semantic_map(s, m, range(n))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    stack, scores = k * h * w * 8, n * h * w * 8
-    assert peak <= stack + scores + 64 * 1024, (peak, stack, scores)
+    labels, peak = _traced_peak(dec.assemble_semantic_map, s, m, range(n))
+    assert labels.dtype == np.uint8
+    assert peak <= dec._BLOCK_BYTES + h * w + 64 * 1024, peak
+
+
+@pytest.mark.parametrize("budget", [1, 8 * 9 * 3, 8 * 9 * 5])
+def test_assemble_blocks_match_per_pixel_oracle(monkeypatch, budget):
+    # 5 queries, 2 classes, 63 pixels: blocks of 2, 3 and 5 pixels. Of
+    # 2-pixel blocks, the last takes the lone leftover pixel.
+    rng_np = np.random.default_rng(8)
+    s = rng_np.random((5, 2))
+    m = rng_np.standard_normal((5, 9, 7))
+    monkeypatch.setattr(dec, "_BLOCK_BYTES", budget)
+    got = dec.assemble_semantic_map(s, m, (7, 3))
+    assert got.shape == (9, 7)
+    assert np.array_equal(got.astype(np.int64), naive_semantic_map(s, m, (7, 3)))
+
+
+@pytest.mark.parametrize("ids, match", [
+    ((-1, 3), "class id -1 is negative"),
+    ((0, 2 ** 31), "class id 2147483648 does not fit int32"),
+])
+def test_class_ids_outside_int32_range_are_rejected(ids, match):
+    # -1 used to come out as 255, the default ignore id, in a uint8 map.
+    with pytest.raises(ValueError, match=match):
+        dec.assemble_semantic_map(np.zeros((2, 2)), np.zeros((2, 3, 3)), ids)
+    with pytest.raises(ValueError, match=match):
+        ClassEmbeddings.from_matrix(np.eye(2), ids)
+
+
+def test_assemble_needs_a_class_id():
+    with pytest.raises(ValueError, match="at least one class id"):
+        dec.assemble_semantic_map(np.zeros((2, 0)), np.zeros((2, 3, 3)), ())
+
+
+def test_assemble_keeps_the_largest_int32_id():
+    labels = dec.assemble_semantic_map(np.array([[0.0, 1.0]]), np.zeros((1, 2, 2)),
+                                       (0, 2 ** 31 - 1))
+    assert labels.dtype == np.int32 and np.all(labels == 2 ** 31 - 1)
+
+
+def _decode_out_of_place(queries, feats, params):
+    """decode as written before its softmax went in place: a fresh array
+    for every step."""
+    c, h, w = feats.shape
+    pix = feats.reshape(c, h * w).T
+    q = np.asarray(queries, dtype=np.float32)
+    scale = 1.0 / np.sqrt(np.float32(c))
+    for _ in range(params.layers):
+        x = (q @ params.wq) @ (pix @ params.wk).T * scale
+        x = x - x.max(axis=1, keepdims=True)
+        e = np.exp(x)
+        q = q + (e / e.sum(axis=1, keepdims=True)) @ (pix @ params.wv)
+    return q, (q @ pix.T).reshape(len(q), h, w)
+
+
+@pytest.mark.parametrize("layers", [1, 3])
+def test_decode_in_place_softmax_bitwise_vs_out_of_place(layers):
+    rng_np = np.random.default_rng(11)
+    feats = _feats(rng_np, c=8, h=9, w=7)
+    q = rng_np.standard_normal((6, 8)).astype(np.float32)
+    params = dec.DecoderParams.random(8, seed=4, scale=0.5, layers=layers)
+    preds = dec.decode(q, feats, params)
+    v, m = _decode_out_of_place(q, feats, params)
+    assert preds.v.tobytes() == v.tobytes()
+    assert preds.m.tobytes() == m.tobytes()
+
+
+@pytest.mark.parametrize("layers", [1, 3])
+def test_decode_peak_memory_is_one_logit_buffer_beyond_outputs(layers):
+    # 200 queries over 64 x 64 pixels: one (K, P) float32 array is 3.1 MiB.
+    # The attention logits are scaled and softmaxed in one buffer, freed
+    # before the mask logits; the (P, C) key and value products and small
+    # (K, C) arrays come on top.
+    k, c, h, w = 200, 16, 64, 64
+    rng_np = np.random.default_rng(12)
+    feats = _feats(rng_np, c=c, h=h, w=w)
+    q = rng_np.standard_normal((k, c)).astype(np.float32)
+    params = dec.DecoderParams.random(c, seed=3, layers=layers)
+    preds, peak = _traced_peak(dec.decode, q, feats, params)
+    outputs = preds.v.nbytes + preds.m.nbytes
+    buffer, pix = k * h * w * 4, h * w * c * 4
+    assert peak <= outputs + buffer + 2 * pix + 64 * 1024, (peak, outputs, buffer)
 
 
 def test_gaussian_stream_offsets():
     full = rng.gaussians(5, 8)
     tail = rng.gaussians(5, 4, start_pair=2)
     assert np.array_equal(full[4:], tail)
+    # odd counts, and offsets at and past the end of one gen_synth chunk
+    chunk = 2 * (synth._BLOCK_BYTES // 64)
+    full = rng.gaussians(5, chunk + 41)
+    for start_pair, count in [(0, 7), (3, 1), (3, 9), (chunk // 2 - 1, 5),
+                              (chunk // 2, 41), (chunk // 2 + 5, 31)]:
+        got = rng.gaussians(5, count, start_pair=start_pair)
+        assert got.tobytes() == full[2 * start_pair:2 * start_pair + count].tobytes()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smseg import gen_synth, load_tensor, save_tensor, write_fixture
+from smseg import gen_synth, load_tensor, save_tensor, synth, write_fixture
 from smseg.clustering import (WindowConfig, fuse_masks, kmeans,
                               multi_scale_seeds, restrict_candidates)
 from smseg.embeddings import ClassEmbeddings, build_joint_embedding
@@ -34,6 +35,55 @@ def test_gen_synth_zero_noise_exact_directions():
         feats = fix.features[:, region]
         assert np.all(feats[cid] == 1.0)
         assert np.all(np.delete(feats, cid, axis=0) == 0.0)
+
+
+# SHA-256 of gen_synth features, recorded before the features were
+# streamed in chunks: the two perfbench pipeline shapes, an odd pixel count
+# (a channel boundary splits a Box-Muller pair), a map whose chunk
+# boundaries fall mid-channel, and no noise.
+_SYNTH_DIGESTS = {   # name: ((seed, blobs, seen, size, dim, noise), SHA-256)
+    "pipeline-small": ((0, 9, 5, 64, 16, 0.05), "7e38f4afd4aaf94965894dba04a8597403c768f704d9a4ed94d1022b634c8c03"),
+    "pipeline-large": ((0, 4, 2, 192, 32, 0.05), "ac77e608799e82f3b09d480772bcc84fa7253f4ea8db0f919480c297fc8d6aac"),
+    "odd": ((3, 1, 0, 13, 7, 0.05), "2aaecfaa3ee0aa3cc78688b23863f172edf9adfb04bb8538af85cd00cc7f0158"),
+    "mid-channel": ((5, 4, 2, 100, 32, 0.05), "d9c837d19814a0995b438aac2db3c874e11610ea48bb9b638d7dacc4b0fd392a"),
+    "noise-0": ((0, 4, 2, 48, 8, 0.0), "4a1f8304eaf00010c2ecf413600a0abed2c5ca98d9fd0beb7a6e1c7135af86f8"),
+}
+
+
+def _synth_digest(name):
+    seed, blobs, seen, size, dim, noise = _SYNTH_DIGESTS[name][0]
+    fix = gen_synth(seed=seed, blobs=blobs, seen=seen, size=size, dim=dim, noise=noise)
+    return hashlib.sha256(fix.features.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_SYNTH_DIGESTS))
+def test_gen_synth_features_pinned(name):
+    if name == "mid-channel":
+        pixels, chunk = 100 * 100, synth._BLOCK_BYTES // 32
+        assert chunk < 32 * pixels and chunk % pixels != 0
+    assert _synth_digest(name) == _SYNTH_DIGESTS[name][1]
+
+
+@pytest.mark.parametrize("budget", [1, 64 * 3, 64 * 85])
+def test_gen_synth_chunks_bitwise_at_any_budget(monkeypatch, budget):
+    # Chunks of 2, 6 and 170 draws: over the odd fixture's 169-pixel
+    # channels, chunk and channel boundaries fall mid-pair and mid-channel.
+    monkeypatch.setattr(synth, "_BLOCK_BYTES", budget)
+    for name in ("odd", "noise-0"):
+        assert _synth_digest(name) == _SYNTH_DIGESTS[name][1]
+
+
+def test_gen_synth_peak_memory_is_output_plus_one_chunk():
+    # 192 x 192 x 32 draws: in float64 the noise field alone is 9 MiB.
+    tracemalloc.start()
+    try:
+        fix = gen_synth(seed=0, blobs=4, seen=2, size=192, dim=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float32 features, one chunk, and a few (H, W) uint8 label maps
+    bound = fix.features.nbytes + synth._BLOCK_BYTES + 8 * 192 * 192
+    assert peak < bound, (peak, bound)
 
 
 def test_gen_synth_structure():
@@ -313,6 +363,24 @@ def test_pipeline_reference_digests(tmp_path, workload, u):
     result = run_pipeline(str(cfg_path))
     assert _smtf_digest(result.artifacts) == ref["smtf_sha256"]
     assert result.report.hiou == ref["hiou"]
+
+
+@pytest.mark.parametrize("workload, u", [
+    *(("pipeline-small", u) for u in (0, 1, 2, 63, 97, 128, 200, 255)),
+    ("pipeline-large", 0)])
+def test_pipeline_json_digests(tmp_path, workload, u):
+    """The JSON outputs of the fixtures above, by SHA-256 of their bytes,
+    as recorded in tests/json_digests.json."""
+    ref = json.loads((Path(__file__).parent / "json_digests.json").read_text())
+    shape, mfe = _WORKLOADS[workload]
+    cfg_path, _ = make_synth_run(tmp_path / "fx", seed=u, **shape)
+    if mfe:
+        with open(cfg_path, "a") as fh:
+            fh.write("[mfe]\nenabled = true\n")
+    artifacts = run_pipeline(str(cfg_path)).artifacts
+    got = {name: hashlib.sha256(Path(artifacts[name]).read_bytes()).hexdigest()
+           for name in ("assign.json", "loss.json", "report.json")}
+    assert got == ref[workload][str(u)]
 
 
 # hIoU and per-class IoU (percent) of default runs on 64², 9 blobs, 5 seen,
