@@ -28,19 +28,21 @@ clusters = kmeans(fix.features, seeds, cfg)
 print("clusters after compaction:", clusters.centroids.shape[0])
 print("objective trace:", [round(v, 2) for v in clusters.objective_trace])
 
-# Fusion merges clusters whose centroids agree in direction (transitively).
-masks, cents = fuse_masks(clusters, tau=0.9)
-print("fused regions:", masks.shape[0], "(cover", masks.sum(), "of", 64 * 64, "px)")
+# Fusion merges clusters whose centroids agree in direction (transitively)
+# and returns one label map: each pixel's fused region.
+cents, labels = fuse_masks(clusters, tau=0.9)
+print("fused regions:", len(cents), "over", labels.size, "px, one label each")
 
-# Restriction keeps only what lies in the unannotated region.
-cand = restrict_candidates(masks, cents, fix.ignore_mask, min_area=16)
+# Restriction keeps only what lies in the unannotated region: each pixel's
+# candidate index there, -1 elsewhere.
+cand = restrict_candidates(cents, labels, fix.ignore_mask, min_area=16)
 print("candidates after restriction:", cand.count)
 for u in range(cand.count):
+    mask = cand.labels == u
     ious = []
     for cid in fix.unseen_ids:
         hidden = fix.gt == cid
-        mask = cand.masks[u].astype(bool)
         ious.append(np.logical_and(mask, hidden).sum()
                     / np.logical_or(mask, hidden).sum())
-    print(f"  candidate {u}: area {cand.masks[u].sum():4d}, "
+    print(f"  candidate {u}: area {mask.sum():4d}, "
           f"best IoU vs hidden blobs {max(ious):.3f}")

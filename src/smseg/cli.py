@@ -38,20 +38,55 @@ def _write_json(path, payload):
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
+_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "a JSON object"}
+
+
+def _typed(value, kind, what):
+    """``value`` if it is a ``kind`` (a bool is no integer); ValueError
+    naming ``what`` otherwise."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{what} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _field(obj, key, source, kind, default=None):
+    """``obj[key]``, or ``default`` where the JSON object ``obj`` lacks it, as
+    a ``kind``."""
+    return _typed(obj.get(key, default), kind, f"{source}: {key!r}")
+
+
+def _objects(obj, key, source):
+    """The list of JSON objects under ``key`` of ``obj``."""
+    return [_typed(item, dict, f"{source}: each of {key!r}")
+            for item in _field(obj, key, source, list)]
+
+
+def _read_json(path):
+    """The JSON object in the file ``path``."""
+    return _typed(json.loads(Path(path).read_text()), dict, str(path))
+
+
 def _load_targets(path):
-    spec = json.loads(Path(path).read_text())
     base = Path(path).resolve().parent
-    return [(int(entry["class_id"]), load_tensor(base / entry["mask"]).astype(np.float64))
-            for entry in spec["targets"]]
+    return [(_field(entry, "class_id", path, int),
+             load_tensor(base / _field(entry, "mask", path, str)).astype(np.float64))
+            for entry in _objects(_read_json(path), "targets", path)]
 
 
 def _cost_weights(fields, source):
-    """CostWeights from the JSON object ``fields``; unknown keys are named."""
+    """CostWeights from the JSON object ``fields``; unknown keys and values
+    of another type than their field's are named."""
     if not isinstance(fields, dict):
         raise ValueError(f"{source}: weights must be a JSON object")
-    unknown = sorted(set(fields) - {f.name for f in dataclasses.fields(CostWeights)})
+    types = {f.name: f.type for f in dataclasses.fields(CostWeights)}
+    unknown = sorted(set(fields) - set(types))
     if unknown:
         raise ValueError(f"{source}: unknown weight keys {unknown}")
+    for name, value in fields.items():    # a bool field takes a bool, others a number
+        if (not isinstance(value, (int, float))
+                or isinstance(value, bool) != (types[name] is bool)):
+            raise ValueError(f"{source}: weight {name!r} must be a "
+                             f"{types[name].__name__}, got {value!r}")
     return CostWeights(**fields)
 
 
@@ -117,15 +152,20 @@ def _cmd_match(args):
 
 
 def _cmd_loss(args):
-    raw = json.loads(Path(args.assignment).read_text())
+    source = args.assignment
+    raw = _read_json(source)
     seen_count = raw.get("seen_count", args.seen_count)
     if seen_count is None:
         raise ValueError("assignment JSON lacks seen_count; pass --seen-count")
+    _typed(seen_count, int, f"{source}: 'seen_count'")
     if "weights" not in raw:
         raise ValueError("assignment JSON lacks the weights of its costs; rerun match")
-    pairs = [Pair(p["q"], p["t"], p.get("cost"), p.get("group", "seen"))
-             for p in raw["pairs"]]
-    assignment = Assignment(pairs, raw.get("unmatched", []))
+    pairs = [Pair(_field(p, "q", source, int), _field(p, "t", source, int),
+                  p.get("cost"), p.get("group", "seen"))
+             for p in _objects(raw, "pairs", source)]
+    unmatched = [_typed(q, int, f"{source}: each of 'unmatched'")
+                 for q in _field(raw, "unmatched", source, list, [])]
+    assignment = Assignment(pairs, unmatched)
     payload = loss(load_tensor(args.pred_class), load_tensor(args.pred_masks),
                    _load_targets(args.targets), assignment,
                    _joint_from_file(args.embeds, seen_count),
@@ -279,7 +319,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, FileNotFoundError, PipelineStageError) as exc:
+    except (ValueError, OSError, PipelineStageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

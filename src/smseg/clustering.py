@@ -72,14 +72,19 @@ class ClusterResult:
 
 @dataclass
 class CandidateMaskSet:
-    """Binary candidate masks restricted to the unannotated region."""
+    """Candidate regions in the unannotated region, as one label map."""
 
-    masks: np.ndarray                    # (U, H, W) u8, pairwise disjoint
+    labels: np.ndarray                   # (H, W) int64, candidate index or -1
     centroids: np.ndarray                # (U, C) f32
 
     @property
     def count(self):
-        return int(self.masks.shape[0])
+        return int(self.centroids.shape[0])
+
+    @property
+    def masks(self):
+        """The (U, H, W) u8 stack of the pairwise disjoint candidate masks."""
+        return (self.labels[None] == np.arange(self.count)[:, None, None]).view(np.uint8)
 
 
 def window_starts(extent, size):
@@ -402,7 +407,9 @@ def _tau_components(cents, tau):
 
 
 def fuse_masks(result, tau=0.9):
-    """Merge clusters whose centroids agree in direction.
+    """Merge clusters whose centroids agree in direction: (centroids,
+    labels), the (G, C) f32 group centroids and the (H, W) int64 map of each
+    pixel's group.
 
     Clusters are joined along every pair with centroid cosine >= ``tau``,
     transitively (connected components of the thresholded similarity
@@ -437,25 +444,28 @@ def fuse_masks(result, tau=0.9):
         weights = np.bincount(inverse, weights=weights, minlength=len(roots))
         group_of = inverse[group_of]
 
-    labels = group_of[assignments]
-    masks = (labels[None] == np.arange(len(vecs))[:, None, None]).view(np.uint8)
     means = vecs / np.maximum(weights, 1.0)[:, None]
     # one norm per row: np.linalg.norm(axis=1) can round the last bit apart
     cents_out = [m / (np.linalg.norm(m) or 1.0) for m in means]
-    return masks, np.array(cents_out, dtype=np.float32)
+    return np.array(cents_out, dtype=np.float32), group_of[assignments]
 
 
-def restrict_candidates(masks, centroids, ignore_mask, min_area=16):
-    """Clip masks to the unannotated region and drop tiny survivors."""
-    masks = np.asarray(masks)
-    ignore_mask = np.asarray(ignore_mask)
-    if masks.shape[1:] != ignore_mask.shape:
-        raise ValueError(
-            f"mask shape {masks.shape[1:]} != ignore region {ignore_mask.shape}")
-    clipped = np.logical_and(masks, ignore_mask)
-    areas = clipped.sum(axis=(1, 2))
-    keep = areas >= min_area
-    return CandidateMaskSet(
-        masks=clipped[keep].view(np.uint8),
-        centroids=np.asarray(centroids, dtype=np.float32)[keep],
-    )
+def restrict_candidates(centroids, labels, ignore_mask, min_area=16):
+    """The groups of the (H, W) ``labels`` map with at least ``min_area``
+    pixels in the nonzero region of ``ignore_mask``, clipped to it.
+
+    Candidates keep their group order. ``min_area`` below 1 would keep
+    groups with no pixel there, so it raises ValueError.
+    """
+    if min_area < 1:
+        raise ValueError(f"min_area must be >= 1, got {min_area}")
+    labels = np.asarray(labels)
+    inside = np.asarray(ignore_mask) != 0
+    if labels.shape != inside.shape:
+        raise ValueError(f"label map {labels.shape} != ignore region {inside.shape}")
+    centroids = np.asarray(centroids, dtype=np.float32)
+    keep = np.bincount(labels[inside], minlength=len(centroids)) >= min_area
+    index = np.full(len(centroids), -1)
+    index[keep] = np.arange(np.count_nonzero(keep))
+    return CandidateMaskSet(labels=np.where(inside, index[labels], -1),
+                            centroids=centroids[keep])

@@ -390,6 +390,8 @@ def matched_loss(assignment, s, m_logits, targets, weights):
     if pairs:
         loss /= len(pairs)
     unmatched = assignment.unmatched_queries
+    if not all(0 <= q < len(s) for q in unmatched):
+        raise ValueError(f"unmatched queries {unmatched} outside [0, {len(s)})")
     if unmatched:
         neg, _ = _focal_parts(s[unmatched], weights.focal_alpha, weights.focal_gamma)
         loss += weights.w_cls * float(np.mean(neg.sum(axis=1)))

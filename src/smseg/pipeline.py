@@ -85,7 +85,6 @@ class PipelineConfig:
     # inputs, resolved against base_dir; those with a comment are optional
     features: str = _key("inputs", "features", "")
     seen_labels: str = _key("inputs", "seen_labels", "")
-    ignore_mask: str = _key("inputs", "ignore_mask", "")        # else from seen_labels
     seen_embeddings: str = _key("inputs", "seen_embeddings", "")
     unseen_embeddings: str = _key("inputs", "unseen_embeddings", "")  # unseen classes
     gt_labels: str = _key("inputs", "gt_labels", "")            # enables evaluation
@@ -190,16 +189,6 @@ class PipelineResult:
     artifacts: dict
 
 
-def _seen_targets(seen_labels, seen_ids, ignore_id):
-    """(joint id, binary mask) for every seen class present in the labels."""
-    targets = []
-    for joint_id, class_id in enumerate(seen_ids):
-        mask = (seen_labels == class_id).astype(np.float64)
-        if class_id != ignore_id and mask.any():
-            targets.append((joint_id, mask))
-    return targets
-
-
 def _remap_labels(labels, ids, fill):
     """``{cid: j for j, cid in enumerate(ids)}.get(v, fill)`` for every label
     v, as one sorted-key lookup: a repeated id keeps its last index."""
@@ -224,9 +213,9 @@ def fuse(clusters, ignore, tau, min_area):
     """Merge clusters above similarity ``tau``, then keep their parts in the
     ignore region, as stages "fuse" and "restrict": (fused count, candidates)."""
     with _stage("fuse"):
-        masks, cents = fuse_masks(clusters, tau=tau)
+        cents, labels = fuse_masks(clusters, tau=tau)
     with _stage("restrict"):
-        return len(masks), restrict_candidates(masks, cents, ignore,
+        return len(cents), restrict_candidates(cents, labels, ignore,
                                                min_area=min_area)
 
 
@@ -330,10 +319,7 @@ def run_pipeline(config):
     with _stage("load-inputs"):
         feats = load_tensor(cfg.path("features"))
         seen_labels = load_tensor(cfg.path("seen_labels"))
-        if cfg.path("ignore_mask"):
-            ignore = load_tensor(cfg.path("ignore_mask"))
-        else:
-            ignore = (seen_labels == cfg.ignore_id).astype(np.uint8)
+        ignore = seen_labels == cfg.ignore_id         # where candidates are sought
         seen_matrix = load_tensor(cfg.path("seen_embeddings"))
         seen_ids = cfg.seen_ids or tuple(range(len(seen_matrix)))
         seen_bank = ClassEmbeddings.from_matrix(seen_matrix, seen_ids)
@@ -351,11 +337,12 @@ def run_pipeline(config):
 
     _, cand = fuse(clusters, ignore, cfg.tau, cfg.min_area)
     with _stage("restrict"):
+        masks = cand.masks
         if cand.count:
-            emit("Yu.smtf", cand.masks)
+            emit("Yu.smtf", masks)
 
     with _stage("embed"):
-        cand_rows = embed(feats, cand.masks, cfg.path("candidate_embeddings"))
+        cand_rows = embed(feats, masks, cfg.path("candidate_embeddings"))
         joint = build_joint_embedding(seen_bank, cand_rows)
         if cand.count:
             emit("Cu.smtf", cand_rows)
@@ -379,16 +366,19 @@ def run_pipeline(config):
         emit("M.smtf", preds.m)
 
     with _stage("match"):
-        seen_targets = _seen_targets(seen_labels, seen_ids, cfg.ignore_id)
-        cand_targets = [(joint.seen_count + u, cand.masks[u].astype(np.float64))
-                        for u in range(cand.count)]
-        assignment, payload = match(preds.v, preds.m, k_seen, seen_targets,
-                                    cand_targets, joint, weights)
+        # each pixel's joint class id: seen, or candidate in its region, else -1
+        joint_labels = np.where(ignore, -1, _remap_labels(seen_labels, seen_ids, -1))
+        joint_labels = np.where(cand.labels >= 0, joint.seen_count + cand.labels,
+                                joint_labels)
+        ids = np.flatnonzero(np.bincount(joint_labels[joint_labels >= 0]))
+        targets = [(int(j), joint_labels == j) for j in ids]
+        split = int(np.searchsorted(ids, joint.seen_count))
+        assignment, payload = match(preds.v, preds.m, k_seen, targets[:split],
+                                    targets[split:], joint, weights)
         emit("assign.json", payload)
 
     with _stage("loss"):
-        losses = loss(preds.v, preds.m, seen_targets + cand_targets, assignment,
-                      joint, weights)
+        losses = loss(preds.v, preds.m, targets, assignment, joint, weights)
         if cfg.mfe_enabled:
             c, h, w = feats.shape
             pyr = FeaturePyramid(f0=bilinear_resize(feats, h // 4, w // 4),
@@ -397,11 +387,8 @@ def run_pipeline(config):
             fused = mfe_forward(pyr, init_mfe_params(
                 c, groups=cfg.mfe_groups, seed=cfg.mfe_seed))
             logits = mfe_logits(fused, joint.matrix, temperature=cfg.temperature)
-            pseudo = _remap_labels(seen_labels, seen_ids, cfg.ignore_id)
-            for u in range(cand.count):
-                pseudo[cand.masks[u].astype(bool)] = joint.seen_count + u
-            ce = cross_entropy_map(logits, pseudo, cfg.ignore_id)
-            foc = focal_map(logits, pseudo, cfg.ignore_id,
+            ce = cross_entropy_map(logits, joint_labels, -1)
+            foc = focal_map(logits, joint_labels, -1,
                             weights.focal_alpha, weights.focal_gamma)
             losses.update(mfe_ce=ce, mfe_focal=foc, mfe=ce + foc)
             emit("Fd.smtf", fused)

@@ -158,8 +158,9 @@ def write_fixture(fix, out_dir):
     (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
 
     from .pipeline import PipelineConfig       # pipeline imports this module
+    # a run derives the ignore region from seen_labels; ignore.smtf is for smseg fuse
     cfg = PipelineConfig(
-        **{key: path.name for key, path in paths.items() if key != "gt"},
+        **{key: path.name for key, path in paths.items() if key not in ("gt", "ignore_mask")},
         gt_labels=paths["gt"].name, num_classes=fix.num_classes,
         seen_ids=tuple(fix.seen_ids), unseen_ids=tuple(fix.unseen_ids),
         ignore_id=fix.ignore_id)

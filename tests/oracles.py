@@ -230,6 +230,18 @@ def naive_fuse(assignments, centroids, tau):
     return masks, cents_out.astype(np.float32)
 
 
+def naive_restrict(masks, centroids, ignore_mask, min_area=16):
+    """Clip each of the (G, H, W) ``masks`` to the nonzero ``ignore_mask`` and
+    drop those with fewer than ``min_area`` pixels left.
+
+    Returns (masks (U, H, W) u8, centroids (U, C) f32) of the kept groups,
+    in group order.
+    """
+    clipped = np.logical_and(masks, ignore_mask)
+    keep = clipped.sum(axis=(1, 2)) >= min_area
+    return clipped[keep].view(np.uint8), np.asarray(centroids, dtype=np.float32)[keep]
+
+
 def naive_grad_check(arrays, value_and_grads, step=1e-3):
     """Central differences where every perturbed evaluation runs the full
     value-and-gradients closure and keeps only the value; worst relative

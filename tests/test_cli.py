@@ -229,6 +229,21 @@ def test_cluster_non_finite_features_exit_1(fixture_dir, capsys, bad):
     assert not (d / "a.smtf").exists()
 
 
+@pytest.mark.parametrize("min_area", ["0", "-2"])
+def test_fuse_rejects_min_area_below_one(fixture_dir, capsys, min_area):
+    d, _ = fixture_dir
+    _run(capsys, "cluster", "--features", d / "O.smtf",
+         "--out-assign", d / "assign.smtf", "--out-centroids", d / "cent.smtf")
+    assert main([str(a) for a in (
+        "fuse", "--assign", d / "assign.smtf", "--centroids", d / "cent.smtf",
+        "--ignore", d / "ignore.smtf", "--min-area", min_area,
+        "--out-masks", d / "Yu.smtf", "--out-centroids", d / "Cu_raw.smtf")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "min_area must be >= 1" in captured.err
+    assert not (d / "Yu.smtf").exists()
+
+
 def _readme_command_lines():
     """The ``smseg`` lines of README's "Command line" bash block, as argv."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -133,23 +133,34 @@ def _bad_mfe_params(d):
             "--params", d / "p.smtf", "--out", d / "Fd.smtf"]
 
 
-def _loss_of(d, assignment):
+def _loss_of(d, assignment, targets="seen.json"):
     """loss of a hand-written assign.json against the bank's seen targets."""
     (d / "assign.json").write_text(json.dumps(assignment))
     return ["loss", "--pred-class", d / "V.smtf", "--pred-masks", d / "M.smtf",
-            "--embeds", d / "E.smtf", "--targets", d / "seen.json",
+            "--embeds", d / "E.smtf", "--targets", d / targets,
             "--assignment", d / "assign.json", "--out", d / "loss.json"]
+
+
+def _pairs(*pairs):
+    """An assign.json of the bank's two queries holding ``pairs``."""
+    return {"pairs": list(pairs), "seen_count": 2, "weights": {}}
+
+
+def _target_without_mask(d):
+    (d / "bad.json").write_text(json.dumps({"targets": [{"class_id": 0}]}))
+    return _loss_of(d, {"pairs": [], "unmatched": [0, 1], "seen_count": 2,
+                        "weights": {}}, targets="bad.json")
+
+
+def _weights_file(d, weights):
+    (d / "weights.json").write_text(json.dumps(weights))
+    return d / "weights.json"
 
 
 def _match(d, *extra):
     return ["match", "--pred-class", d / "V.smtf", "--pred-masks", d / "M.smtf",
             "--embeds", d / "E.smtf", "--seen-targets", d / "seen.json",
             "--out", d / "assign.json", *extra]
-
-
-def _bogus_weights(d):
-    (d / "weights.json").write_text(json.dumps({"w_cls": 2.0, "bogus": 1.0}))
-    return d / "weights.json"
 
 
 def _infer(d, queries, decoder):
@@ -173,7 +184,8 @@ def _infer(d, queries, decoder):
     (lambda d: _loss_of(d, {"pairs": [], "unmatched": [0, 1], "seen_count": 2,
                             "weights": {"w_cls": 2.0, "bogus": 1.0}}),
      "unknown weight keys ['bogus']"),
-    (lambda d: _match(d, "--ksplit", "2,0", "--weights", _bogus_weights(d)),
+    (lambda d: _match(d, "--ksplit", "2,0", "--weights",
+                      _weights_file(d, {"w_cls": 2.0, "bogus": 1.0})),
      "unknown weight keys ['bogus']"),
     (lambda d: _loss_of(d, {"pairs": [{"q": 1, "t": 1}], "seen_count": 2,
                             "weights": {}}),
@@ -189,10 +201,28 @@ def _infer(d, queries, decoder):
     (lambda d: _infer(d, np.ones((2, 4), dtype=np.float32),
                       np.zeros((3, 5, 5), np.float32)),
      "decoder width 5 != 4 feature channels"),
+    (lambda d: _loss_of(d, {"seen_count": 2, "weights": {}}),
+     "'pairs' must be a list, got None"),
+    (lambda d: _loss_of(d, _pairs({"t": 0, "cost": 1.0})),
+     "'q' must be an integer, got None"),
+    (lambda d: _loss_of(d, _pairs({"q": "0", "t": 0, "cost": 1.0})),
+     "'q' must be an integer, got '0'"),
+    (lambda d: _loss_of(d, _pairs({"q": 0.5, "t": 0, "cost": 1.0})),
+     "'q' must be an integer, got 0.5"),
+    (lambda d: _loss_of(d, [_pairs()]), "must be a JSON object, got [{"),
+    (lambda d: _loss_of(d, {**_pairs(), "unmatched": [0, 7]}),
+     "unmatched queries [0, 7] outside [0, 2)"),
+    (_target_without_mask, "'mask' must be a string, got None"),
+    (lambda d: _match(d, "--ksplit", "2,0", "--weights", _weights_file(d, {"w_cls": "a"})),
+     "weight 'w_cls' must be a float, got 'a'"),
+    (lambda d: ["eval", "--pred", d, "--gt", d / "V.smtf", "--classes", "2",
+                "--seen", "0,1", "--out", d / "report.json"], "Is a directory"),
 ], ids=["embed-no-masks", "match-ksplit", "match-seen-count", "loss-seen-count",
         "loss-weights", "loss-weights-key", "match-weights-key", "loss-cost-missing", "loss-cost-nan",
         "mfe-params", "infer-queries-rank", "infer-decoder-shape",
-        "infer-decoder-width"])
+        "infer-decoder-width", "loss-no-pairs", "loss-pair-no-q", "loss-q-string",
+        "loss-q-fraction", "loss-json-list", "loss-unmatched-range",
+        "loss-target-no-mask", "match-weights-type", "eval-pred-directory"])
 def test_input_errors_exit_1(bank, capsys, argv, message):
     assert main([str(a) for a in argv(bank)]) == 1
     captured = capsys.readouterr()

@@ -7,8 +7,8 @@ import pytest
 from smseg import clustering as cl
 from smseg.synth import gen_synth
 
-from oracles import (fixed_order_dot, naive_fuse, naive_lloyd, naive_window_seeds,
-                     naive_window_starts)
+from oracles import (fixed_order_dot, naive_fuse, naive_lloyd, naive_restrict,
+                     naive_window_seeds, naive_window_starts)
 
 # K-means is cosine only; these cases keep the ids they had under two metrics.
 cosine = pytest.mark.parametrize("metric", ["cosine"])
@@ -181,10 +181,17 @@ def _assert_lloyd_oracle(feats, seeds, cfg):
     return result
 
 
+def _masks_of(cents, labels):
+    """The (G, H, W) u8 mask stack of a fused label map."""
+    return (labels[None] == np.arange(len(cents))[:, None, None]).view(np.uint8)
+
+
 def _assert_fuse_oracle(result, tau):
-    masks, cents = cl.fuse_masks(result, tau=tau)
+    cents, labels = cl.fuse_masks(result, tau=tau)
     expect_masks, expect_cents = naive_fuse(result.assignments, result.centroids, tau)
-    assert masks.dtype == np.uint8 and cents.dtype == np.float32
+    assert labels.dtype == np.int64 and cents.dtype == np.float32
+    assert labels.shape == result.assignments.shape
+    masks = _masks_of(cents, labels)
     assert masks.shape == expect_masks.shape
     assert masks.tobytes() == expect_masks.tobytes()
     assert cents.tobytes() == expect_cents.tobytes()
@@ -308,17 +315,17 @@ def _cluster_result(assign, cents):
 def test_fuse_identical_centroids_merge():
     assign = np.array([[0, 1], [0, 1]])
     cents = np.array([[1.0, 0.0], [1.0, 0.0]])
-    masks, cents_out = cl.fuse_masks(_cluster_result(assign, cents), tau=0.9)
-    assert masks.shape[0] == 1
-    assert np.all(masks[0] == 1)
+    cents_out, labels = cl.fuse_masks(_cluster_result(assign, cents), tau=0.9)
+    assert len(cents_out) == 1
+    assert np.all(labels == 0)
     assert np.allclose(cents_out[0], [1.0, 0.0])
 
 
 def test_fuse_merges_at_exactly_tau():
     # e1 and e1 have cosine exactly 1.0: a pair at tau merges.
     assign = np.array([[0, 1]])
-    masks, _ = cl.fuse_masks(_cluster_result(assign, np.eye(2, 3)[[0, 0]]), tau=1.0)
-    assert masks.tolist() == [[[1, 1]]]
+    _, labels = cl.fuse_masks(_cluster_result(assign, np.eye(2, 3)[[0, 0]]), tau=1.0)
+    assert labels.tolist() == [[0, 0]]
 
 
 def test_fuse_proposal_noise_keeps_oracle_groups(monkeypatch):
@@ -357,11 +364,11 @@ def test_fuse_peak_memory_bounded_by_block_budget():
     result = _cluster_result(np.arange(k)[None], cents)
     tracemalloc.start()
     try:
-        masks, _ = cl.fuse_masks(result, tau=0.9)
+        cents, labels = cl.fuse_masks(result, tau=0.9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert masks.shape == (1, 1, k)
+    assert len(cents) == 1 and labels.tolist() == [[0] * k]
     # one block, and a few (k, C) and (k,) arrays
     dense, bound = k * k * 8, cl._BLOCK_BYTES + 8 * k * width * 8 + 16 * k * 8
     assert peak < bound < dense / 2, (peak, bound, dense)
@@ -379,25 +386,26 @@ def test_fuse_ignores_power_of_two_scale_vs_oracle(exponent):
     labels = clusters.assignments.ravel()
     result = _cluster_result(clusters.assignments, [
         pix[labels == i].mean(axis=0) for i in range(len(clusters.centroids))])
-    base_masks, base_cents = cl.fuse_masks(result, tau=0.9)
+    base_cents, base_labels = cl.fuse_masks(result, tau=0.9)
     scaled = _cluster_result(result.assignments,
                              result.centroids * np.float32(2.0 ** exponent))
     masks = _assert_fuse_oracle(scaled, 0.9)
-    assert masks.tobytes() == base_masks.tobytes()
-    assert cl.fuse_masks(scaled, tau=0.9)[1].tobytes() == base_cents.tobytes()
+    assert masks.tobytes() == _masks_of(base_cents, base_labels).tobytes()
+    assert cl.fuse_masks(scaled, tau=0.9)[0].tobytes() == base_cents.tobytes()
 
 
 def test_fuse_keeps_a_zero_centroid_zero():
-    masks, cents = cl.fuse_masks(_cluster_result([[0, 1, 2]], [[0.0, 0.0], [0.0, 0.0],
-                                                               [2.0, 0.0]]), tau=0.9)
-    assert masks.shape[0] == 3 and cents.tolist() == [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    cents, labels = cl.fuse_masks(_cluster_result([[0, 1, 2]], [[0.0, 0.0], [0.0, 0.0],
+                                                                [2.0, 0.0]]), tau=0.9)
+    assert labels.tolist() == [[0, 1, 2]]
+    assert cents.tolist() == [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
 
 
 def test_fuse_orthogonal_no_merge():
     assign = np.array([[0, 1], [0, 1]])
     cents = np.array([[1.0, 0.0], [0.0, 1.0]])
-    masks, _ = cl.fuse_masks(_cluster_result(assign, cents), tau=0.9)
-    assert masks.shape[0] == 2
+    cents, _ = cl.fuse_masks(_cluster_result(assign, cents), tau=0.9)
+    assert len(cents) == 2
 
 
 def test_fuse_transitive_chain():
@@ -405,8 +413,8 @@ def test_fuse_transitive_chain():
     r = np.sqrt(0.5)
     cents = np.array([[1.0, 0.0], [r, r], [0.0, 1.0]])
     assign = np.array([[0, 1, 2]])
-    masks, _ = cl.fuse_masks(_cluster_result(assign, cents), tau=0.7)
-    assert masks.shape[0] == 1
+    cents, _ = cl.fuse_masks(_cluster_result(assign, cents), tau=0.7)
+    assert len(cents) == 1
 
 
 def test_fuse_idempotent_and_partition():
@@ -414,12 +422,11 @@ def test_fuse_idempotent_and_partition():
     feats = rng.standard_normal((4, 12, 12)).astype(np.float32)
     cfg = cl.WindowConfig(window_sizes=(4, 6), kmeans_iters=6)
     result = cl.kmeans(feats, cl.multi_scale_seeds(feats, cfg), cfg)
-    masks, cents = cl.fuse_masks(result, tau=0.95)
-    assert masks.sum() == 12 * 12                       # pixel partition
-    assert np.all(masks.sum(axis=0) <= 1)               # disjoint
-    refused, _ = cl.fuse_masks(_cluster_result(
-        np.argmax(masks, axis=0), cents), tau=0.95)
-    assert refused.shape[0] == masks.shape[0]
+    cents, labels = cl.fuse_masks(result, tau=0.95)
+    # a pixel partition into the groups, none empty
+    assert np.array_equal(np.unique(labels), np.arange(len(cents)))
+    again, relabels = cl.fuse_masks(_cluster_result(labels, cents), tau=0.95)
+    assert len(again) == len(cents) and np.array_equal(relabels, labels)
 
 
 def test_fuse_bad_tau():
@@ -430,32 +437,86 @@ def test_fuse_bad_tau():
 
 
 def test_restrict_all_ones_and_all_zeros():
-    masks = np.zeros((2, 8, 8), dtype=np.uint8)
-    masks[0, :4] = 1
-    masks[1, 4:] = 1
+    labels = np.zeros((8, 8), dtype=np.int64)
+    labels[4:] = 1
     cents = np.eye(2, dtype=np.float32)
-    full = cl.restrict_candidates(masks, cents, np.ones((8, 8), np.uint8), min_area=16)
+    full = cl.restrict_candidates(cents, labels, np.ones((8, 8), np.uint8), min_area=16)
     assert full.count == 2
-    assert np.array_equal(full.masks, masks)
-    none = cl.restrict_candidates(masks, cents, np.zeros((8, 8), np.uint8))
-    assert none.count == 0
+    assert np.array_equal(full.labels, labels)
+    assert np.array_equal(full.masks, _masks_of(cents, labels))
+    none = cl.restrict_candidates(cents, labels, np.zeros((8, 8), np.uint8))
+    assert none.count == 0 and none.masks.shape == (0, 8, 8)
+    assert np.all(none.labels == -1)
 
 
 def test_restrict_min_area_drop():
-    masks = np.zeros((1, 10, 10), dtype=np.uint8)
-    masks[0, :4, :5] = 1                                 # area 20
+    labels = np.ones((10, 10), dtype=np.int64)
+    labels[:4, :5] = 0                                   # area 20
     ignore = np.zeros((10, 10), dtype=np.uint8)
     ignore[:2, :5] = 1                                   # overlap 10 < 16
-    out = cl.restrict_candidates(masks, np.eye(1, 3, dtype=np.float32),
-                                 ignore, min_area=16)
-    assert out.count == 0
+    cents = np.eye(2, 3, dtype=np.float32)
+    assert cl.restrict_candidates(cents, labels, ignore, min_area=16).count == 0
+    kept = cl.restrict_candidates(cents, labels, ignore, min_area=10)
+    assert kept.centroids.tolist() == [[1.0, 0.0, 0.0]]
+    assert np.array_equal(kept.labels, np.where(ignore == 1, 0, -1))
+
+
+@pytest.mark.parametrize("min_area", [0, -3])
+def test_restrict_rejects_min_area_below_one(min_area):
+    # group 1 has no pixel in the ignore region: min_area 0 would keep it empty
+    labels = np.array([[0, 1]])
+    with pytest.raises(ValueError, match="min_area must be >= 1"):
+        cl.restrict_candidates(np.eye(2, dtype=np.float32), labels,
+                               np.array([[1, 0]]), min_area=min_area)
 
 
 def test_restrict_shape_mismatch():
     with pytest.raises(ValueError):
-        cl.restrict_candidates(np.zeros((1, 4, 4), np.uint8),
-                               np.zeros((1, 2), np.float32),
+        cl.restrict_candidates(np.zeros((1, 2), np.float32),
+                               np.zeros((4, 4), np.int64),
                                np.zeros((5, 5), np.uint8))
+
+
+@pytest.mark.parametrize("tau", [0.9, 1.0])
+@pytest.mark.parametrize("h, w", [(48, 48), (64, 40)])
+@pytest.mark.parametrize("region", ["blobs", "empty", "full"])
+def test_fuse_then_restrict_bitwise_vs_naive(tau, h, w, region):
+    # The label map carries the groups from fusion to the candidates: the
+    # masks and centroids equal the clip-and-drop of naive_fuse's stack.
+    fix = gen_synth(seed=h + w, blobs=4, seen=2, size=max(h, w), dim=16)
+    feats = np.ascontiguousarray(fix.features[:, :h, :w])
+    ignore = {"blobs": fix.ignore_mask[:h, :w], "empty": np.zeros((h, w), np.uint8),
+              "full": np.ones((h, w), np.uint8)}[region]
+    cfg = cl.WindowConfig(kmeans_iters=4)
+    result = cl.kmeans(feats, cl.multi_scale_seeds(feats, cfg), cfg)
+    cand = cl.restrict_candidates(*cl.fuse_masks(result, tau=tau), ignore, min_area=16)
+    masks, cents = naive_restrict(*naive_fuse(result.assignments, result.centroids, tau),
+                                  ignore, min_area=16)
+    assert cand.count == len(cents) and (cand.count == 0) == (region == "empty")
+    assert cand.masks.shape == masks.shape and cand.masks.tobytes() == masks.tobytes()
+    assert cand.centroids.tobytes() == cents.tobytes()
+
+
+def test_fuse_and_restrict_peak_memory_without_a_group_stack():
+    # 1,024 groups at 128 x 128 (16 pixels each), none merged at tau = 1,
+    # half of them in the ignore region: a (groups, H, W) stack would be
+    # 16 MiB. Fusion scores within its block budget, and fusion and
+    # restriction hold a few (H, W) int64 maps.
+    h = w = 128
+    k, width = 1024, 16
+    cents = np.random.default_rng(5).standard_normal((k, width))
+    result = _cluster_result(np.arange(h * w).reshape(h, w) % k, cents)
+    ignore = np.zeros((h, w), np.uint8)
+    ignore[:, : w // 2] = 1
+    tracemalloc.start()
+    try:
+        cand = cl.restrict_candidates(*cl.fuse_masks(result, tau=1.0), ignore)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cand.count == k // 2
+    bound = cl._BLOCK_BYTES + 6 * h * w * 8 + 16 * k * width * 8
+    assert peak < bound < k * h * w, (peak, bound)
 
 
 @pytest.mark.parametrize("where, bad", [("feats", np.nan), ("feats", np.inf),

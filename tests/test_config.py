@@ -41,6 +41,7 @@ def test_readme_config_block_lists_every_declared_key(tmp_path):
     ("[clustering]\niters = 5\n[fusoin]\ntau = 0.5\n", "fusoin"),
     ("[inputs]\nfeatures = O.smtf\nfeature = O.smtf\n", "feature"),
     ("[clustering]\nmetric = cosine\n", "metric"),
+    ("[inputs]\nignore_mask = ignore.smtf\n", "ignore_mask"),
 ])
 def test_unknown_section_or_key_is_named(tmp_path, text, name):
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
@@ -125,8 +126,8 @@ def test_fixture_config_loads_as_the_hand_written_one(tmp_path, synth_args, ids,
     path = Path(write_fixture(gen_synth(**synth_args), tmp_path)["config"])
     path.write_text(path.read_text() + "[mfe]\nenabled = true\n")
     assert PipelineConfig.from_file(path) == PipelineConfig(
-        features="O.smtf", seen_labels="Ys.smtf", ignore_mask="ignore.smtf",
-        seen_embeddings="As.smtf", unseen_embeddings=unseen_file, gt_labels="gt.smtf",
+        features="O.smtf", seen_labels="Ys.smtf", seen_embeddings="As.smtf",
+        unseen_embeddings=unseen_file, gt_labels="gt.smtf",
         num_classes=5, seen_ids=ids[0], unseen_ids=ids[1], ignore_id=255,
         out_dir="out", mfe_enabled=True, base_dir=str(tmp_path.resolve()))
 

@@ -12,10 +12,12 @@ from smseg import gen_synth, load_tensor, save_tensor, synth, write_fixture
 from smseg.clustering import (WindowConfig, fuse_masks, kmeans,
                               multi_scale_seeds, restrict_candidates)
 from smseg.embeddings import ClassEmbeddings, build_joint_embedding
-from smseg.losses import CostWeights, class_similarity, match_cost_matrix, matched_loss
+from smseg.losses import (CostWeights, class_similarity, cross_entropy_map, focal_map,
+                          match_cost_matrix, matched_loss)
 from smseg.matcher import Assignment, Pair, split_match
+from smseg.mfe import mfe_logits
 from smseg.pipeline import (PipelineConfig, PipelineStageError, _remap_labels,
-                            _seen_targets, loss, make_synth_run, run_pipeline)
+                            loss, make_synth_run, run_pipeline)
 
 
 def test_gen_synth_deterministic():
@@ -109,8 +111,7 @@ def test_clustering_recovers_hidden_blobs():
     fix = gen_synth(seed=0, blobs=4, seen=2, size=64, dim=16)
     cfg = WindowConfig()
     clusters = kmeans(fix.features, multi_scale_seeds(fix.features, cfg), cfg)
-    masks, cents = fuse_masks(clusters, tau=0.9)
-    cand = restrict_candidates(masks, cents, fix.ignore_mask)
+    cand = restrict_candidates(*fuse_masks(clusters, tau=0.9), fix.ignore_mask)
     assert cand.count >= 2
     recovered = 0
     for cid in fix.unseen_ids:
@@ -187,7 +188,8 @@ def test_loss_reads_the_costs_in_assign_json(tmp_path, tau):
     w, seen_count = CostWeights(**raw["weights"]), raw["seen_count"]
     s = class_similarity(load_tensor(out["V.smtf"]), load_tensor(out["E.smtf"]))
     m = load_tensor(out["M.smtf"])
-    seen = _seen_targets(fix.seen_labels, fix.seen_ids, fix.ignore_id)
+    seen = [(j, fix.seen_labels == cid) for j, cid in enumerate(fix.seen_ids)
+            if (fix.seen_labels == cid).any()]
     cand = [(seen_count + u, mask) for u, mask in enumerate(load_tensor(out["Yu.smtf"]))]
     full = np.concatenate([match_cost_matrix(s, m, seen, "seen", w, seen_count),
                            match_cost_matrix(s, m, cand, "candidate", w, seen_count)],
@@ -244,6 +246,41 @@ def test_pipeline_stage_error_names_stage(tmp_path):
     with pytest.raises(PipelineStageError) as err:
         run_pipeline(cfg)
     assert err.value.stage == "cluster"
+
+
+@pytest.mark.parametrize("min_area", [0, -1])
+def test_min_area_below_one_fails_in_stage_restrict(tmp_path, min_area):
+    # a smaller min_area would keep groups with no unannotated pixel, which
+    # stage embed could not pool
+    cfg_path, _ = make_synth_run(tmp_path / "fix", seed=0, size=32, dim=8)
+    cfg = PipelineConfig.from_file(cfg_path)
+    cfg.min_area = min_area
+    with pytest.raises(PipelineStageError, match="min_area must be >= 1") as err:
+        run_pipeline(cfg)
+    assert err.value.stage == "restrict"
+
+
+def test_mfe_losses_count_a_candidate_whose_joint_id_is_the_ignore_id(tmp_path):
+    # Three seen classes and ignore_id 5: candidate 2 takes joint id 5. The
+    # MFE losses count its pixels like every other candidate's, as they
+    # come out of the written features, bank and masks.
+    cfg_path, fix = make_synth_run(tmp_path / "fx", seed=0, blobs=4, seen=2, size=64,
+                                   dim=16, ignore_id=5)
+    cfg = PipelineConfig.from_file(cfg_path)
+    cfg.tau, cfg.mfe_enabled = 1.0, True
+    out = {name: Path(path) for name, path in run_pipeline(cfg).artifacts.items()}
+    masks, seen_count = load_tensor(out["Yu.smtf"]), len(fix.seen_ids)
+    assert len(masks) > 5 - seen_count and masks[5 - seen_count].any()
+    labels = _dict_remap(fix.seen_labels, fix.seen_ids, -1)
+    for u, mask in enumerate(masks):
+        labels[mask == 1] = seen_count + u
+    logits = mfe_logits(load_tensor(out["Fd.smtf"]), load_tensor(out["E.smtf"]),
+                        temperature=cfg.temperature)
+    w = cfg.weights
+    losses = json.loads(out["loss.json"].read_text())
+    assert losses["mfe_ce"] == cross_entropy_map(logits, labels, -1)
+    assert losses["mfe_focal"] == focal_map(logits, labels, -1, w.focal_alpha,
+                                            w.focal_gamma)
 
 
 def test_written_fixture_roundtrips(tmp_path):
