@@ -33,9 +33,11 @@ print("objective trace:", [round(v, 2) for v in clusters.objective_trace])
 cents, labels = fuse_masks(clusters, tau=0.9)
 print("fused regions:", len(cents), "over", labels.size, "px, one label each")
 
-# Restriction keeps only what lies in the unannotated region: each pixel's
-# candidate index there, -1 elsewhere.
-cand = restrict_candidates(cents, labels, fix.ignore_mask, min_area=16)
+# Restriction keeps only what lies in the unannotated region, the pixels
+# whose seen label is the ignore id: each pixel's candidate index there, -1
+# elsewhere.
+cand = restrict_candidates(cents, labels, fix.seen_labels == fix.ignore_id,
+                           min_area=16)
 print("candidates after restriction:", cand.count)
 for u in range(cand.count):
     mask = cand.labels == u

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import ClusterResult
-from .embeddings import JointEmbedding
+from .embeddings import JointEmbedding, unannotated_region
 from .losses import CostWeights
 from .matcher import Assignment, Pair
 from .metrics import EvalConfig, evaluate
@@ -118,7 +118,8 @@ def _cmd_cluster(args):
 def _cmd_fuse(args):
     clusters = ClusterResult(assignments=load_tensor(args.assign).astype(np.int32),
                              centroids=load_tensor(args.centroids), objective_trace=[])
-    fused, cand = fuse(clusters, load_tensor(args.ignore), args.tau, args.min_area)
+    region = unannotated_region(load_tensor(args.seen_labels), args.ignore, ())
+    fused, cand = fuse(clusters, region, args.tau, args.min_area)
     if cand.count:
         save_tensor(cand.masks, args.out_masks)
         save_tensor(cand.centroids, args.out_centroids)
@@ -257,9 +258,10 @@ def build_parser():
     p.add_argument("--iters", type=int, default=DEFAULTS.kmeans_iters)
     p.add_argument("--tol", type=float, default=DEFAULTS.kmeans_tol)
 
-    p = command("fuse", _cmd_fuse, "merge similar clusters, restrict to ignore region",
-                "--assign", "--centroids", "--ignore", "--out-masks",
-                "--out-centroids")
+    p = command("fuse", _cmd_fuse, "merge similar clusters, restrict to the pixels "
+                "whose seen label is the ignore id", "--assign", "--centroids",
+                "--seen-labels", "--out-masks", "--out-centroids")
+    p.add_argument("--ignore", type=int, default=DEFAULTS.ignore_id)
     p.add_argument("--tau", type=float, default=DEFAULTS.tau)
     p.add_argument("--min-area", type=int, default=DEFAULTS.min_area)
 

@@ -450,9 +450,9 @@ def fuse_masks(result, tau=0.9):
     return np.array(cents_out, dtype=np.float32), group_of[assignments]
 
 
-def restrict_candidates(centroids, labels, ignore_mask, min_area=16):
+def restrict_candidates(centroids, labels, region, min_area=16):
     """The groups of the (H, W) ``labels`` map with at least ``min_area``
-    pixels in the nonzero region of ``ignore_mask``, clipped to it.
+    pixels in the nonzero unannotated ``region``, clipped to it.
 
     Candidates keep their group order. ``min_area`` below 1 would keep
     groups with no pixel there, so it raises ValueError.
@@ -460,9 +460,9 @@ def restrict_candidates(centroids, labels, ignore_mask, min_area=16):
     if min_area < 1:
         raise ValueError(f"min_area must be >= 1, got {min_area}")
     labels = np.asarray(labels)
-    inside = np.asarray(ignore_mask) != 0
+    inside = np.asarray(region) != 0
     if labels.shape != inside.shape:
-        raise ValueError(f"label map {labels.shape} != ignore region {inside.shape}")
+        raise ValueError(f"label map {labels.shape} != unannotated region {inside.shape}")
     centroids = np.asarray(centroids, dtype=np.float32)
     keep = np.bincount(labels[inside], minlength=len(centroids)) >= min_area
     index = np.full(len(centroids), -1)

@@ -40,6 +40,21 @@ def check_class_ids(class_ids):
     return ids
 
 
+def unannotated_region(seen_labels, ignore_id, class_ids):
+    """The bool map ``seen_labels == ignore_id``: the unannotated region, where
+    candidates are sought. ValueError when ``ignore_id`` is one of ``class_ids``
+    or no pixel of an integer ``seen_labels`` dtype can hold it (uint8: 0..255)."""
+    labels, ignore_id = np.asarray(seen_labels), int(ignore_id)
+    if ignore_id in class_ids:
+        raise ValueError(f"ignore id {ignore_id} is one of the class ids")
+    if labels.dtype.kind in "iu":
+        info = np.iinfo(labels.dtype)
+        if not info.min <= ignore_id <= info.max:
+            raise ValueError(f"ignore id {ignore_id} does not fit the {labels.dtype} "
+                             f"seen labels ({info.min}..{info.max})")
+    return labels == ignore_id
+
+
 def _unit_rows(matrix):
     matrix = np.asarray(matrix, dtype=np.float64)
     if not np.all(np.any(matrix, axis=1)):

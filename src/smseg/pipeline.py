@@ -27,7 +27,8 @@ from .clustering import (WindowConfig, fuse_masks, kmeans, multi_scale_seeds,
 from .decoder import (DEFAULT_RANDOM_QUERIES, DEFAULT_RQ_SIGMA, DecoderParams,
                       assemble_semantic_map, decode, inject_random_queries)
 from .embeddings import (ClassEmbeddings, build_joint_embedding,
-                         load_candidate_embeddings, pool_region_embeddings)
+                         load_candidate_embeddings, pool_region_embeddings,
+                         unannotated_region)
 from .losses import (CostWeights, class_similarity, cosine_loss,
                      cross_entropy_map, focal_map, matched_loss)
 from .matcher import split_match
@@ -209,13 +210,13 @@ def cluster(feats, windows, iters, tol):
     return kmeans(feats, multi_scale_seeds(feats, wcfg), wcfg)
 
 
-def fuse(clusters, ignore, tau, min_area):
+def fuse(clusters, region, tau, min_area):
     """Merge clusters above similarity ``tau``, then keep their parts in the
-    ignore region, as stages "fuse" and "restrict": (fused count, candidates)."""
+    unannotated ``region``, as stages "fuse" and "restrict": (fused, candidates)."""
     with _stage("fuse"):
         cents, labels = fuse_masks(clusters, tau=tau)
     with _stage("restrict"):
-        return len(cents), restrict_candidates(cents, labels, ignore,
+        return len(cents), restrict_candidates(cents, labels, region,
                                                min_area=min_area)
 
 
@@ -319,7 +320,6 @@ def run_pipeline(config):
     with _stage("load-inputs"):
         feats = load_tensor(cfg.path("features"))
         seen_labels = load_tensor(cfg.path("seen_labels"))
-        ignore = seen_labels == cfg.ignore_id         # where candidates are sought
         seen_matrix = load_tensor(cfg.path("seen_embeddings"))
         seen_ids = cfg.seen_ids or tuple(range(len(seen_matrix)))
         seen_bank = ClassEmbeddings.from_matrix(seen_matrix, seen_ids)
@@ -329,13 +329,15 @@ def run_pipeline(config):
             unseen_ids = cfg.unseen_ids or tuple(range(
                 len(seen_ids), len(seen_ids) + len(unseen_matrix)))
         unseen_bank = ClassEmbeddings.from_matrix(unseen_matrix, unseen_ids)
+        unannotated = unannotated_region(seen_labels, cfg.ignore_id,
+                                         seen_bank.class_ids + unseen_bank.class_ids)
 
     with _stage("cluster"):
         clusters = cluster(feats, cfg.windows, cfg.kmeans_iters, cfg.kmeans_tol)
         emit("cluster_assign.smtf", clusters.assignments.astype(np.float32))
         emit("cluster_centroids.smtf", clusters.centroids)
 
-    _, cand = fuse(clusters, ignore, cfg.tau, cfg.min_area)
+    _, cand = fuse(clusters, unannotated, cfg.tau, cfg.min_area)
     with _stage("restrict"):
         masks = cand.masks
         if cand.count:
@@ -366,8 +368,8 @@ def run_pipeline(config):
         emit("M.smtf", preds.m)
 
     with _stage("match"):
-        # each pixel's joint class id: seen, or candidate in its region, else -1
-        joint_labels = np.where(ignore, -1, _remap_labels(seen_labels, seen_ids, -1))
+        # joint id per pixel: seen, else candidate, else -1 (ignore_id is no seen id)
+        joint_labels = _remap_labels(seen_labels, seen_ids, -1)
         joint_labels = np.where(cand.labels >= 0, joint.seen_count + cand.labels,
                                 joint_labels)
         ids = np.flatnonzero(np.bincount(joint_labels[joint_labels >= 0]))

@@ -230,14 +230,14 @@ def naive_fuse(assignments, centroids, tau):
     return masks, cents_out.astype(np.float32)
 
 
-def naive_restrict(masks, centroids, ignore_mask, min_area=16):
-    """Clip each of the (G, H, W) ``masks`` to the nonzero ``ignore_mask`` and
+def naive_restrict(masks, centroids, region, min_area=16):
+    """Clip each of the (G, H, W) ``masks`` to the nonzero ``region`` and
     drop those with fewer than ``min_area`` pixels left.
 
     Returns (masks (U, H, W) u8, centroids (U, C) f32) of the kept groups,
     in group order.
     """
-    clipped = np.logical_and(masks, ignore_mask)
+    clipped = np.logical_and(masks, region)
     keep = clipped.sum(axis=(1, 2)) >= min_area
     return clipped[keep].view(np.uint8), np.asarray(centroids, dtype=np.float32)[keep]
 

@@ -274,7 +274,8 @@ def test_c08_end_to_end_synthetic_recovery(tmp_path):
     fix = gen_synth(seed=0, blobs=4, seen=2, size=64, dim=16)
     cfg = WindowConfig()
     clusters = kmeans(fix.features, multi_scale_seeds(fix.features, cfg), cfg)
-    cand = restrict_candidates(*fuse_masks(clusters, tau=0.9), fix.ignore_mask)
+    cand = restrict_candidates(*fuse_masks(clusters, tau=0.9),
+                               fix.seen_labels == fix.ignore_id)
     assert cand.count >= 2
     recovered = 0
     for cid in fix.unseen_ids:

@@ -33,7 +33,7 @@ def test_cluster_fuse_embed_chain(fixture_dir, capsys):
     assert info["clusters"] >= 4
     out = _run(capsys, "fuse", "--assign", d / "assign.smtf",
                "--centroids", d / "cent.smtf", "--tau", "0.9",
-               "--ignore", d / "ignore.smtf", "--min-area", "16",
+               "--seen-labels", d / "Ys.smtf", "--min-area", "16",
                "--out-masks", d / "Yu.smtf", "--out-centroids", d / "Cu_raw.smtf")
     info = json.loads(out)
     assert info["candidates"] >= 2 and info["masks_written"]
@@ -236,7 +236,7 @@ def test_fuse_rejects_min_area_below_one(fixture_dir, capsys, min_area):
          "--out-assign", d / "assign.smtf", "--out-centroids", d / "cent.smtf")
     assert main([str(a) for a in (
         "fuse", "--assign", d / "assign.smtf", "--centroids", d / "cent.smtf",
-        "--ignore", d / "ignore.smtf", "--min-area", min_area,
+        "--seen-labels", d / "Ys.smtf", "--min-area", min_area,
         "--out-masks", d / "Yu.smtf", "--out-centroids", d / "Cu_raw.smtf")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

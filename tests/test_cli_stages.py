@@ -2,6 +2,7 @@
 hand they reproduce run_pipeline's files, and their input errors exit 1."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ def test_cli_chain_equals_pipeline(tmp_path, capsys):
          "--out-centroids", cli / "cluster_centroids.smtf")
     _run(capsys, "fuse", "--assign", cli / "cluster_assign.smtf",
          "--centroids", cli / "cluster_centroids.smtf",
-         "--ignore", paths["ignore_mask"],
+         "--seen-labels", paths["seen_labels"],
          "--out-masks", cli / "Yu.smtf", "--out-centroids", cli / "Cu_raw.smtf")
     _run(capsys, "embed", "--features", paths["features"],
          "--masks", cli / "Yu.smtf", "--out", cli / "Cu.smtf")
@@ -163,6 +164,17 @@ def _match(d, *extra):
             "--out", d / "assign.json", *extra]
 
 
+def _fuse(d, ignore):
+    """fuse of one cluster over a 4 x 4 map, its seen labels uint8, with
+    ``--ignore ignore``."""
+    save_tensor(np.zeros((4, 4), dtype=np.float32), d / "assign.smtf")
+    save_tensor(np.ones((1, 4), dtype=np.float32), d / "cent.smtf")
+    save_tensor(np.zeros((4, 4), dtype=np.uint8), d / "Ys.smtf")
+    return ["fuse", "--assign", d / "assign.smtf", "--centroids", d / "cent.smtf",
+            "--seen-labels", d / "Ys.smtf", "--ignore", ignore,
+            "--out-masks", d / "Yu.smtf", "--out-centroids", d / "Cu.smtf"]
+
+
 def _infer(d, queries, decoder):
     """infer on 4-channel features with the given queries and decoder tensors."""
     save_tensor(np.ones((4, 3, 3), dtype=np.float32), d / "F.smtf")
@@ -217,14 +229,63 @@ def _infer(d, queries, decoder):
      "weight 'w_cls' must be a float, got 'a'"),
     (lambda d: ["eval", "--pred", d, "--gt", d / "V.smtf", "--classes", "2",
                 "--seen", "0,1", "--out", d / "report.json"], "Is a directory"),
+    (lambda d: _fuse(d, 256), "ignore id 256 does not fit the uint8 seen labels"),
+    (lambda d: _fuse(d, -1), "ignore id -1 does not fit the uint8 seen labels"),
 ], ids=["embed-no-masks", "match-ksplit", "match-seen-count", "loss-seen-count",
         "loss-weights", "loss-weights-key", "match-weights-key", "loss-cost-missing", "loss-cost-nan",
         "mfe-params", "infer-queries-rank", "infer-decoder-shape",
         "infer-decoder-width", "loss-no-pairs", "loss-pair-no-q", "loss-q-string",
         "loss-q-fraction", "loss-json-list", "loss-unmatched-range",
-        "loss-target-no-mask", "match-weights-type", "eval-pred-directory"])
+        "loss-target-no-mask", "match-weights-type", "eval-pred-directory",
+        "fuse-ignore-above-u8", "fuse-ignore-negative"])
 def test_input_errors_exit_1(bank, capsys, argv, message):
     assert main([str(a) for a in argv(bank)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and message in captured.err
+
+
+@pytest.fixture()
+def run_cfg(tmp_path):
+    """The run.cfg of a 32 x 32 fixture: seen ids 0..2, unseen 3 and 4."""
+    return Path(write_fixture(gen_synth(seed=0, size=32, dim=8), tmp_path)["config"])
+
+
+def _pipeline_error(capsys, cfg):
+    """stderr of ``smseg pipeline`` on ``cfg``, which must exit 1 printing nothing."""
+    assert main(["pipeline", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    return captured.err
+
+
+@pytest.mark.parametrize("section, message", [
+    ("[clustering]\nwindows = 0\n", "window sizes must be positive"),
+    ("[clustering]\niters = 0\n", "kmeans_iters must be >= 1"),
+    ("[clustering]\ntol = 0\n", "kmeans_tol must be > 0"),
+    ("[matching]\nw_bce = -1\n", "cost weights must be >= 0"),
+    ("[matching]\nfocal_alpha = 1\n", "focal_alpha must lie in (0, 1)"),
+    ("[matching]\nfocal_gamma = -0.5\n", "focal_gamma must be >= 0"),
+    ("[decoder]\nmode = bogus\n", "unknown decoder mode"),
+], ids=["windows", "iters", "tol", "w_bce", "focal_alpha", "focal_gamma", "mode"])
+def test_pipeline_config_value_errors_exit_1(run_cfg, capsys, section, message):
+    run_cfg.write_text(run_cfg.read_text() + section)
+    assert message in _pipeline_error(capsys, run_cfg)
+
+
+@pytest.mark.parametrize("gt", ["gt.smtf", ""], ids=["gt", "no-gt"])
+@pytest.mark.parametrize("ignore_id, message", [
+    (1, "ignore id 1 is one of the class ids"),         # a seen class
+    (4, "ignore id 4 is one of the class ids"),         # an unseen class
+    (300, "ignore id 300 does not fit the uint8 seen labels"),
+])
+def test_pipeline_rejects_the_ignore_id_in_load_inputs(run_cfg, capsys, gt, ignore_id,
+                                                       message):
+    text = run_cfg.read_text()
+    for key, value in (("ignore_id", 255), ("gt_labels", "gt.smtf")):
+        assert text.count(f"\n{key} = {value}\n") == 1
+    run_cfg.write_text(text.replace("\nignore_id = 255\n", f"\nignore_id = {ignore_id}\n")
+                       .replace("\ngt_labels = gt.smtf\n", f"\ngt_labels = {gt}\n"))
+    err = _pipeline_error(capsys, run_cfg)
+    assert "stage 'load-inputs' failed" in err and message in err
+    assert not any((run_cfg.parent / "out").iterdir())          # no stage wrote

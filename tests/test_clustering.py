@@ -485,7 +485,8 @@ def test_fuse_then_restrict_bitwise_vs_naive(tau, h, w, region):
     # masks and centroids equal the clip-and-drop of naive_fuse's stack.
     fix = gen_synth(seed=h + w, blobs=4, seen=2, size=max(h, w), dim=16)
     feats = np.ascontiguousarray(fix.features[:, :h, :w])
-    ignore = {"blobs": fix.ignore_mask[:h, :w], "empty": np.zeros((h, w), np.uint8),
+    ignore = {"blobs": (fix.seen_labels == fix.ignore_id)[:h, :w],
+              "empty": np.zeros((h, w), np.uint8),
               "full": np.ones((h, w), np.uint8)}[region]
     cfg = cl.WindowConfig(kmeans_iters=4)
     result = cl.kmeans(feats, cl.multi_scale_seeds(feats, cfg), cfg)

@@ -98,9 +98,10 @@ def test_cli_defaults_are_the_config_defaults():
     assert (args.windows, args.iters, args.tol) == (
         default.windows, default.kmeans_iters, default.kmeans_tol)
     args = parser.parse_args(["fuse", "--assign", "a", "--centroids", "c",
-                              "--ignore", "i", "--out-masks", "m",
+                              "--seen-labels", "s", "--out-masks", "m",
                               "--out-centroids", "c"])
-    assert (args.tau, args.min_area) == (default.tau, default.min_area)
+    assert (args.tau, args.min_area, args.ignore) == (
+        default.tau, default.min_area, default.ignore_id)
     args = parser.parse_args(["infer", "--features", "f", "--queries", "q",
                               "--decoder", "d", "--embeds", "e", "--out", "o"])
     assert (args.layers, args.random_queries, args.seed, args.sigma) == (

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tracemalloc
 import warnings
 from dataclasses import asdict
@@ -94,8 +95,18 @@ def test_gen_synth_structure():
     assert fix.unseen_ids == (3, 4)
     assert set(np.unique(fix.gt)) == {0, 1, 2, 3, 4}
     hidden = np.isin(fix.gt, fix.unseen_ids)
-    assert np.array_equal(fix.ignore_mask.astype(bool), hidden)
-    assert np.all(fix.seen_labels[hidden] == fix.ignore_id)
+    assert np.array_equal(fix.seen_labels == fix.ignore_id, hidden)
+
+
+@pytest.mark.parametrize("ignore_id, message", [
+    (1, "ignore id 1 is one of the class ids"),         # a seen class
+    (4, "ignore id 4 is one of the class ids"),         # an unseen class
+    (300, "ignore id 300 does not fit the uint8 seen labels"),
+    (-1, "ignore id -1 does not fit the uint8 seen labels"),
+])
+def test_gen_synth_rejects_an_ignore_id_the_labels_cannot_tell_apart(ignore_id, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        gen_synth(seed=0, blobs=4, seen=2, size=32, dim=8, ignore_id=ignore_id)
 
 
 def test_gen_synth_capacity_errors():
@@ -111,7 +122,8 @@ def test_clustering_recovers_hidden_blobs():
     fix = gen_synth(seed=0, blobs=4, seen=2, size=64, dim=16)
     cfg = WindowConfig()
     clusters = kmeans(fix.features, multi_scale_seeds(fix.features, cfg), cfg)
-    cand = restrict_candidates(*fuse_masks(clusters, tau=0.9), fix.ignore_mask)
+    cand = restrict_candidates(*fuse_masks(clusters, tau=0.9),
+                               fix.seen_labels == fix.ignore_id)
     assert cand.count >= 2
     recovered = 0
     for cid in fix.unseen_ids:
@@ -286,10 +298,16 @@ def test_mfe_losses_count_a_candidate_whose_joint_id_is_the_ignore_id(tmp_path):
 def test_written_fixture_roundtrips(tmp_path):
     fix = gen_synth(seed=5, size=32, dim=8)
     paths = write_fixture(fix, tmp_path / "fx")
-    assert np.array_equal(load_tensor(paths["features"]), fix.features)
-    assert np.array_equal(load_tensor(paths["gt"]), fix.gt)
-    assert np.array_equal(load_tensor(paths["seen_embeddings"]),
-                          fix.seen_embeddings.matrix)
+    # only files something reads, each returned under its key
+    assert sorted(p.name for p in (tmp_path / "fx").iterdir()) == [
+        "As.smtf", "Au.smtf", "O.smtf", "Ys.smtf", "gt.smtf", "run.cfg"]
+    assert sorted(Path(p).name for p in paths.values()) == sorted(
+        p.name for p in (tmp_path / "fx").iterdir())
+    for key, array in (("features", fix.features), ("seen_labels", fix.seen_labels),
+                       ("gt", fix.gt), ("seen_embeddings", fix.seen_embeddings.matrix),
+                       ("unseen_embeddings", fix.unseen_embeddings.matrix)):
+        loaded = load_tensor(paths[key])
+        assert loaded.dtype == array.dtype and np.array_equal(loaded, array), key
 
 
 def _loss_case():
