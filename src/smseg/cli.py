@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import ClusterResult
+from .clustering import ClusterResult, fuse_masks, restrict_candidates
 from .embeddings import JointEmbedding, unannotated_region
 from .losses import CostWeights
 from .matcher import Assignment, Pair
@@ -24,8 +24,8 @@ from .metrics import EvalConfig, evaluate
 from .mfe import DenseBlockParams, FeaturePyramid, MfeParams, grad_check, \
     mfe_forward, GRADCHECK_OPS
 from .pipeline import (PipelineConfig, PipelineStageError, _ints, cluster,
-                       decoder_params, embed, fuse, infer, loss, match,
-                       run_pipeline, seen_query_count)
+                       decoder_params, embed, infer, loss, match, run_pipeline,
+                       seen_query_count)
 from .synth import gen_synth, write_fixture
 from .tensor_store import load_tensor, save_tensor
 
@@ -119,11 +119,12 @@ def _cmd_fuse(args):
     clusters = ClusterResult(assignments=load_tensor(args.assign).astype(np.int32),
                              centroids=load_tensor(args.centroids), objective_trace=[])
     region = unannotated_region(load_tensor(args.seen_labels), args.ignore, ())
-    fused, cand = fuse(clusters, region, args.tau, args.min_area)
+    cents, labels = fuse_masks(clusters, tau=args.tau)
+    cand = restrict_candidates(cents, labels, region, min_area=args.min_area)
     if cand.count:
         save_tensor(cand.masks, args.out_masks)
         save_tensor(cand.centroids, args.out_centroids)
-    print(json.dumps({"fused": fused, "candidates": cand.count,
+    print(json.dumps({"fused": len(cents), "candidates": cand.count,
                       "masks_written": bool(cand.count)}))
 
 
@@ -155,14 +156,11 @@ def _cmd_match(args):
 def _cmd_loss(args):
     source = args.assignment
     raw = _read_json(source)
-    seen_count = raw.get("seen_count", args.seen_count)
-    if seen_count is None:
-        raise ValueError("assignment JSON lacks seen_count; pass --seen-count")
-    _typed(seen_count, int, f"{source}: 'seen_count'")
+    seen_count = _field(raw, "seen_count", source, int)
     if "weights" not in raw:
         raise ValueError("assignment JSON lacks the weights of its costs; rerun match")
     pairs = [Pair(_field(p, "q", source, int), _field(p, "t", source, int),
-                  p.get("cost"), p.get("group", "seen"))
+                  p.get("cost"), _field(p, "group", source, str))
              for p in _objects(raw, "pairs", source)]
     unmatched = [_typed(q, int, f"{source}: each of 'unmatched'")
                  for q in _field(raw, "unmatched", source, list, [])]
@@ -279,7 +277,6 @@ def build_parser():
 
     p = command("loss", _cmd_loss, "losses for a stored assignment", "--pred-class",
                 "--pred-masks", "--embeds", "--targets", "--assignment", "--out")
-    p.add_argument("--seen-count", type=int, default=None)
 
     p = command("mfe", _cmd_mfe, "multi-scale fusion forward pass",
                 "--f0", "--f1", "--f2", "--params", "--out")

@@ -8,10 +8,12 @@ assignments/metrics), and a stage failure is re-raised as
 :class:`PipelineStageError` carrying the stage name. Given fixed seeds
 the whole run is bitwise reproducible, including the written files.
 
-Each stage with a CLI subcommand is one function here (``cluster``,
-``fuse``, ``embed``, ``match``, ``loss``, ``infer``): ``run_pipeline``
-calls them in order and ``smseg.cli`` calls one per subcommand. The
-config keys are declared once, as ``PipelineConfig`` fields.
+``run_pipeline`` enters each stage once, in one ``_stage`` block. Stages
+``cluster``, ``embed``, ``match``, ``loss`` and ``infer`` call the function
+of that name here, as the ``smseg`` subcommand of that name does; ``fuse``
+and ``restrict`` call ``fuse_masks`` and ``restrict_candidates``, as
+``smseg fuse`` does. The config keys are declared once, as
+``PipelineConfig`` fields.
 """
 
 import configparser
@@ -49,8 +51,6 @@ class PipelineStageError(RuntimeError):
 def _stage(name):
     try:
         yield
-    except PipelineStageError:
-        raise
     except Exception as exc:
         raise PipelineStageError(name, exc) from exc
 
@@ -103,8 +103,7 @@ class PipelineConfig:
     focal_alpha: float = _key("matching", "focal_alpha", CostWeights.focal_alpha, float)
     focal_gamma: float = _key("matching", "focal_gamma", CostWeights.focal_gamma, float)
     use_iou_in_loss: bool = _key("matching", "use_iou", CostWeights.use_iou_in_loss, _bool)
-    # decoder; "oracle" builds queries from embeddings, "file" reads them
-    decoder_mode: str = _key("decoder", "mode", "oracle")
+    # decoder; queries and params, both or neither, replace the oracle queries
     decoder_params: str = _key("decoder", "params", "")
     queries: str = _key("decoder", "queries", "")
     ksplit: tuple = _key("decoder", "ksplit", (), _ints)
@@ -138,10 +137,16 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path):
         """Read a config file. An unknown section or key, or a value its
-        parser rejects, raises ValueError naming it; an empty value keeps
-        the field's default."""
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        if not parser.read(path):
+        parser rejects, raises ValueError naming it, and so does a file
+        configparser cannot read; an empty value keeps the field's default.
+        Values are plain text: a ``%`` reads as itself."""
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                           interpolation=None)
+        try:
+            found = parser.read(path)
+        except configparser.Error as exc:    # its message names the file
+            raise ValueError(str(exc)) from exc
+        if not found:
             raise FileNotFoundError(path)
         declared = cls.declared()
         values = {"base_dir": str(Path(path).resolve().parent)}
@@ -208,16 +213,6 @@ def cluster(feats, windows, iters, tol):
     """Multi-window seeds refined by Lloyd iterations: a ClusterResult."""
     wcfg = WindowConfig(window_sizes=windows, kmeans_iters=iters, kmeans_tol=tol)
     return kmeans(feats, multi_scale_seeds(feats, wcfg), wcfg)
-
-
-def fuse(clusters, region, tau, min_area):
-    """Merge clusters above similarity ``tau``, then keep their parts in the
-    unannotated ``region``, as stages "fuse" and "restrict": (fused, candidates)."""
-    with _stage("fuse"):
-        cents, labels = fuse_masks(clusters, tau=tau)
-    with _stage("restrict"):
-        return len(cents), restrict_candidates(cents, labels, region,
-                                               min_area=min_area)
 
 
 def embed(feats, masks, external):
@@ -337,8 +332,12 @@ def run_pipeline(config):
         emit("cluster_assign.smtf", clusters.assignments.astype(np.float32))
         emit("cluster_centroids.smtf", clusters.centroids)
 
-    _, cand = fuse(clusters, unannotated, cfg.tau, cfg.min_area)
+    with _stage("fuse"):
+        cents, group_labels = fuse_masks(clusters, tau=cfg.tau)
+
     with _stage("restrict"):
+        cand = restrict_candidates(cents, group_labels, unannotated,
+                                   min_area=cfg.min_area)
         masks = cand.masks
         if cand.count:
             emit("Yu.smtf", masks)
@@ -351,18 +350,17 @@ def run_pipeline(config):
         emit("E.smtf", joint.matrix)
 
     with _stage("decode"):
-        if cfg.decoder_mode == "oracle":
-            queries, k_seen = cfg.query_scale * joint.matrix, joint.seen_count
-            params = DecoderParams.zeros(seen_bank.width, layers=cfg.layers)
-        elif cfg.decoder_mode == "file":
-            for key, name in (("queries", "queries"), ("params", "decoder_params")):
-                if not cfg.path(name):
-                    raise ValueError(f"mode = file needs [decoder] {key}")
+        if cfg.queries or cfg.decoder_params:
+            if not (cfg.queries and cfg.decoder_params):
+                given, missing = (("queries", "params") if cfg.queries
+                                  else ("params", "queries"))
+                raise ValueError(f"[decoder] {given} needs [decoder] {missing}")
             queries = load_tensor(cfg.path("queries"))
             k_seen = seen_query_count(cfg.ksplit, len(queries))
             params = decoder_params(cfg.path("decoder_params"), cfg.layers)
         else:
-            raise ValueError(f"unknown decoder mode {cfg.decoder_mode!r}")
+            queries, k_seen = cfg.query_scale * joint.matrix, joint.seen_count
+            params = DecoderParams.zeros(seen_bank.width, layers=cfg.layers)
         preds = decode(queries, feats, params)
         emit("V.smtf", preds.v)
         emit("M.smtf", preds.m)

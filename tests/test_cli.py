@@ -109,7 +109,6 @@ def test_match_then_loss(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("pair, message", [
-    ({"q": 2, "t": 2}, "seen pair (2, 2) has candidate class id 2"),   # read as seen
     ({"q": 2, "t": 2, "group": "seen"}, "seen pair (2, 2) has candidate class id 2"),
     ({"q": 0, "t": 0, "group": "candidate"}, "candidate pair (0, 0) has seen class id 0"),
 ])

@@ -190,7 +190,8 @@ def _infer(d, queries, decoder):
      "needs masks"),
     (lambda d: _match(d, "--ksplit", "1,2"), "does not cover"),
     (lambda d: _match(d, "--ksplit", "2,0", "--seen-count", "3"), "exceeds"),
-    (lambda d: _loss_of(d, {"pairs": [], "unmatched": [0, 1]}), "lacks seen_count"),
+    (lambda d: _loss_of(d, {"pairs": [], "unmatched": [0, 1]}),
+     "'seen_count' must be an integer, got None"),
     (lambda d: _loss_of(d, {"pairs": [], "unmatched": [0, 1], "seen_count": 2}),
      "lacks the weights"),
     (lambda d: _loss_of(d, {"pairs": [], "unmatched": [0, 1], "seen_count": 2,
@@ -199,12 +200,15 @@ def _infer(d, queries, decoder):
     (lambda d: _match(d, "--ksplit", "2,0", "--weights",
                       _weights_file(d, {"w_cls": 2.0, "bogus": 1.0})),
      "unknown weight keys ['bogus']"),
-    (lambda d: _loss_of(d, {"pairs": [{"q": 1, "t": 1}], "seen_count": 2,
-                            "weights": {}}),
+    (lambda d: _loss_of(d, {"pairs": [{"q": 1, "t": 1, "group": "seen"}],
+                            "seen_count": 2, "weights": {}}),
      "pair (1, 1) has cost None, not a finite number"),
-    (lambda d: _loss_of(d, {"pairs": [{"q": 0, "t": 0, "cost": float("nan")}],
+    (lambda d: _loss_of(d, {"pairs": [{"q": 0, "t": 0, "cost": float("nan"),
+                                       "group": "seen"}],
                             "seen_count": 2, "weights": {}}),
      "pair (0, 0) has cost nan"),
+    (lambda d: _loss_of(d, _pairs({"q": 0, "t": 0, "cost": 1.0})),
+     "'group' must be a string, got None"),
     (_bad_mfe_params, "params must be"),
     (lambda d: _infer(d, np.ones(4, dtype=np.float32), np.zeros((3, 4, 4), np.float32)),
      "queries must be"),
@@ -233,6 +237,7 @@ def _infer(d, queries, decoder):
     (lambda d: _fuse(d, -1), "ignore id -1 does not fit the uint8 seen labels"),
 ], ids=["embed-no-masks", "match-ksplit", "match-seen-count", "loss-seen-count",
         "loss-weights", "loss-weights-key", "match-weights-key", "loss-cost-missing", "loss-cost-nan",
+        "loss-pair-no-group",
         "mfe-params", "infer-queries-rank", "infer-decoder-shape",
         "infer-decoder-width", "loss-no-pairs", "loss-pair-no-q", "loss-q-string",
         "loss-q-fraction", "loss-json-list", "loss-unmatched-range",
@@ -266,11 +271,22 @@ def _pipeline_error(capsys, cfg):
     ("[matching]\nw_bce = -1\n", "cost weights must be >= 0"),
     ("[matching]\nfocal_alpha = 1\n", "focal_alpha must lie in (0, 1)"),
     ("[matching]\nfocal_gamma = -0.5\n", "focal_gamma must be >= 0"),
-    ("[decoder]\nmode = bogus\n", "unknown decoder mode"),
-], ids=["windows", "iters", "tol", "w_bce", "focal_alpha", "focal_gamma", "mode"])
+], ids=["windows", "iters", "tol", "w_bce", "focal_alpha", "focal_gamma"])
 def test_pipeline_config_value_errors_exit_1(run_cfg, capsys, section, message):
     run_cfg.write_text(run_cfg.read_text() + section)
     assert message in _pipeline_error(capsys, run_cfg)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text + "[eval]\npercent = true\n", "section 'eval' already exists"),
+    (lambda text: text + "[fusion]\ntau = 1\ntau = 0.5\n",
+     "option 'tau' in section 'fusion' already exists"),
+    (lambda text: "tau = 0.5\n" + text, "File contains no section headers"),
+], ids=["section-twice", "key-twice", "no-section-header"])
+def test_unreadable_config_exits_1(run_cfg, capsys, edit, message):
+    run_cfg.write_text(edit(run_cfg.read_text()))
+    err = _pipeline_error(capsys, run_cfg)
+    assert message in err and str(run_cfg) in err
 
 
 @pytest.mark.parametrize("gt", ["gt.smtf", ""], ids=["gt", "no-gt"])

@@ -42,6 +42,7 @@ def test_readme_config_block_lists_every_declared_key(tmp_path):
     ("[inputs]\nfeatures = O.smtf\nfeature = O.smtf\n", "feature"),
     ("[clustering]\nmetric = cosine\n", "metric"),
     ("[inputs]\nignore_mask = ignore.smtf\n", "ignore_mask"),
+    ("[decoder]\nmode = oracle\n", "mode"),
 ])
 def test_unknown_section_or_key_is_named(tmp_path, text, name):
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
@@ -138,6 +139,6 @@ def test_to_text_round_trips_every_key(tmp_path):
         features="f.smtf", windows=(4, 8), kmeans_iters=3, kmeans_tol=2.5e-7,
         use_iou_in_loss=False, ksplit=(3, 2), rq_sigma=0.125,
         mfe_enabled=True, temperature=1 / 3, seen_ids=(0, 7), percent=False,
-        base_dir=str(tmp_path.resolve()))
+        out_dir="out%1", base_dir=str(tmp_path.resolve()))
     sections = dict.fromkeys(section for section, _ in PipelineConfig.declared())
     assert PipelineConfig.from_file(_config(tmp_path, cfg.to_text(sections))) == cfg

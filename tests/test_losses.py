@@ -123,6 +123,12 @@ def test_cross_entropy_map_values():
         L.cross_entropy_map(logits, np.full((2, 2), 9))
 
 
+def test_map_losses_of_an_all_ignored_map_are_float_zero():
+    logits, labels = np.ones((3, 2, 2)), np.full((2, 2), 255)
+    for value in (L.focal_map(logits, labels, 255), L.cross_entropy_map(logits, labels, 255)):
+        assert type(value) is float and value == 0.0
+
+
 def test_cosine_loss_values():
     v = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     c = np.array([[1.0, 0.0]])

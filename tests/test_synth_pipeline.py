@@ -359,7 +359,7 @@ def test_file_decoder_uses_every_query_row(tmp_path):
     save_tensor(np.zeros((3, joint.shape[1], joint.shape[1]), dtype=np.float32),
                 tmp_path / "dec.smtf")
     cfg = PipelineConfig.from_file(cfg_path)
-    cfg.decoder_mode, cfg.out_dir = "file", "file"
+    cfg.out_dir = "file"
     cfg.queries, cfg.decoder_params = str(tmp_path / "Q.smtf"), str(tmp_path / "dec.smtf")
     k_seen, k_cand = len(fix.seen_ids), oracle.candidate_count
     assert k_cand >= 1
@@ -379,12 +379,11 @@ def test_file_decoder_uses_every_query_row(tmp_path):
 def test_file_decoder_names_a_missing_key(tmp_path, missing, key):
     cfg_path, _ = make_synth_run(tmp_path / "fix", seed=0, size=32, dim=8)
     cfg = PipelineConfig.from_file(cfg_path)
-    cfg.decoder_mode = "file"
     cfg.queries, cfg.decoder_params = "Q.smtf", "dec.smtf"
     setattr(cfg, missing, "")
     with pytest.raises(PipelineStageError) as err:
         run_pipeline(cfg)
-    assert err.value.stage == "decode" and key in str(err.value)
+    assert err.value.stage == "decode" and str(err.value).endswith(f"needs {key}")
 
 
 # The pipeline workloads of perfbench/run.py: gen_synth shape, and whether
