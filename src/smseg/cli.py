@@ -1,9 +1,9 @@
 """smseg command line: every pipeline stage as a subcommand.
 
-Arrays travel as SMTF files, structured results as JSON. Target lists for
-``match``/``loss`` are JSON of the form
-``{"targets": [{"class_id": 3, "mask": "mask3.smtf"}, ...]}`` with mask
-paths resolved against the JSON file's directory.
+Arrays travel as SMTF files, structured results as JSON. ``match`` and
+``loss`` take one target list, seen and candidate targets in any order, as
+JSON of the form ``{"targets": [{"class_id": 3, "mask": "mask3.smtf"}, ...]}``
+with mask paths resolved against the JSON file's directory.
 """
 
 import argparse
@@ -139,14 +139,10 @@ def _cmd_embed(args):
 
 def _cmd_match(args):
     v = load_tensor(args.pred_class)
-    cand_targets = _load_targets(args.cand_targets) if args.cand_targets else []
-    seen_count = args.seen_count
-    if seen_count is None:          # the first candidate id, or every row
-        seen_count = min((cid for cid, _ in cand_targets), default=None)
     assignment, payload = match(v, load_tensor(args.pred_masks),
                                 seen_query_count(args.ksplit, len(v)),
-                                _load_targets(args.seen_targets), cand_targets,
-                                _joint_from_file(args.embeds, seen_count),
+                                _load_targets(args.targets),
+                                _joint_from_file(args.embeds, args.seen_count),
                                 _weights_from_json(args.weights))
     _write_json(args.out, payload)
     print(json.dumps({"pairs": len(assignment.pairs),
@@ -164,7 +160,7 @@ def _cmd_loss(args):
              for p in _objects(raw, "pairs", source)]
     unmatched = [_typed(q, int, f"{source}: each of 'unmatched'")
                  for q in _field(raw, "unmatched", source, list, [])]
-    assignment = Assignment(pairs, unmatched)
+    assignment = Assignment(pairs, unmatched).validate()
     payload = loss(load_tensor(args.pred_class), load_tensor(args.pred_masks),
                    _load_targets(args.targets), assignment,
                    _joint_from_file(args.embeds, seen_count),
@@ -269,8 +265,7 @@ def build_parser():
     p.add_argument("--external", default="")
 
     p = command("match", _cmd_match, "group-decoupled assignment", "--pred-class",
-                "--pred-masks", "--embeds", "--seen-targets", "--out")
-    p.add_argument("--cand-targets", default="")
+                "--pred-masks", "--embeds", "--targets", "--out")
     p.add_argument("--ksplit", type=_ints, default=())
     p.add_argument("--seen-count", type=int, default=None)
     p.add_argument("--weights", default="")

@@ -337,26 +337,17 @@ def cosine_loss_grad(v_rows, c_rows, pairs):
     return value, grad
 
 
-def match_cost_matrix(s, m_logits, targets, group, weights, seen_count):
+def match_cost_matrix(s, m_logits, targets, weights):
     """(K, T) assignment costs: w_cls*focal + w_bce*bce + w_dice*dice of
     every query against every (joint class id, binary mask) target.
 
-    Every target id must lie in the joint space of ``s``'s columns:
-    seen-group ids below ``seen_count``, candidate-group ids at or above
-    it. The two groups never share a matrix.
+    Every target id must lie in the joint space of ``s``'s columns.
     """
-    if group not in ("seen", "candidate"):
-        raise ValueError(f"unknown query group {group!r}")
     if not targets:
         raise ValueError("match_cost_matrix needs at least one target")
     s = np.asarray(s, dtype=np.float64)
-    if len(targets) > len(s):
-        raise ValueError(f"{len(targets)} targets exceed {len(s)} queries in group {group!r}")
     ids = [int(t[0]) for t in targets]
     for cid in ids:
-        own = "seen" if cid < seen_count else "candidate"
-        if own != group:
-            raise ValueError(f"{group} group given {own} class id {cid}")
         if not 0 <= cid < s.shape[1]:
             raise ValueError(f"class id {cid} outside joint space {s.shape[1]}")
     masks = np.stack([np.asarray(t[1], dtype=np.float64).ravel() for t in targets])

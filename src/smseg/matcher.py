@@ -39,10 +39,13 @@ them and every total of T entries finite.
 
 ``split_match`` runs the solver once per query group, seen then
 candidate, each against its own targets only, so a pair can never link a
-query to the other group's targets. Each group's query and target
-indices are offset by the sizes of the group before it, so the combined
-assignment indexes the stacked queries and targets. A group with no
-targets is a (K, 0) problem that leaves every query unmatched.
+query to the other group's targets. A target is seen when its joint
+class id is below the bank's ``seen_count``; this is the one place that
+decides it for matching. Each group's solve runs on its rows of the
+stacked queries and its columns of the stacked targets, which may come
+in any order, and its pairs are read back through those row and column
+lists. A group with no targets is a (K, 0) problem that leaves every
+query unmatched.
 """
 
 import itertools
@@ -59,7 +62,7 @@ class Pair(NamedTuple):
     query: int
     target: int
     cost: float
-    group: str
+    group: str | None               # "seen" or "candidate"; None from hungarian
 
 
 @dataclass
@@ -254,7 +257,7 @@ def _tight_phase_two(cost, col_of_row, v_q, reduced, rc_tol):
             for q in range(k) if mate[q] < t]
 
 
-def hungarian(cost, group="combined"):
+def hungarian(cost):
     """Min-cost injective target->query assignment with lexicographic ties.
 
     ``cost`` is (K queries, T targets) with T <= K and finite entries of
@@ -298,31 +301,34 @@ def hungarian(cost, group="combined"):
     if fixed is None or math.fsum(c for _, _, c in fixed) != best_total:
         fixed = _resolve_phase_two(cost, best_total, reduced, rc_tol)
 
-    pairs = [Pair(q, tt, c, group) for q, tt, c in sorted(fixed)]
+    pairs = [Pair(q, tt, c, None) for q, tt, c in sorted(fixed)]
     matched = {p.query for p in pairs}
     return Assignment(pairs, [q for q in range(k) if q not in matched]).validate()
 
 
-def split_match(preds_seen, preds_cand, seen_targets, cand_targets, joint, weights):
-    """Assign each query group to its own targets, then concatenate.
+def split_match(v, m, k_seen, targets, joint, weights):
+    """Assign queries [0, k_seen) of the stacked (V, M) queries to the seen
+    targets and the rest to the candidate targets.
 
-    ``preds_seen``/``preds_cand`` are (V, M) pairs for the two groups and
-    the targets (joint class id, mask) lists on either side of ``joint``'s
-    seen/candidate boundary. Candidate pairs are shifted by the seen
-    group's query and target counts, so they index the stacked lists. A
-    group with no targets leaves its queries unmatched; one with more
-    targets than queries raises ValueError naming the group.
+    ``targets`` is one (joint class id, mask) list in any order; a target
+    is seen when its id is below ``joint.seen_count``. Pairs index the
+    stacked queries and targets. A group with no targets leaves its
+    queries unmatched; one with more targets than queries raises
+    ValueError naming the group.
     """
     pairs, unmatched = [], []
-    q0 = t0 = 0
-    for group, (v, m), targets in (("seen", preds_seen, seen_targets),
-                                   ("candidate", preds_cand, cand_targets)):
-        cost = np.zeros((len(v), 0))
-        if targets:
-            cost = match_cost_matrix(class_similarity(v, joint.matrix), m, targets,
-                                     group, weights, joint.seen_count)
-        a = hungarian(cost, group=group)
-        pairs += [Pair(p.query + q0, p.target + t0, p.cost, group) for p in a.pairs]
-        unmatched += [q + q0 for q in a.unmatched_queries]
-        q0, t0 = q0 + len(v), t0 + len(targets)
+    for group, part in (("seen", slice(0, k_seen)), ("candidate", slice(k_seen, None))):
+        rows = range(len(v))[part]
+        cols = [t for t, (cid, _) in enumerate(targets)
+                if (cid < joint.seen_count) == (group == "seen")]
+        if len(cols) > len(rows):
+            raise ValueError(f"{len(cols)} targets exceed {len(rows)} queries "
+                             f"in group {group!r}")
+        cost = np.zeros((len(rows), 0))
+        if cols:
+            cost = match_cost_matrix(class_similarity(v[part], joint.matrix), m[part],
+                                     [targets[t] for t in cols], weights)
+        a = hungarian(cost)
+        pairs += [Pair(rows[p.query], cols[p.target], p.cost, group) for p in a.pairs]
+        unmatched += [rows[q] for q in a.unmatched_queries]
     return Assignment(pairs, unmatched).validate()

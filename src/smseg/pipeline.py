@@ -227,11 +227,11 @@ def embed(feats, masks, external):
     return pool_region_embeddings(feats, masks)
 
 
-def match(v, m, k_seen, seen_targets, cand_targets, joint, weights):
-    """Split matching of queries [0, k_seen) to the seen targets and the
-    rest to the candidate targets: (Assignment, assign.json payload)."""
-    assignment = split_match((v[:k_seen], m[:k_seen]), (v[k_seen:], m[k_seen:]),
-                             seen_targets, cand_targets, joint, weights)
+def match(v, m, k_seen, targets, joint, weights):
+    """Split matching of queries [0, k_seen) to the seen (joint id, mask)
+    ``targets`` and the rest to the candidate ones: (Assignment, assign.json
+    payload)."""
+    assignment = split_match(v, m, k_seen, targets, joint, weights)
     return assignment, {
         "pairs": [{"q": p.query, "t": p.target, "cost": p.cost, "group": p.group}
                   for p in assignment.pairs],
@@ -372,9 +372,7 @@ def run_pipeline(config):
                                 joint_labels)
         ids = np.flatnonzero(np.bincount(joint_labels[joint_labels >= 0]))
         targets = [(int(j), joint_labels == j) for j in ids]
-        split = int(np.searchsorted(ids, joint.seen_count))
-        assignment, payload = match(preds.v, preds.m, k_seen, targets[:split],
-                                    targets[split:], joint, weights)
+        assignment, payload = match(preds.v, preds.m, k_seen, targets, joint, weights)
         emit("assign.json", payload)
 
     with _stage("loss"):

@@ -137,15 +137,16 @@ def _split_fixture(rng, k_s, k_u, t_s, t_u, hw=4):
         smseg.ClassEmbeddings.from_matrix(eye[:max(t_s, 1)],
                                           tuple(range(max(t_s, 1)))),
         eye[max(t_s, 1):])
-    preds_s = (rng.standard_normal((k_s, width)).astype(np.float32),
-               rng.standard_normal((k_s, hw, hw)).astype(np.float32))
-    preds_u = (rng.standard_normal((k_u, width)).astype(np.float32),
-               rng.standard_normal((k_u, hw, hw)).astype(np.float32))
+    v_s, m_s = (rng.standard_normal((k_s, width)).astype(np.float32),
+                rng.standard_normal((k_s, hw, hw)).astype(np.float32))
+    v_u, m_u = (rng.standard_normal((k_u, width)).astype(np.float32),
+                rng.standard_normal((k_u, hw, hw)).astype(np.float32))
     seen_t = [(i, (rng.random((hw, hw)) > 0.5).astype(np.float64))
               for i in range(t_s)]
     cand_t = [(joint.seen_count + i, (rng.random((hw, hw)) > 0.5).astype(np.float64))
               for i in range(t_u)]
-    return joint, preds_s, preds_u, seen_t, cand_t
+    return (joint, np.concatenate([v_s, v_u]), np.concatenate([m_s, m_u]),
+            seen_t + cand_t)
 
 
 def test_c03_split_exclusion_200():
@@ -156,19 +157,19 @@ def test_c03_split_exclusion_200():
         k_s, k_u = int(rng.integers(2, 7)), int(rng.integers(2, 7))
         t_s = int(rng.integers(1, min(k_s, 5) + 1))
         t_u = int(rng.integers(0, min(k_u, 5) + 1))
-        joint, ps, pu, st, ct = _split_fixture(rng, k_s, k_u, t_s, t_u)
-        a = split_match(ps, pu, st, ct, joint, w)
+        joint, v, m, targets = _split_fixture(rng, k_s, k_u, t_s, t_u)
+        a = split_match(v, m, k_s, targets, joint, w)
         for p in a.pairs:                       # zero cross-group pairs
             assert (p.query < k_s) == (p.target < t_s)
         assert sorted(p.target for p in a.pairs) == list(range(t_s + t_u))
         got_s = math.fsum(p.cost for p in a.pairs if p.group == "seen")
         got_u = math.fsum(p.cost for p in a.pairs if p.group == "candidate")
-        cm_s = L.match_cost_matrix(L.class_similarity(ps[0], joint.matrix), ps[1],
-                                   st, "seen", w, joint.seen_count)
+        cm_s = L.match_cost_matrix(L.class_similarity(v[:k_s], joint.matrix), m[:k_s],
+                                   targets[:t_s], w)
         assert got_s == brute_force_min_total(cm_s)
-        if ct:
-            cm_u = L.match_cost_matrix(L.class_similarity(pu[0], joint.matrix), pu[1],
-                                       ct, "candidate", w, joint.seen_count)
+        if t_u:
+            cm_u = L.match_cost_matrix(L.class_similarity(v[k_s:], joint.matrix), m[k_s:],
+                                       targets[t_s:], w)
             assert got_u == brute_force_min_total(cm_u)
         else:
             assert got_u == 0.0

@@ -77,8 +77,6 @@ def _three_class_bank(d):
     save_tensor(20.0 * (2 * masks - 1), d / "M.smtf")
     for i in range(3):
         save_tensor(masks[i].astype(np.uint8), d / f"m{i}.smtf")
-    _write_targets(d / "seen.json", [(0, "m0.smtf"), (1, "m1.smtf")])
-    _write_targets(d / "cand.json", [(2, "m2.smtf")])
     _write_targets(d / "all.json", [(0, "m0.smtf"), (1, "m1.smtf"), (2, "m2.smtf")])
 
 
@@ -88,8 +86,7 @@ def test_match_then_loss(tmp_path, capsys):
     out = _run(capsys, "match", "--pred-class", tmp_path / "V.smtf",
                "--pred-masks", tmp_path / "M.smtf",
                "--embeds", tmp_path / "E.smtf",
-               "--seen-targets", tmp_path / "seen.json",
-               "--cand-targets", tmp_path / "cand.json",
+               "--targets", tmp_path / "all.json", "--seen-count", "2",
                "--ksplit", "2,1", "--out", tmp_path / "assign.json")
     assert json.loads(out)["pairs"] == 3
     raw = json.loads((tmp_path / "assign.json").read_text())

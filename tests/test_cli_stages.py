@@ -55,12 +55,10 @@ def test_cli_chain_equals_pipeline(tmp_path, capsys):
                     if (fix.seen_labels == cid).any()]
     cand_targets = [(seen.count + u, mask)
                     for u, mask in enumerate(load_tensor(cli / "Yu.smtf"))]
-    _write_targets(cli / "seen.json", seen_targets)
-    _write_targets(cli / "cand.json", cand_targets)
     _write_targets(cli / "all.json", seen_targets + cand_targets)
     _run(capsys, "match", "--pred-class", pipe / "V.smtf", "--pred-masks", pipe / "M.smtf",
-         "--embeds", cli / "E.smtf", "--seen-targets", cli / "seen.json",
-         "--cand-targets", cli / "cand.json",
+         "--embeds", cli / "E.smtf", "--targets", cli / "all.json",
+         "--seen-count", seen.count,
          "--ksplit", f"{seen.count},{len(cand_targets)}", "--out", cli / "assign.json")
     _run(capsys, "loss", "--pred-class", pipe / "V.smtf", "--pred-masks", pipe / "M.smtf",
          "--embeds", cli / "E.smtf", "--targets", cli / "all.json",
@@ -103,10 +101,10 @@ def bank(tmp_path):
 
 
 def test_match_without_candidate_targets(bank, capsys):
-    # no --cand-targets and no --seen-count: every embedding row is seen
+    # no --seen-count: every embedding row is seen, and so is every target
     out = _run(capsys, "match", "--pred-class", bank / "V.smtf",
                "--pred-masks", bank / "M.smtf", "--embeds", bank / "E.smtf",
-               "--seen-targets", bank / "seen.json", "--ksplit", "2,0",
+               "--targets", bank / "seen.json", "--ksplit", "2,0",
                "--out", bank / "assign.json")
     assert json.loads(out)["pairs"] == 2
     raw = json.loads((bank / "assign.json").read_text())
@@ -116,7 +114,7 @@ def test_match_without_candidate_targets(bank, capsys):
     # no --ksplit either: every query row is seen, the same assignment
     _run(capsys, "match", "--pred-class", bank / "V.smtf",
          "--pred-masks", bank / "M.smtf", "--embeds", bank / "E.smtf",
-         "--seen-targets", bank / "seen.json", "--out", bank / "assign_all.json")
+         "--targets", bank / "seen.json", "--out", bank / "assign_all.json")
     assert (bank / "assign_all.json").read_bytes() == (bank / "assign.json").read_bytes()
     out = _run(capsys, "loss", "--pred-class", bank / "V.smtf",
                "--pred-masks", bank / "M.smtf", "--embeds", bank / "E.smtf",
@@ -147,6 +145,9 @@ def _pairs(*pairs):
     return {"pairs": list(pairs), "seen_count": 2, "weights": {}}
 
 
+SEEN_PAIR = {"q": 0, "t": 0, "cost": 0.0, "group": "seen"}
+
+
 def _target_without_mask(d):
     (d / "bad.json").write_text(json.dumps({"targets": [{"class_id": 0}]}))
     return _loss_of(d, {"pairs": [], "unmatched": [0, 1], "seen_count": 2,
@@ -160,7 +161,7 @@ def _weights_file(d, weights):
 
 def _match(d, *extra):
     return ["match", "--pred-class", d / "V.smtf", "--pred-masks", d / "M.smtf",
-            "--embeds", d / "E.smtf", "--seen-targets", d / "seen.json",
+            "--embeds", d / "E.smtf", "--targets", d / "seen.json",
             "--out", d / "assign.json", *extra]
 
 
@@ -235,6 +236,15 @@ def _infer(d, queries, decoder):
                 "--seen", "0,1", "--out", d / "report.json"], "Is a directory"),
     (lambda d: _fuse(d, 256), "ignore id 256 does not fit the uint8 seen labels"),
     (lambda d: _fuse(d, -1), "ignore id -1 does not fit the uint8 seen labels"),
+    (lambda d: _loss_of(d, _pairs(SEEN_PAIR, SEEN_PAIR)),
+     "duplicate query index in assignment"),
+    (lambda d: _loss_of(d, _pairs(SEEN_PAIR, {**SEEN_PAIR, "q": 1})),
+     "duplicate target index in assignment"),
+    (lambda d: _loss_of(d, {**_pairs(SEEN_PAIR), "unmatched": [0, 1]}),
+     "query listed as both matched and unmatched"),
+    (lambda d: ["pipeline", "--config", d / "missing.cfg"], "missing.cfg"),
+    (lambda d: _match(d, "--weights", _weights_file(d, [1.0])),
+     "weights must be a JSON object"),
 ], ids=["embed-no-masks", "match-ksplit", "match-seen-count", "loss-seen-count",
         "loss-weights", "loss-weights-key", "match-weights-key", "loss-cost-missing", "loss-cost-nan",
         "loss-pair-no-group",
@@ -242,7 +252,9 @@ def _infer(d, queries, decoder):
         "infer-decoder-width", "loss-no-pairs", "loss-pair-no-q", "loss-q-string",
         "loss-q-fraction", "loss-json-list", "loss-unmatched-range",
         "loss-target-no-mask", "match-weights-type", "eval-pred-directory",
-        "fuse-ignore-above-u8", "fuse-ignore-negative"])
+        "fuse-ignore-above-u8", "fuse-ignore-negative", "loss-pair-twice",
+        "loss-target-twice", "loss-query-matched-and-unmatched", "pipeline-no-config",
+        "match-weights-list"])
 def test_input_errors_exit_1(bank, capsys, argv, message):
     assert main([str(a) for a in argv(bank)]) == 1
     captured = capsys.readouterr()

@@ -220,7 +220,7 @@ def test_match_cost_matrix_recomposes_kernels():
     targets = [(0, (rng.random((4, 4)) > 0.5).astype(np.float64)),
                (1, (rng.random((4, 4)) > 0.5).astype(np.float64))]
     w = L.CostWeights()
-    cm = L.match_cost_matrix(s, m, targets, "seen", w, joint.seen_count)
+    cm = L.match_cost_matrix(s, m, targets, w)
     for k in range(3):
         for t, (cid, mask) in enumerate(targets):
             expect = (w.w_cls * L.focal_loss(s[k], cid)
@@ -236,12 +236,10 @@ def test_match_cost_matrix_weight_scaling():
     m = rng.standard_normal((2, 3, 3)).astype(np.float32)
     s = L.class_similarity(v, joint.matrix)
     targets = [(0, (rng.random((3, 3)) > 0.5).astype(np.float64))]
-    base = L.match_cost_matrix(s, m, targets, "seen", L.CostWeights(),
-                               joint.seen_count)
+    base = L.match_cost_matrix(s, m, targets, L.CostWeights())
     lam = 2.5
-    scaled = L.match_cost_matrix(
-        s, m, targets, "seen",
-        L.CostWeights(w_cls=lam, w_bce=lam, w_dice=lam), joint.seen_count)
+    scaled = L.match_cost_matrix(s, m, targets,
+                                 L.CostWeights(w_cls=lam, w_bce=lam, w_dice=lam))
     assert np.allclose(scaled, lam * base, rtol=1e-12)
 
 
@@ -252,28 +250,21 @@ def test_match_cost_matrix_column_permutation():
     m = rng.standard_normal((3, 3, 3)).astype(np.float32)
     s = L.class_similarity(v, joint.matrix)
     targets = [(i, (rng.random((3, 3)) > 0.5).astype(np.float64)) for i in range(3)]
-    a = L.match_cost_matrix(s, m, targets, "seen", L.CostWeights(), 3)
+    a = L.match_cost_matrix(s, m, targets, L.CostWeights())
     perm = [2, 0, 1]
-    b = L.match_cost_matrix(s, m, [targets[p] for p in perm], "seen",
-                            L.CostWeights(), 3)
+    b = L.match_cost_matrix(s, m, [targets[p] for p in perm], L.CostWeights())
     assert np.allclose(b, a[:, perm], rtol=1e-12)
 
 
-def test_match_cost_matrix_group_violations():
-    joint = _joint(2, 1, 4)
+def test_match_cost_matrix_target_errors():
     s = np.full((2, 3), 0.5)
     m = np.zeros((2, 2, 2))
     mask = np.ones((2, 2))
-    with pytest.raises(ValueError):
-        L.match_cost_matrix(s, m, [(2, mask)], "seen", L.CostWeights(), 2)
-    with pytest.raises(ValueError):
-        L.match_cost_matrix(s, m, [(0, mask)], "candidate", L.CostWeights(), 2)
-    with pytest.raises(ValueError):
-        L.match_cost_matrix(s, m, [(0, mask)] * 3, "seen", L.CostWeights(), 2)
-    with pytest.raises(ValueError):
-        L.match_cost_matrix(s, m, [], "seen", L.CostWeights(), 2)
-    with pytest.raises(ValueError, match="outside joint space 3"):
-        L.match_cost_matrix(s, m, [(3, mask)], "candidate", L.CostWeights(), 2)
+    with pytest.raises(ValueError, match="needs at least one target"):
+        L.match_cost_matrix(s, m, [], L.CostWeights())
+    for cid in (3, -1):
+        with pytest.raises(ValueError, match=f"class id {cid} outside joint space 3"):
+            L.match_cost_matrix(s, m, [(cid, mask)], L.CostWeights())
 
 
 def test_matched_loss_perfect_and_unmatched():
@@ -283,7 +274,7 @@ def test_matched_loss_perfect_and_unmatched():
     s = L.class_similarity(v, joint.matrix)
     targets = [(0, np.ones((2, 2)))]
     w = L.CostWeights()
-    cost = L.match_cost_matrix(s, m, targets, "seen", w, 1)[0, 0]
+    cost = L.match_cost_matrix(s, m, targets, w)[0, 0]
     assignment = Assignment(pairs=[Pair(0, 0, float(cost), "seen")])
     assert L.matched_loss(assignment, s, m, targets, w) < 1e-5
 
@@ -303,8 +294,8 @@ def test_matched_loss_recomposition():
     targets = [(0, (rng.random((3, 3)) > 0.5).astype(np.float64)),
                (2, (rng.random((3, 3)) > 0.5).astype(np.float64))]
     w = L.CostWeights(use_iou_in_loss=True)
-    seen_cost = L.match_cost_matrix(s, m, targets[:1], "seen", w, 2)[1, 0]
-    cand_cost = L.match_cost_matrix(s, m, targets[1:], "candidate", w, 2)[3, 0]
+    seen_cost = L.match_cost_matrix(s, m, targets[:1], w)[1, 0]
+    cand_cost = L.match_cost_matrix(s, m, targets[1:], w)[3, 0]
     assignment = Assignment(pairs=[Pair(1, 0, float(seen_cost), "seen"),
                                    Pair(3, 1, float(cand_cost), "candidate")],
                             unmatched_queries=[0, 2])
@@ -343,7 +334,7 @@ def _cost_fixture(seed, k, t, hw, n_seen, n_cand):
     m = (2.0 * rng.standard_normal((k,) + hw)).astype(np.float32)
     ids = rng.choice(np.arange(n_seen, n_seen + n_cand), size=t, replace=False)
     targets = [(int(cid), (rng.random(hw) > 0.5).astype(np.float64)) for cid in ids]
-    return L.class_similarity(v, joint.matrix), m, targets, joint.seen_count
+    return L.class_similarity(v, joint.matrix), m, targets
 
 
 COST_SHAPES = [(1, 1, (1, 1)), (3, 2, (4, 4)), (6, 5, (7, 5)), (9, 3, (16, 16))]
@@ -353,10 +344,10 @@ COST_SHAPES = [(1, 1, (1, 1)), (3, 2, (4, 4)), (6, 5, (7, 5)), (9, 3, (16, 16))]
 def test_matched_pair_loss_is_its_cost_entry_bitwise(k, t, hw):
     # A pair the matcher emits carries its cost entry unchanged, so its
     # loss alone (no IoU term, no unmatched queries) is that entry.
-    s, m, targets, seen_count = _cost_fixture(k * 100 + t, k, t, hw, 2, t + 1)
+    s, m, targets = _cost_fixture(k * 100 + t, k, t, hw, 2, t + 1)
     w = L.CostWeights(w_cls=0.7, w_bce=1.3, w_dice=2.0, use_iou_in_loss=False)
-    costs = L.match_cost_matrix(s, m, targets, "candidate", w, seen_count)
-    pairs = hungarian(costs, group="candidate").pairs
+    costs = L.match_cost_matrix(s, m, targets, w)
+    pairs = hungarian(costs).pairs
     assert len(pairs) == t
     for p in pairs:
         got = L.matched_loss(Assignment(pairs=[p]), s, m, targets, w)
@@ -366,7 +357,7 @@ def test_matched_pair_loss_is_its_cost_entry_bitwise(k, t, hw):
 def test_matched_loss_reads_the_pair_costs():
     # The matched term is the mean of the costs the pairs carry, whatever
     # they are, plus the IoU term; no cost is recomputed.
-    s, m, targets, _ = _cost_fixture(5, 4, 2, (4, 4), 2, 3)
+    s, m, targets = _cost_fixture(5, 4, 2, (4, 4), 2, 3)
     w = L.CostWeights(w_cls=0.7, w_dice=2.0, use_iou_in_loss=True)
     pairs = [Pair(1, 0, 1000.25, "candidate"), Pair(2, 1, -3.5, "candidate")]
     got = L.matched_loss(Assignment(pairs, unmatched_queries=[0, 3]), s, m, targets, w)
@@ -378,7 +369,7 @@ def test_matched_loss_reads_the_pair_costs():
 
 @pytest.mark.parametrize("k,t,hw", COST_SHAPES)
 def test_scalar_kernels_are_their_one_by_one_cost_term_bitwise(k, t, hw):
-    s, m, targets, seen_count = _cost_fixture(k * 100 + t + 7, k, t, hw, 2, t + 1)
+    s, m, targets = _cost_fixture(k * 100 + t + 7, k, t, hw, 2, t + 1)
     only = {"focal": L.CostWeights(w_cls=1.0, w_bce=0.0, w_dice=0.0),
             "bce": L.CostWeights(w_cls=0.0, w_bce=1.0, w_dice=0.0),
             "dice": L.CostWeights(w_cls=0.0, w_bce=0.0, w_dice=1.0)}
@@ -389,12 +380,12 @@ def test_scalar_kernels_are_their_one_by_one_cost_term_bitwise(k, t, hw):
                        "dice": L.dice_loss(L.sigmoid(m[q]), mask)}
             for term, w in only.items():
                 entry = L.match_cost_matrix(s[q:q + 1], m[q:q + 1], [(cid, mask)],
-                                            "candidate", w, seen_count)[0, 0]
+                                            w)[0, 0]
                 assert kernels[term].hex() == float(entry).hex(), (term, q, cid)
 
 
 def test_matched_loss_pair_out_of_range():
-    s, m, targets, _ = _cost_fixture(8, 3, 2, (3, 3), 2, 2)
+    s, m, targets = _cost_fixture(8, 3, 2, (3, 3), 2, 2)
     w = L.CostWeights()
     for q, t in ((3, 0), (-1, 0), (0, 2), (0, -1)):
         bad = Assignment(pairs=[Pair(q, t, 0.0, "candidate")])
@@ -404,7 +395,7 @@ def test_matched_loss_pair_out_of_range():
 
 @pytest.mark.parametrize("cost", [None, "0.5", math.nan, math.inf])
 def test_matched_loss_rejects_a_cost_that_is_not_a_finite_number(cost):
-    s, m, targets, _ = _cost_fixture(8, 3, 2, (3, 3), 2, 2)
+    s, m, targets = _cost_fixture(8, 3, 2, (3, 3), 2, 2)
     bad = Assignment(pairs=[Pair(0, 1, 0.25, "candidate"), Pair(2, 0, cost, "candidate")])
     with pytest.raises(ValueError, match=r"pair \(2, 0\) has cost .*not a finite number"):
         L.matched_loss(bad, s, m, targets, L.CostWeights())

@@ -265,8 +265,8 @@ def test_pair_fields_are_python_scalars():
         for p in hungarian(cost).pairs:
             assert type(p.query) is int and type(p.target) is int
             assert type(p.cost) is float
-    joint, ps, pu, st, ct = _random_group_fixture(rng, 4, 3, 2, 2)
-    a = split_match(ps, pu, st, ct, joint, L.CostWeights())
+    joint, v, m, targets = _random_group_fixture(rng, 4, 3, 2, 2)
+    a = split_match(v, m, 4, targets, joint, L.CostWeights())
     json.dumps([p._asdict() for p in a.pairs])
 
 
@@ -316,6 +316,8 @@ def _joint(n_seen, n_cand, width=8):
 
 
 def _random_group_fixture(rng, k_s, k_u, t_s, t_u, width=8, hw=4):
+    """Stacked queries, k_s seen then k_u candidate, and t_s seen then t_u
+    candidate targets of ids 0, 1, ...: (joint, V, M, targets)."""
     joint = _joint(max(t_s, 1), max(t_u, 1), width)
     v_s = rng.standard_normal((k_s, width)).astype(np.float32)
     v_u = rng.standard_normal((k_u, width)).astype(np.float32)
@@ -326,48 +328,60 @@ def _random_group_fixture(rng, k_s, k_u, t_s, t_u, width=8, hw=4):
     cand_targets = [(joint.seen_count + i,
                      (rng.random((hw, hw)) > 0.5).astype(np.float64))
                     for i in range(t_u)]
-    return joint, (v_s, m_s), (v_u, m_u), seen_targets, cand_targets
+    return (joint, np.concatenate([v_s, v_u]), np.concatenate([m_s, m_u]),
+            seen_targets + cand_targets)
 
 
 def test_split_match_no_candidates_equals_seen_only():
     rng = np.random.default_rng(4)
-    joint, ps, pu, seen_targets, _ = _random_group_fixture(rng, 4, 3, 2, 0)
+    joint, v, m, targets = _random_group_fixture(rng, 4, 3, 2, 0)
     w = L.CostWeights()
-    combined = split_match(ps, pu, seen_targets, [], joint, w)
-    cm = L.match_cost_matrix(L.class_similarity(ps[0], joint.matrix), ps[1],
-                             seen_targets, "seen", w, joint.seen_count)
-    seen_only = hungarian(cm, group="seen")
+    combined = split_match(v, m, 4, targets, joint, w)
+    cm = L.match_cost_matrix(L.class_similarity(v[:4], joint.matrix), m[:4], targets, w)
+    seen_only = hungarian(cm)
     assert [(p.query, p.target) for p in combined.pairs] == \
         [(p.query, p.target) for p in seen_only.pairs]
     assert combined.unmatched_queries == seen_only.unmatched_queries + [4, 5, 6]
     # mirrored: no seen targets, so every seen query is unmatched and the
     # candidate pairs keep their target indices, queries shifted by 4
-    joint, ps, pu, _, cand_targets = _random_group_fixture(rng, 4, 3, 0, 2)
-    combined = split_match(ps, pu, [], cand_targets, joint, w)
-    cm = L.match_cost_matrix(L.class_similarity(pu[0], joint.matrix), pu[1],
-                             cand_targets, "candidate", w, joint.seen_count)
-    cand_only = hungarian(cm, group="candidate")
+    joint, v, m, targets = _random_group_fixture(rng, 4, 3, 0, 2)
+    combined = split_match(v, m, 4, targets, joint, w)
+    cm = L.match_cost_matrix(L.class_similarity(v[4:], joint.matrix), m[4:], targets, w)
+    cand_only = hungarian(cm)
     assert [(p.query, p.target, p.cost, p.group) for p in combined.pairs] == \
-        [(p.query + 4, p.target, p.cost, p.group) for p in cand_only.pairs]
+        [(p.query + 4, p.target, p.cost, "candidate") for p in cand_only.pairs]
     assert combined.unmatched_queries == \
         [0, 1, 2, 3] + [q + 4 for q in cand_only.unmatched_queries]
+
+
+def test_split_match_reads_each_target_group_from_its_id():
+    # Seen ids 0, 1 and candidate ids 2, 3 given interleaved as 2, 0, 3, 1:
+    # the seen-first run's pairs and costs, bitwise, with each target
+    # index moved to where its target now stands.
+    rng = np.random.default_rng(11)
+    w = L.CostWeights()
+    for _ in range(5):
+        joint, v, m, targets = _random_group_fixture(rng, 3, 3, 2, 2)
+        order = [2, 0, 3, 1]
+        mixed = split_match(v, m, 3, [targets[i] for i in order], joint, w)
+        seen_first = split_match(v, m, 3, targets, joint, w)
+        assert [(p.query, order[p.target], p.cost.hex(), p.group) for p in mixed.pairs] \
+            == [(p.query, p.target, p.cost.hex(), p.group) for p in seen_first.pairs]
+        assert mixed.unmatched_queries == seen_first.unmatched_queries
 
 
 def test_split_match_perfect_fixture_costs_near_zero():
     joint = _joint(2, 2, 8)
     scale = 60.0
     # +scale on the own class, -scale on every other: saturated both ways
-    v_all = scale * (2.0 * joint.matrix - joint.matrix.sum(axis=0))
-    v_s, v_u = v_all[:2], v_all[2:]
+    v = scale * (2.0 * joint.matrix - joint.matrix.sum(axis=0))
     masks = np.zeros((4, 4, 4))
     for i in range(4):
         masks[i, i, :] = 1.0
     m = 60.0 * (2.0 * masks - 1.0)
-    seen_targets = [(0, masks[0]), (1, masks[1])]
-    cand_targets = [(2, masks[2]), (3, masks[3])]
-    a = split_match((v_s.astype(np.float32), m[:2].astype(np.float32)),
-                    (v_u.astype(np.float32), m[2:].astype(np.float32)),
-                    seen_targets, cand_targets, joint, L.CostWeights())
+    targets = [(i, masks[i]) for i in range(4)]
+    a = split_match(v.astype(np.float32), m.astype(np.float32), 2, targets, joint,
+                    L.CostWeights())
     assert len(a.pairs) == 4
     assert {(p.query, p.target) for p in a.pairs} == {(0, 0), (1, 1), (2, 2), (3, 3)}
     assert a.total_cost < 1e-4
@@ -379,8 +393,8 @@ def test_split_match_cross_group_exclusion_and_oracle():
     for _ in range(20):
         k_s, k_u = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         t_s, t_u = int(rng.integers(1, k_s + 1)), int(rng.integers(1, k_u + 1))
-        joint, ps, pu, st, ct = _random_group_fixture(rng, k_s, k_u, t_s, t_u)
-        a = split_match(ps, pu, st, ct, joint, w)
+        joint, v, m, targets = _random_group_fixture(rng, k_s, k_u, t_s, t_u)
+        a = split_match(v, m, k_s, targets, joint, w)
         # exclusion: seen queries < k_s pair with seen targets < t_s
         for p in a.pairs:
             assert (p.query < k_s) == (p.target < t_s)
@@ -388,10 +402,10 @@ def test_split_match_cross_group_exclusion_and_oracle():
         # every target matched exactly once
         assert sorted(p.target for p in a.pairs) == list(range(t_s + t_u))
         # per-group totals equal the exhaustive group-respecting optimum
-        cm_s = L.match_cost_matrix(L.class_similarity(ps[0], joint.matrix), ps[1],
-                                   st, "seen", w, joint.seen_count)
-        cm_u = L.match_cost_matrix(L.class_similarity(pu[0], joint.matrix), pu[1],
-                                   ct, "candidate", w, joint.seen_count)
+        cm_s = L.match_cost_matrix(L.class_similarity(v[:k_s], joint.matrix), m[:k_s],
+                                   targets[:t_s], w)
+        cm_u = L.match_cost_matrix(L.class_similarity(v[k_s:], joint.matrix), m[k_s:],
+                                   targets[t_s:], w)
         got_s = math.fsum(p.cost for p in a.pairs if p.group == "seen")
         got_u = math.fsum(p.cost for p in a.pairs if p.group == "candidate")
         assert got_s == brute_force_min_total(cm_s)
@@ -400,8 +414,8 @@ def test_split_match_cross_group_exclusion_and_oracle():
 
 def test_split_match_capacity_errors():
     rng = np.random.default_rng(6)
-    joint, ps, pu, st, ct = _random_group_fixture(rng, 2, 2, 2, 2)
-    with pytest.raises(ValueError):
-        split_match((ps[0][:1], ps[1][:1]), pu, st, ct, joint, L.CostWeights())
-    with pytest.raises(ValueError):
-        split_match(ps, (pu[0][:1], pu[1][:1]), st, ct, joint, L.CostWeights())
+    joint, v, m, targets = _random_group_fixture(rng, 2, 2, 2, 2)
+    with pytest.raises(ValueError, match="2 targets exceed 1 queries in group 'seen'"):
+        split_match(v[1:], m[1:], 1, targets, joint, L.CostWeights())
+    with pytest.raises(ValueError, match="2 targets exceed 1 queries in group 'candidate'"):
+        split_match(v[:3], m[:3], 2, targets, joint, L.CostWeights())

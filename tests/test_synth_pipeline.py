@@ -202,15 +202,14 @@ def test_loss_reads_the_costs_in_assign_json(tmp_path, tau):
     m = load_tensor(out["M.smtf"])
     seen = [(j, fix.seen_labels == cid) for j, cid in enumerate(fix.seen_ids)
             if (fix.seen_labels == cid).any()]
-    cand = [(seen_count + u, mask) for u, mask in enumerate(load_tensor(out["Yu.smtf"]))]
-    full = np.concatenate([match_cost_matrix(s, m, seen, "seen", w, seen_count),
-                           match_cost_matrix(s, m, cand, "candidate", w, seen_count)],
-                          axis=1)
+    targets = seen + [(seen_count + u, mask)
+                      for u, mask in enumerate(load_tensor(out["Yu.smtf"]))]
+    full = match_cost_matrix(s, m, targets, w)
     pairs = [Pair(p["q"], p["t"], p["cost"], p["group"]) for p in raw["pairs"]]
-    assert len(pairs) == len(seen) + len(cand)
+    assert len(pairs) == len(targets)
     for p in pairs:
         assert p.cost == pytest.approx(full[p.query, p.target], rel=1e-15, abs=0)
-    matched = matched_loss(Assignment(pairs, raw["unmatched"]), s, m, seen + cand, w)
+    matched = matched_loss(Assignment(pairs, raw["unmatched"]), s, m, targets, w)
     assert json.loads(out["loss.json"].read_text())["matched"] == matched
 
 
@@ -327,8 +326,7 @@ def test_loss_cosine_reads_the_target_class_row():
     # The candidate query equals row 3, its target's class row. Read by
     # position among the candidate rows it would be scored against row 2.
     v, m, targets, joint = _loss_case()
-    assignment = split_match((v[:1], m[:1]), (v[1:], m[1:]), targets[:1], targets[1:],
-                             joint, CostWeights())
+    assignment = split_match(v, m, 1, targets, joint, CostWeights())
     assert [(p.query, p.target, p.group) for p in assignment.pairs] == [
         (0, 0, "seen"), (1, 1, "candidate")]
     losses = loss(v, m, targets, assignment, joint, CostWeights())
