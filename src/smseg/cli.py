@@ -21,10 +21,9 @@ from .embeddings import JointEmbedding, unannotated_region
 from .losses import CostWeights
 from .matcher import Assignment, Pair
 from .metrics import EvalConfig, evaluate
-from .mfe import DenseBlockParams, FeaturePyramid, MfeParams, grad_check, \
-    mfe_forward, GRADCHECK_OPS
+from .mfe import GRADCHECK_OPS, grad_check
 from .pipeline import (PipelineConfig, PipelineStageError, _ints, cluster,
-                       decoder_params, embed, infer, loss, match, run_pipeline,
+                       decoder_params, embed, infer, loss, match, mfe, run_pipeline,
                        seen_query_count)
 from .synth import gen_synth, write_fixture
 from .tensor_store import load_tensor, save_tensor
@@ -100,6 +99,8 @@ def _joint_from_file(path, seen_count):
     """The bank in ``path``; its first ``seen_count`` rows (all if None) are seen."""
     matrix = load_tensor(path)
     seen_count = len(matrix) if seen_count is None else seen_count
+    if seen_count < 0:
+        raise ValueError(f"seen count {seen_count} is negative")
     if seen_count > len(matrix):
         raise ValueError(f"seen count {seen_count} exceeds the {len(matrix)} "
                          f"embedding rows of {path}")
@@ -161,31 +162,19 @@ def _cmd_loss(args):
     unmatched = [_typed(q, int, f"{source}: each of 'unmatched'")
                  for q in _field(raw, "unmatched", source, list, [])]
     assignment = Assignment(pairs, unmatched).validate()
+    targets = _load_targets(args.targets)
+    joint = _joint_from_file(args.embeds, seen_count)
+    weights = _cost_weights(raw["weights"], source)
     payload = loss(load_tensor(args.pred_class), load_tensor(args.pred_masks),
-                   _load_targets(args.targets), assignment,
-                   _joint_from_file(args.embeds, seen_count),
-                   _cost_weights(raw["weights"], args.assignment))
+                   _field(raw, "k_seen", source, int), targets, assignment, joint,
+                   weights)
     _write_json(args.out, payload)
     print(json.dumps(payload))
 
 
 def _cmd_mfe(args):
-    pyr = FeaturePyramid(f0=load_tensor(args.f0), f1=load_tensor(args.f1),
-                         f2=load_tensor(args.f2))
-    packed = load_tensor(args.params)
-    channels = pyr.f2.shape[0]
-    per_block = channels * channels * 9 + 3 * channels
-    if packed.shape != (3, per_block):
-        raise ValueError(f"params must be (3, {per_block}) for {channels} channels")
-    blocks = []
-    for row in packed:
-        w = row[:channels * channels * 9].reshape(channels, channels, 3, 3)
-        rest = row[channels * channels * 9:].reshape(3, channels)
-        blocks.append(DenseBlockParams(conv_w=w, conv_b=rest[0],
-                                       gn_gamma=rest[1], gn_beta=rest[2],
-                                       groups=args.groups, eps=args.eps))
-    fused = mfe_forward(pyr, MfeParams(blocks=tuple(blocks)))
-    save_tensor(fused.astype(np.float32), args.out)
+    fused = mfe(load_tensor(args.features), args.groups, args.seed)
+    save_tensor(fused, args.out)
     print(json.dumps({"shape": list(fused.shape)}))
 
 
@@ -273,10 +262,10 @@ def build_parser():
     p = command("loss", _cmd_loss, "losses for a stored assignment", "--pred-class",
                 "--pred-masks", "--embeds", "--targets", "--assignment", "--out")
 
-    p = command("mfe", _cmd_mfe, "multi-scale fusion forward pass",
-                "--f0", "--f1", "--f2", "--params", "--out")
+    p = command("mfe", _cmd_mfe, "multi-scale fusion block over a feature map",
+                "--features", "--out")
     p.add_argument("--groups", type=int, default=DEFAULTS.mfe_groups)
-    p.add_argument("--eps", type=float, default=1e-5)
+    p.add_argument("--seed", type=int, default=DEFAULTS.mfe_seed)
 
     p = command("gradcheck", _cmd_gradcheck, "finite-difference gradient verification")
     p.add_argument("--op", required=True, choices=GRADCHECK_OPS)

@@ -156,14 +156,6 @@ def _group_sums(group, rows, n):
                      for col in rows.T], axis=1)
 
 
-@dataclass(frozen=True)
-class _Pixels:
-    """What one ``kmeans`` run knows about its normalized pixels x."""
-
-    x_t: np.ndarray                      # (C, P) f64, channel-major
-    norm: np.ndarray                     # (P,) |x|, 1 or 0 up to rounding
-
-
 def _propose(x, c):
     """BLAS dots of a row block with the rows of ``c``: a proposal that
     ``_margins`` certifies, never an output."""
@@ -205,7 +197,7 @@ def _score(x_t, r, c_t, j):
     return d
 
 
-def _rescore(px, pairs, c_t, assign):
+def _rescore(x_t, pairs, c_t, assign):
     """Set each listed pixel's pick to its exact best candidate.
 
     ``pairs`` holds (pixels, centroids) arrays, pixels ascending and each
@@ -214,32 +206,33 @@ def _rescore(px, pairs, c_t, assign):
     """
     pix = np.concatenate([p for p, _ in pairs])
     cols = np.concatenate([c for _, c in pairs])
-    val = _score(px.x_t, pix, c_t, cols)
+    val = _score(x_t, pix, c_t, cols)
     starts = np.flatnonzero(np.diff(pix, prepend=-1))
     best = np.repeat(np.maximum.reduceat(val, starts), np.diff(starts, append=len(pix)))
     hits = np.where(val == best, np.arange(len(val)), len(val))
     assign[pix[starts]] = cols[np.minimum.reduceat(hits, starts)]
 
 
-def _assign_step(px, cents, assign):
+def _assign_step(x_t, norm, cents, assign):
     """One Lloyd assignment: propose in float32, certify, rescore the rest.
 
-    Fills ``assign`` with each pixel's pick and returns its similarity
-    there. Uncertain pixels' candidate pairs are held until about ``hold``
-    of them accumulate, so rescoring memory stays bounded even when every
-    pixel is uncertain.
+    ``x_t`` holds the (C, P) normalized pixels, channel-major float64, and
+    ``norm`` their (P,) norms, 1 or 0 up to rounding. Fills ``assign`` with
+    each pixel's pick and returns its similarity there. Uncertain pixels'
+    candidate pairs are held until about ``hold`` of them accumulate, so
+    rescoring memory stays bounded even when every pixel is uncertain.
     """
     k = len(cents)
     c32 = cents.astype(np.float32)
     c_t = np.ascontiguousarray(cents.T)
-    margin = _margins(px.norm, cents, np.float32)
-    rows = max(1, _BLOCK_BYTES // (4 * (k + len(px.x_t))))  # scores and proposal rows
+    margin = _margins(norm, cents, np.float32)
+    rows = max(1, _BLOCK_BYTES // (4 * (k + len(x_t))))  # scores and proposal rows
     hold = _BLOCK_BYTES // 64
     step = max(1, hold // k)                  # uncertain pixels per batch
     pairs, held = [], 0
     for s in range(0, len(assign), rows):
         blk = slice(s, s + rows)
-        scores = _propose(px.x_t[:, blk].T.astype(np.float32, order="C"), c32)
+        scores = _propose(x_t[:, blk].T.astype(np.float32, order="C"), c32)
         pick = np.argmax(scores, axis=1)
         at = np.arange(len(pick))
         top = scores[at, pick]
@@ -258,12 +251,12 @@ def _assign_step(px, cents, assign):
             pairs.append((s + u[near], cols))
             held += len(cols)
             if held > hold:
-                _rescore(px, pairs, c_t, assign)
+                _rescore(x_t, pairs, c_t, assign)
                 pairs, held = [], 0
         del scores                            # one block alive at a time
     if pairs:
-        _rescore(px, pairs, c_t, assign)
-    return _score(px.x_t, slice(None), c_t, assign)
+        _rescore(x_t, pairs, c_t, assign)
+    return _score(x_t, slice(None), c_t, assign)
 
 
 def kmeans(feats, seeds, cfg):
@@ -316,11 +309,10 @@ def kmeans(feats, seeds, cfg):
     # takes a pixel, so copies are dropped before they are scored.
     cents = cents[np.sort(np.unique(cents, axis=0, return_index=True)[1])]
 
-    px = _Pixels(x_t=x_t, norm=norm)
     trace = []
     assign = np.empty(len(x), dtype=np.int64)
     for it in range(cfg.kmeans_iters):
-        chosen = _assign_step(px, cents, assign)
+        chosen = _assign_step(x_t, norm, cents, assign)
         obj = float(np.sum(1.0 - chosen))
         trace.append(obj)
         if it > 0 and trace[-2] - obj < cfg.kmeans_tol:

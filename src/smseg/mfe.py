@@ -49,7 +49,7 @@ class DenseBlockParams:
         for name in ("conv_b", "gn_gamma", "gn_beta"):
             if getattr(self, name).shape[-1:] != (c,):
                 raise ValueError(f"{name} must have shape (..., {c})")
-        if c % self.groups:
+        if self.groups < 1 or c % self.groups:
             raise ValueError(f"channels {c} not divisible by groups {self.groups}")
         if not self.eps > 0:
             raise ValueError("eps must be > 0")
@@ -440,7 +440,7 @@ def _class_similarity_vjp(a, dout):
     return {"v": (dout * s * (1.0 - s)) @ a["_e"]}
 
 
-# op -> (draw(seed), value(arrays), grads(arrays)), as ``_build_case`` returns
+# op -> (draw(seed), value(arrays), grads(arrays)), as ``_case`` returns
 # them. Keys that start with "_" are held fixed. Kernels are looked up when a
 # case runs, so a patched module attribute is the one checked. A loss row's
 # kernel takes the whole batch of perturbed copies in one call.
@@ -502,8 +502,15 @@ GRADCHECK_OPS = tuple(_CASES)
 
 
 def _case(op, seed):
-    """``_build_case``'s (arrays, value, grads), then the analytic gradients
-    when the draw already took them, else None."""
+    """Returns (arrays, value, grads, analytic) for one gradcheck op.
+
+    ``value(arrays)`` runs only the forward pass and returns the scalar
+    being differentiated, or one per item when an array is stacked along a
+    leading batch axis; ``grads(arrays)`` returns its analytic gradient
+    with respect to each checked array, keyed like ``arrays``; ``analytic``
+    is those gradients when the draw already took them, else None. A draw
+    that returns None is retried at ``seed + 7919 * attempt``.
+    """
     if op not in _CASES:
         raise ValueError(f"gradcheck does not support op {op!r}")
     draw, value, grads = _CASES[op]
@@ -513,18 +520,6 @@ def _case(op, seed):
             arrays, analytic = drawn if isinstance(drawn, tuple) else (drawn, None)
             return arrays, value, grads, analytic
     raise RuntimeError(f"could not build a well-conditioned {op} fixture")
-
-
-def _build_case(op, seed):
-    """Returns (arrays, value, grads) for one gradcheck op.
-
-    ``value(arrays)`` runs only the forward pass and returns the scalar
-    being differentiated, or one per item when an array is stacked along a
-    leading batch axis; ``grads(arrays)`` returns its analytic gradient
-    with respect to each checked array, keyed like ``arrays``. A draw that
-    returns None is retried at ``seed + 7919 * attempt``.
-    """
-    return _case(op, seed)[:3]
 
 
 def grad_check(op, seed=0, step=1e-3):

@@ -10,9 +10,10 @@ the whole run is bitwise reproducible, including the written files.
 
 ``run_pipeline`` enters each stage once, in one ``_stage`` block. Stages
 ``cluster``, ``embed``, ``match``, ``loss`` and ``infer`` call the function
-of that name here, as the ``smseg`` subcommand of that name does; ``fuse``
-and ``restrict`` call ``fuse_masks`` and ``restrict_candidates``, as
-``smseg fuse`` does. The config keys are declared once, as
+of that name here, as the ``smseg`` subcommand of that name does, and stage
+``loss`` also calls ``mfe`` when ``[mfe] enabled``, as ``smseg mfe`` does;
+``fuse`` and ``restrict`` call ``fuse_masks`` and ``restrict_candidates``,
+as ``smseg fuse`` does. The config keys are declared once, as
 ``PipelineConfig`` fields.
 """
 
@@ -243,12 +244,15 @@ def match(v, m, k_seen, targets, joint, weights):
     }
 
 
-def loss(v, m, targets, assignment, joint, weights):
+def loss(v, m, k_seen, targets, assignment, joint, weights):
     """Matched, cosine and split-matching losses of ``assignment`` over the
     stacked (joint id, mask) ``targets``. Each pair's cost must come from
-    ``match`` under the same ``weights``. A pair's group must be its target's,
-    "seen" below ``joint.seen_count`` (ValueError naming the pair otherwise).
-    A candidate pair's cosine term uses its target's class row."""
+    ``match`` under the same ``weights`` and ``k_seen``, in [0, len(v)]. A
+    pair's group must be its target's, "seen" below ``joint.seen_count``, and
+    its query's, "seen" below ``k_seen`` (ValueError naming the pair
+    otherwise). A candidate pair's cosine term uses its target's class row."""
+    if not 0 <= k_seen <= len(v):
+        raise ValueError(f"k_seen {k_seen} outside [0, {len(v)}] queries")
     matched = matched_loss(assignment, class_similarity(v, joint.matrix), m, targets,
                            weights)
     cand_pairs = []
@@ -258,10 +262,23 @@ def loss(v, m, targets, assignment, joint, weights):
         if p.group != group:
             raise ValueError(f"{p.group} pair ({p.query}, {p.target}) has {group} "
                              f"class id {cid}")
+        side = "seen" if p.query < k_seen else "candidate"
+        if side != group:
+            raise ValueError(f"{group} pair ({p.query}, {p.target}) has a {side} "
+                             f"query (k_seen {k_seen})")
         if group == "candidate":
             cand_pairs.append((p.query, cid))
     cos = cosine_loss(v, joint.matrix, cand_pairs)
     return {"matched": matched, "cosine": cos, "sm": matched + cos}
+
+
+def mfe(feats, groups, seed):
+    """The fusion block's map F_d of (C, H, W) ``feats``: the 1/4-, 1/2- and
+    full-size levels fused under ``init_mfe_params(C, groups, seed)``."""
+    c, h, w = feats.shape
+    pyr = FeaturePyramid(f0=bilinear_resize(feats, h // 4, w // 4),
+                         f1=bilinear_resize(feats, h // 2, w // 2), f2=feats)
+    return mfe_forward(pyr, init_mfe_params(c, groups=groups, seed=seed))
 
 
 def seen_query_count(ksplit, rows):
@@ -376,14 +393,9 @@ def run_pipeline(config):
         emit("assign.json", payload)
 
     with _stage("loss"):
-        losses = loss(preds.v, preds.m, targets, assignment, joint, weights)
+        losses = loss(preds.v, preds.m, k_seen, targets, assignment, joint, weights)
         if cfg.mfe_enabled:
-            c, h, w = feats.shape
-            pyr = FeaturePyramid(f0=bilinear_resize(feats, h // 4, w // 4),
-                                 f1=bilinear_resize(feats, h // 2, w // 2),
-                                 f2=feats)
-            fused = mfe_forward(pyr, init_mfe_params(
-                c, groups=cfg.mfe_groups, seed=cfg.mfe_seed))
+            fused = mfe(feats, cfg.mfe_groups, cfg.mfe_seed)
             logits = mfe_logits(fused, joint.matrix, temperature=cfg.temperature)
             ce = cross_entropy_map(logits, joint_labels, -1)
             foc = focal_map(logits, joint_labels, -1,

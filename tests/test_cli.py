@@ -8,7 +8,7 @@ import pytest
 from smseg import gen_synth, load_tensor, save_tensor, write_fixture
 from smseg.cli import build_parser, main
 from smseg.decoder import DecoderParams
-from smseg.mfe import init_mfe_params
+from smseg.mfe import FeaturePyramid, bilinear_resize, init_mfe_params, mfe_forward
 
 
 @pytest.fixture()
@@ -108,15 +108,17 @@ def test_match_then_loss(tmp_path, capsys):
 @pytest.mark.parametrize("pair, message", [
     ({"q": 2, "t": 2, "group": "seen"}, "seen pair (2, 2) has candidate class id 2"),
     ({"q": 0, "t": 0, "group": "candidate"}, "candidate pair (0, 0) has seen class id 0"),
+    ({"q": 0, "t": 2, "group": "candidate"}, "candidate pair (0, 2) has a seen query (k_seen 2)"),
+    ({"q": 2, "t": 0, "group": "seen"}, "seen pair (2, 0) has a candidate query (k_seen 2)"),
 ])
 def test_loss_rejects_a_pair_outside_its_target_group(tmp_path, capsys, pair, message):
     # A hand-edited assign.json whose pair group disagrees with its target's
-    # class id exits 1, in either direction, rather than drop or add a
-    # candidate cosine term.
+    # class id, or whose query lies on the other side of k_seen, exits 1, in
+    # either direction, rather than drop or add a candidate cosine term.
     _three_class_bank(tmp_path)
     (tmp_path / "assign.json").write_text(json.dumps(
         {"pairs": [{**pair, "cost": 0.0}], "unmatched": [], "seen_count": 2,
-         "weights": {}}))
+         "k_seen": 2, "weights": {}}))
     assert main(["loss", "--pred-class", str(tmp_path / "V.smtf"),
                  "--pred-masks", str(tmp_path / "M.smtf"),
                  "--embeds", str(tmp_path / "E.smtf"),
@@ -128,24 +130,18 @@ def test_loss_rejects_a_pair_outside_its_target_group(tmp_path, capsys, pair, me
     assert not (tmp_path / "loss.json").exists()
 
 
-def test_mfe_and_gradcheck(tmp_path, capsys):
-    c = 4
-    rng = np.random.default_rng(0)
-    for i, name in enumerate(("f0", "f1", "f2")):
-        size = 2 ** i * 2
-        save_tensor(rng.standard_normal((c, size, size)).astype(np.float32),
-                    tmp_path / f"{name}.smtf")
-    params = init_mfe_params(c, groups=2, seed=1)
-    packed = np.stack([
-        np.concatenate([b.conv_w.ravel(), b.conv_b, b.gn_gamma, b.gn_beta])
-        for b in params.blocks]).astype(np.float32)
-    save_tensor(packed, tmp_path / "p.smtf")
-    out = _run(capsys, "mfe", "--f0", tmp_path / "f0.smtf",
-               "--f1", tmp_path / "f1.smtf", "--f2", tmp_path / "f2.smtf",
-               "--params", tmp_path / "p.smtf", "--groups", "2",
-               "--out", tmp_path / "Fd.smtf")
-    assert json.loads(out)["shape"] == [4, 8, 8]
-    assert load_tensor(tmp_path / "Fd.smtf").shape == (4, 8, 8)
+def test_mfe_and_gradcheck(fixture_dir, capsys):
+    # smseg mfe fuses the features at 1/4, 1/2 and full size under the
+    # seeded fusion-block parameters that --groups and --seed select
+    d, fix = fixture_dir
+    out = _run(capsys, "mfe", "--features", d / "O.smtf", "--groups", "2",
+               "--seed", "1", "--out", d / "Fd.smtf")
+    assert json.loads(out)["shape"] == [8, 32, 32]
+    pyr = FeaturePyramid(f0=bilinear_resize(fix.features, 8, 8),
+                         f1=bilinear_resize(fix.features, 16, 16), f2=fix.features)
+    want = mfe_forward(pyr, init_mfe_params(8, groups=2, seed=1))
+    got = load_tensor(d / "Fd.smtf")
+    assert got.dtype == want.dtype == np.float32 and np.array_equal(got, want)
 
     out = _run(capsys, "gradcheck", "--op", "mfe", "--seed", "7", "--step", "1e-3")
     info = json.loads(out)

@@ -63,6 +63,7 @@ def test_cli_chain_equals_pipeline(tmp_path, capsys):
     _run(capsys, "loss", "--pred-class", pipe / "V.smtf", "--pred-masks", pipe / "M.smtf",
          "--embeds", cli / "E.smtf", "--targets", cli / "all.json",
          "--assignment", cli / "assign.json", "--out", cli / "loss.json")
+    _run(capsys, "mfe", "--features", paths["features"], "--out", cli / "Fd.smtf")
 
     save_tensor(4.0 * joint, cli / "Q.smtf")                # oracle queries
     dec = DecoderParams.zeros(joint.shape[1])
@@ -77,7 +78,7 @@ def test_cli_chain_equals_pipeline(tmp_path, capsys):
          "--out", cli / "report.json")
 
     for name in ("cluster_assign.smtf", "cluster_centroids.smtf", "Yu.smtf", "Cu.smtf",
-                 "E.smtf", "labels.smtf", "assign.json", "report.json"):
+                 "E.smtf", "Fd.smtf", "labels.smtf", "assign.json", "report.json"):
         assert (cli / name).read_bytes() == (pipe / name).read_bytes(), name
     # the pipeline's loss.json adds the fusion-block terms and the total
     cli_loss = json.loads((cli / "loss.json").read_text())
@@ -124,12 +125,10 @@ def test_match_without_candidate_targets(bank, capsys):
     assert losses["cosine"] == 0.0 and losses["sm"] == losses["matched"] < 0.1
 
 
-def _bad_mfe_params(d):
-    for level, size in enumerate((1, 2, 4)):
-        save_tensor(np.ones((2, size, size), dtype=np.float32), d / f"f{level}.smtf")
-    save_tensor(np.ones((3, 5), dtype=np.float32), d / "p.smtf")
-    return ["mfe", "--f0", d / "f0.smtf", "--f1", d / "f1.smtf", "--f2", d / "f2.smtf",
-            "--params", d / "p.smtf", "--out", d / "Fd.smtf"]
+def _mfe(d, size, *extra):
+    """mfe of a ``size`` x ``size`` fixture's 8-channel features."""
+    save_tensor(gen_synth(seed=0, size=size, dim=8).features, d / "O.smtf")
+    return ["mfe", "--features", d / "O.smtf", "--out", d / "Fd.smtf", *extra]
 
 
 def _loss_of(d, assignment, targets="seen.json"):
@@ -191,6 +190,8 @@ def _infer(d, queries, decoder):
      "needs masks"),
     (lambda d: _match(d, "--ksplit", "1,2"), "does not cover"),
     (lambda d: _match(d, "--ksplit", "2,0", "--seen-count", "3"), "exceeds"),
+    (lambda d: _match(d, "--ksplit", "2,0", "--seen-count", "-1"),
+     "seen count -1 is negative"),
     (lambda d: _loss_of(d, {"pairs": [], "unmatched": [0, 1]}),
      "'seen_count' must be an integer, got None"),
     (lambda d: _loss_of(d, {"pairs": [], "unmatched": [0, 1], "seen_count": 2}),
@@ -202,15 +203,16 @@ def _infer(d, queries, decoder):
                       _weights_file(d, {"w_cls": 2.0, "bogus": 1.0})),
      "unknown weight keys ['bogus']"),
     (lambda d: _loss_of(d, {"pairs": [{"q": 1, "t": 1, "group": "seen"}],
-                            "seen_count": 2, "weights": {}}),
+                            "seen_count": 2, "k_seen": 2, "weights": {}}),
      "pair (1, 1) has cost None, not a finite number"),
     (lambda d: _loss_of(d, {"pairs": [{"q": 0, "t": 0, "cost": float("nan"),
                                        "group": "seen"}],
-                            "seen_count": 2, "weights": {}}),
+                            "seen_count": 2, "k_seen": 2, "weights": {}}),
      "pair (0, 0) has cost nan"),
     (lambda d: _loss_of(d, _pairs({"q": 0, "t": 0, "cost": 1.0})),
      "'group' must be a string, got None"),
-    (_bad_mfe_params, "params must be"),
+    (lambda d: _mfe(d, 66), "finest 66x66 not divisible by 4"),
+    (lambda d: _mfe(d, 32, "--groups", "0"), "channels 8 not divisible by groups 0"),
     (lambda d: _infer(d, np.ones(4, dtype=np.float32), np.zeros((3, 4, 4), np.float32)),
      "queries must be"),
     (lambda d: _infer(d, np.ones((2, 4), dtype=np.float32),
@@ -227,7 +229,7 @@ def _infer(d, queries, decoder):
     (lambda d: _loss_of(d, _pairs({"q": 0.5, "t": 0, "cost": 1.0})),
      "'q' must be an integer, got 0.5"),
     (lambda d: _loss_of(d, [_pairs()]), "must be a JSON object, got [{"),
-    (lambda d: _loss_of(d, {**_pairs(), "unmatched": [0, 7]}),
+    (lambda d: _loss_of(d, {**_pairs(), "k_seen": 2, "unmatched": [0, 7]}),
      "unmatched queries [0, 7] outside [0, 2)"),
     (_target_without_mask, "'mask' must be a string, got None"),
     (lambda d: _match(d, "--ksplit", "2,0", "--weights", _weights_file(d, {"w_cls": "a"})),
@@ -245,16 +247,20 @@ def _infer(d, queries, decoder):
     (lambda d: ["pipeline", "--config", d / "missing.cfg"], "missing.cfg"),
     (lambda d: _match(d, "--weights", _weights_file(d, [1.0])),
      "weights must be a JSON object"),
-], ids=["embed-no-masks", "match-ksplit", "match-seen-count", "loss-seen-count",
+    (lambda d: _loss_of(d, _pairs(SEEN_PAIR)), "'k_seen' must be an integer, got None"),
+    (lambda d: _loss_of(d, {**_pairs(SEEN_PAIR), "k_seen": 3}),
+     "k_seen 3 outside [0, 2] queries"),
+], ids=["embed-no-masks", "match-ksplit", "match-seen-count", "match-seen-count-negative",
+        "loss-seen-count",
         "loss-weights", "loss-weights-key", "match-weights-key", "loss-cost-missing", "loss-cost-nan",
         "loss-pair-no-group",
-        "mfe-params", "infer-queries-rank", "infer-decoder-shape",
+        "mfe-features-size", "mfe-groups-zero", "infer-queries-rank", "infer-decoder-shape",
         "infer-decoder-width", "loss-no-pairs", "loss-pair-no-q", "loss-q-string",
         "loss-q-fraction", "loss-json-list", "loss-unmatched-range",
         "loss-target-no-mask", "match-weights-type", "eval-pred-directory",
         "fuse-ignore-above-u8", "fuse-ignore-negative", "loss-pair-twice",
         "loss-target-twice", "loss-query-matched-and-unmatched", "pipeline-no-config",
-        "match-weights-list"])
+        "match-weights-list", "loss-no-k-seen", "loss-k-seen-range"])
 def test_input_errors_exit_1(bank, capsys, argv, message):
     assert main([str(a) for a in argv(bank)]) == 1
     captured = capsys.readouterr()
@@ -283,7 +289,11 @@ def _pipeline_error(capsys, cfg):
     ("[matching]\nw_bce = -1\n", "cost weights must be >= 0"),
     ("[matching]\nfocal_alpha = 1\n", "focal_alpha must lie in (0, 1)"),
     ("[matching]\nfocal_gamma = -0.5\n", "focal_gamma must be >= 0"),
-], ids=["windows", "iters", "tol", "w_bce", "focal_alpha", "focal_gamma"])
+    ("[decoder]\nlayers = 0\n", "layers must be >= 1"),
+    ("[inference]\nrandom_queries = -1\n", "k_r must be >= 0"),
+    ("[mfe]\nenabled = true\ngroups = 3\n", "channels 8 not divisible by groups 3"),
+], ids=["windows", "iters", "tol", "w_bce", "focal_alpha", "focal_gamma", "layers",
+        "random_queries", "mfe-groups"])
 def test_pipeline_config_value_errors_exit_1(run_cfg, capsys, section, message):
     run_cfg.write_text(run_cfg.read_text() + section)
     assert message in _pipeline_error(capsys, run_cfg)

@@ -285,7 +285,7 @@ def _value_before(op, seed):
 
 @pytest.mark.parametrize("op", mfe.GRADCHECK_OPS)
 def test_value_closure_equals_full_closure_value(op):
-    arrays, value, grads = mfe._build_case(op, 0)
+    arrays, value, grads = mfe._case(op, 0)[:3]
     before = _value_before(op, 0)
     assert float(value(arrays)).hex() == float(before(arrays)).hex()
     flat = arrays[next(iter(grads(arrays)))].reshape(-1)
@@ -296,7 +296,7 @@ def test_value_closure_equals_full_closure_value(op):
 @pytest.mark.parametrize("op", mfe.GRADCHECK_OPS)
 def test_grad_check_bitwise_equals_full_closure_loop(op):
     for seed in (0, 1):
-        arrays, _, grads = mfe._build_case(op, seed)
+        arrays, _, grads = mfe._case(op, seed)[:3]
         before = _value_before(op, seed)
         want = naive_grad_check(arrays, lambda a: (before(a), grads(a)), 1e-3)
         assert float(mfe.grad_check(op, seed=seed)).hex() == float(want).hex(), seed
@@ -345,7 +345,7 @@ def test_gradcheck_exported_from_package():
     assert smseg.grad_check is mfe.grad_check
 
 
-# SHA-256 over seeds 0-19 of every ndarray in ``_build_case(op, seed)[0]``:
+# SHA-256 over seeds 0-19 of every ndarray in ``_case(op, seed)[0]``:
 # key, dtype, shape and bytes, in sorted key order. The draws are SplitMix64
 # followed by exact affine maps, so the digests hold on any host.
 FIXTURE_SHA256 = {
@@ -369,7 +369,7 @@ FIXTURE_SHA256 = {
 def _fixture_digest(op):
     h = hashlib.sha256()
     for seed in range(20):
-        arrays = mfe._build_case(op, seed)[0]
+        arrays = mfe._case(op, seed)[0]
         for key in sorted(arrays):
             v = arrays[key]
             if isinstance(v, np.ndarray):
@@ -431,7 +431,7 @@ def test_grad_check_reuses_a_conditioned_draws_gradients(op, monkeypatch):
     calls = []
     vjp = mfe._dense_block_vjp
     monkeypatch.setattr(mfe, "_dense_block_vjp", lambda *a: calls.append(1) or vjp(*a))
-    mfe._build_case(op, 0)
+    mfe._case(op, 0)
     drawn = len(calls)
     mfe.grad_check(op, seed=0)
     assert drawn > 0 and len(calls) == 2 * drawn
@@ -442,7 +442,7 @@ def test_build_case_gives_up_with_named_error(op, monkeypatch):
     calls = []
     monkeypatch.setattr(mfe, "_well_conditioned", lambda x, blk: calls.append(x) and False)
     with pytest.raises(RuntimeError, match=f"well-conditioned {op} fixture"):
-        mfe._build_case(op, 0)
+        mfe._case(op, 0)
     assert len(calls) == 512
 
 
@@ -563,7 +563,7 @@ def test_loss_kernels_batch_bitwise(name):
 
 @pytest.mark.parametrize("op", mfe.GRADCHECK_OPS)
 def test_value_of_a_batch_equals_per_item_values(op):
-    arrays, value, grads = mfe._build_case(op, 0)
+    arrays, value, grads = mfe._case(op, 0)[:3]
     for name in grads(arrays):
         items = [arrays[name] + 1e-3 * k for k in (-1, 0, 2)]
         got = value({**arrays, name: np.stack(items)})

@@ -329,22 +329,25 @@ def test_loss_cosine_reads_the_target_class_row():
     assignment = split_match(v, m, 1, targets, joint, CostWeights())
     assert [(p.query, p.target, p.group) for p in assignment.pairs] == [
         (0, 0, "seen"), (1, 1, "candidate")]
-    losses = loss(v, m, targets, assignment, joint, CostWeights())
+    losses = loss(v, m, 1, targets, assignment, joint, CostWeights())
     assert losses["cosine"] == 0.0
     assert losses["sm"] == losses["matched"]
 
 
 def test_loss_rejects_a_candidate_pair_with_a_seen_class():
-    # Targets 0 and 1 have classes 0 (seen) and 3 (candidate). Each pair
-    # whose group is not its target's raises, named by the first such pair.
+    # Targets 0 and 1 have classes 0 (seen) and 3 (candidate), and query 0
+    # is seen (k_seen 1). Each pair whose group is not its target's or its
+    # query's raises, named by the first such pair.
     v, m, targets, joint = _loss_case()
     seen, cand = Pair(0, 1, 0.0, "seen"), Pair(1, 0, 0.0, "candidate")
     for pairs, message in (
             ([cand], r"candidate pair \(1, 0\) has seen class id 0"),
             ([seen], r"seen pair \(0, 1\) has candidate class id 3"),
-            ([seen, cand], r"seen pair \(0, 1\)")):
+            ([seen, cand], r"seen pair \(0, 1\)"),
+            ([Pair(0, 1, 0.0, "candidate")],
+             r"candidate pair \(0, 1\) has a seen query \(k_seen 1\)")):
         with pytest.raises(ValueError, match=message):
-            loss(v, m, targets, Assignment(pairs), joint, CostWeights())
+            loss(v, m, 1, targets, Assignment(pairs), joint, CostWeights())
 
 
 def test_file_decoder_uses_every_query_row(tmp_path):
