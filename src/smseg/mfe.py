@@ -20,6 +20,7 @@ bit: ``grad_check`` runs all perturbed copies of an array as one batch.
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,20 +230,26 @@ def mfe_forward(pyr, params):
 
 
 def _mfe_forward_cache(pyr, params):
-    y0, c0 = _dense_block_cache(pyr.f0, params.blocks[0])
-    y1, c1 = _dense_block_cache(pyr.f1, params.blocks[1])
-    a01 = y1 + bilinear_resize(y0, *pyr.f1.shape[-2:])
-    y2, c2 = _dense_block_cache(pyr.f2, params.blocks[2])
-    fd = y2 + bilinear_resize(a01, *pyr.f2.shape[-2:])
-    return fd, (c0, c1, c2, pyr)
+    levels = (pyr.f0, pyr.f1, pyr.f2)
+    return _fuse(lambda i: _dense_block_cache(levels[i], params.blocks[i]))
 
 
-def _mfe_vjp(cache, params, dfd):
-    c0, c1, c2, pyr = cache
+def _fuse(level):
+    """(F_d, block caches) of the three levels, coarsest first, where
+    ``level(i)`` is level i's ``_dense_block_cache`` output: upsample
+    level 0 and add level 1, then upsample that and add level 2."""
+    (y0, c0), (y1, c1) = level(0), level(1)
+    a01 = y1 + bilinear_resize(y0, *y1.shape[-2:])
+    y2, c2 = level(2)
+    return y2 + bilinear_resize(a01, *y2.shape[-2:]), (c0, c1, c2)
+
+
+def _mfe_vjp(caches, params, dfd):
+    c0, c1, c2 = caches
     df2, dp2 = _dense_block_vjp(c2, params.blocks[2], dfd)
-    da01 = bilinear_resize_vjp(dfd, pyr.f1.shape[1], pyr.f1.shape[2])
+    da01 = bilinear_resize_vjp(dfd, *c1[0].shape[-2:])
     df1, dp1 = _dense_block_vjp(c1, params.blocks[1], da01)
-    da0 = bilinear_resize_vjp(da01, pyr.f0.shape[1], pyr.f0.shape[2])
+    da0 = bilinear_resize_vjp(da01, *c0[0].shape[-2:])
     df0, dp0 = _dense_block_vjp(c0, params.blocks[0], da0)
     return (df0, df1, df2), (dp0, dp1, dp2)
 
@@ -305,6 +312,9 @@ def _binary(seed, start, shape):
     return (u > 0.5).astype(np.float64)
 
 
+_BLOCK_KEYS = ("conv_w", "conv_b", "gn_gamma", "gn_beta")
+
+
 def _draw_block(seed, stream, c, prefix=""):
     """The arrays of one c-channel dense block, keyed ``{prefix}conv_w`` etc."""
     return {prefix + "conv_w": _draw(seed, stream, (c, c, 3, 3), -0.8, 0.8),
@@ -314,51 +324,95 @@ def _draw_block(seed, stream, c, prefix=""):
 
 
 def _block(a, prefix=""):
-    return DenseBlockParams(a[prefix + "conv_w"], a[prefix + "conv_b"], a[prefix + "gn_gamma"],
-                            a[prefix + "gn_beta"], groups=a["_groups"])
-
-
-def _pyramid(arrays):
-    return FeaturePyramid(f0=arrays["f0"], f1=arrays["f1"], f2=arrays["f2"])
+    return DenseBlockParams(*(a[prefix + k] for k in _BLOCK_KEYS), groups=a["_groups"])
 
 
 def _mfe_params(arrays):
     return MfeParams(blocks=tuple(_block(arrays, f"b{i}_") for i in range(3)))
 
 
+def _block_inputs(a, x_key, prefix=""):
+    """The arrays one dense block of fixture ``a`` reads: ``a[x_key]`` and
+    the block keyed ``{prefix}conv_w`` etc."""
+    return (a[x_key], *(a[prefix + k] for k in _BLOCK_KEYS))
+
+
+def _level(a, x_key, prefix=""):
+    """``_dense_block_cache`` of one dense block of fixture ``a``.
+
+    ``a["_kept"]`` may map ``x_key`` to (inputs, output) of that block as
+    its draw ran it. The output is taken, and the block not run again,
+    while every one of those inputs is the very array that ``a`` holds;
+    the pair holds its inputs, so no other array can take their ids.
+    """
+    inputs = _block_inputs(a, x_key, prefix)
+    kept = a.get("_kept", {}).get(x_key)
+    if kept and all(map(operator.is_, kept[0], inputs)):
+        return kept[1]
+    return _dense_block_cache(inputs[0], _block(a, prefix))
+
+
+def _fused(a):
+    """(F_d, block caches) of an mfe fixture, each block through ``_level``."""
+    return _fuse(lambda i: _level(a, f"f{i}", f"b{i}_"))
+
+
 def _well_conditioned(x, blk):
-    """Pre-ReLU values clear of zero and group variances clear of collapse.
+    """``_dense_block_cache(x, blk)`` when the block's pre-ReLU values are
+    clear of zero and its group variances clear of collapse, else None.
 
     Both margins keep the central-difference error of the composed block
     well under the 1e-4 acceptance bound at step 1e-3: the first stops
     kink crossings, the second bounds the normalization curvature.
     """
-    _, (_, conv_out, gn_out) = _dense_block_cache(x, blk)
+    out = _dense_block_cache(x, blk)
+    _, (_, conv_out, gn_out) = out
     var = conv_out.reshape(blk.groups, -1).var(axis=1)
-    return np.abs(gn_out).min() >= _KINK_MARGIN and var.min() >= _VAR_MARGIN
+    return out if np.abs(gn_out).min() >= _KINK_MARGIN and var.min() >= _VAR_MARGIN else None
+
+
+def _keep(a, kept, x_key, prefix=""):
+    """Whether one dense block of ``a`` is ``_well_conditioned``; when it
+    is, its inputs and output go into ``kept`` under ``x_key``."""
+    inputs = _block_inputs(a, x_key, prefix)
+    out = _well_conditioned(inputs[0], _block(a, prefix))
+    if out:
+        kept[x_key] = (inputs, out)
+    return bool(out)
 
 
 def _draw_dense_block(seed, c=4, size=4):
-    """One dense-block fixture; None when the block is badly conditioned."""
-    a = {"x": _draw(seed, 0, (c, size, size)), "_probe": 0.5 * _probe(seed, (c, size, size)),
-         "_groups": 2, **_draw_block(seed, 10, c)}
-    return a if _well_conditioned(a["x"], _block(a)) else None
+    """One dense-block fixture that keeps its block's output under
+    ``"_kept"``; None when the block is badly conditioned, before the
+    probe is drawn."""
+    a, kept = {"x": _draw(seed, 0, (c, size, size)), "_groups": 2, **_draw_block(seed, 10, c)}, {}
+    if not _keep(a, kept, "x"):
+        return None
+    return {**a, "_probe": 0.5 * _probe(seed, (c, size, size)), "_kept": kept}
 
 
-def _draw_mfe(seed, c=2, size=8, **target):
-    """One MFE fixture plus ``target``; None when a block is badly conditioned.
+def _draw_mfe(seed, target, c=2, size=8):
+    """One MFE fixture, drawn and conditioned one pyramid level at a time.
+
+    Level i draws ``f{i}`` and block i's four arrays, then checks the
+    block with ``_well_conditioned``; the draw returns None at the first
+    level that fails, before the next level is drawn. The row's fixed
+    arrays, ``target(seed)``, are drawn once all three levels pass. The
+    fixture keeps the three block outputs under ``"_kept"`` (see
+    ``_level``), so neither its gradient floor nor its analytic gradients
+    run a block forward again.
 
     Groups stay below the channel count: normalization cancels any
     per-group constant, so with one channel per group the conv bias would
     have an identically zero gradient and nothing left to verify.
     """
-    a = {f"f{i}": _draw(seed, i, (c, n, n)) for i, n in enumerate((size // 4, size // 2, size))}
-    a["_groups"] = 1
-    for i in range(3):
+    a, kept = {"_groups": 1}, {}
+    for i, n in enumerate((size // 4, size // 2, size)):
+        a[f"f{i}"] = _draw(seed, i, (c, n, n))
         a.update(_draw_block(seed, 10 + 10 * i, c, f"b{i}_"))
-    a.update(target)
-    levels = (a["f0"], a["f1"], a["f2"])
-    return a if all(map(_well_conditioned, levels, _mfe_params(a).blocks)) else None
+        if not _keep(a, kept, f"f{i}", f"b{i}_"):
+            return None
+    return {**a, **target(seed), "_kept": kept}
 
 
 def _draw_relu(seed):
@@ -400,17 +454,14 @@ def _conditioned(draw, value, grads):
 
 
 def _dense_block_grads(a, dout):
-    blk = _block(a)
-    _, cache = _dense_block_cache(a["x"], blk)
-    dx, dp = _dense_block_vjp(cache, blk, dout)
+    dx, dp = _dense_block_vjp(_level(a, "x")[1], _block(a), dout)
     return {"x": dx, **dp}
 
 
 def _mfe_grads(a, dfd):
     """Gradients of a scalar of the fused map ``fd``, given its own as ``dfd(fd)``."""
-    pyr, params = _pyramid(a), _mfe_params(a)
-    fd, cache = _mfe_forward_cache(pyr, params)
-    dfs, dps = _mfe_vjp(cache, params, dfd(fd))
+    fd, caches = _fused(a)
+    dfs, dps = _mfe_vjp(caches, _mfe_params(a), dfd(fd))
     return {**dict(zip(("f0", "f1", "f2"), dfs)),
             **{f"b{i}_{k}": v for i, dp in enumerate(dps) for k, v in dp.items()}}
 
@@ -420,7 +471,7 @@ def _dice_sum(a):
     leading batch index of ``fd``, a Python float when it has none. Each
     channel's maps take one batched ``dice_loss`` call, and the channels
     add in order."""
-    fd = mfe_forward(_pyramid(a), _mfe_params(a))
+    fd = _fused(a)[0]
     total = 0.0
     for c, y in enumerate(a["_dice_y"]):
         total = total + dice_loss(sigmoid(fd[..., c, :, :]), y)
@@ -443,7 +494,8 @@ def _class_similarity_vjp(a, dout):
 # op -> (draw(seed), value(arrays), grads(arrays)), as ``_case`` returns
 # them. Keys that start with "_" are held fixed. Kernels are looked up when a
 # case runs, so a patched module attribute is the one checked. A loss row's
-# kernel takes the whole batch of perturbed copies in one call.
+# kernel takes the whole batch of perturbed copies in one call. The fusion
+# rows' values and gradients run each block through ``_level``.
 _CASES = {
     "conv": (
         lambda s: {"x": _draw(s, 0, (3, 5, 5)), "w": _draw(s, 1, (3, 3, 3, 3), -0.5, 0.5),
@@ -465,11 +517,10 @@ _CASES = {
         _draw_dense_block,
         *_probed(lambda a: dense_block(a["x"], _block(a)), _dense_block_grads)),
     "mfe": _conditioned(
-        lambda s: _draw_mfe(s, _probe=0.5 * _probe(s, (2, 8, 8))),
-        *_probed(lambda a: mfe_forward(_pyramid(a), _mfe_params(a)),
-                 lambda a, d: _mfe_grads(a, lambda fd: d))),
+        lambda s: _draw_mfe(s, lambda s: {"_probe": 0.5 * _probe(s, (2, 8, 8))}),
+        *_probed(lambda a: _fused(a)[0], lambda a, d: _mfe_grads(a, lambda fd: d))),
     "mfe_dice": _conditioned(
-        lambda s: _draw_mfe(s, _dice_y=_binary(s, 5_000_000, (2, 8, 8))),
+        lambda s: _draw_mfe(s, lambda s: {"_dice_y": _binary(s, 5_000_000, (2, 8, 8))}),
         _dice_sum, lambda a: _mfe_grads(a, lambda fd: _dice_sum_dfd(a, fd))),
     "dice": (lambda s: _draw_target(s, "m", 0.05, 0.95),
              lambda a: dice_loss(a["m"], a["_y"]),
@@ -502,14 +553,18 @@ GRADCHECK_OPS = tuple(_CASES)
 
 
 def _case(op, seed):
-    """Returns (arrays, value, grads, analytic) for one gradcheck op.
+    """Returns (arrays, value, grads, analytic, kept) for one gradcheck op.
 
     ``value(arrays)`` runs only the forward pass and returns the scalar
     being differentiated, or one per item when an array is stacked along a
     leading batch axis; ``grads(arrays)`` returns its analytic gradient
     with respect to each checked array, keyed like ``arrays``; ``analytic``
-    is those gradients when the draw already took them, else None. A draw
-    that returns None is retried at ``seed + 7919 * attempt``.
+    is those gradients when the draw already took them, else None. ``kept``
+    holds the block outputs the draw ran, for a value's arrays to carry as
+    ``"_kept"`` (see ``_level``); ``arrays`` comes without them, so
+    ``value(arrays)`` reads nothing but the arrays, even when a caller
+    writes into one. A draw that returns None is retried at
+    ``seed + 7919 * attempt``.
     """
     if op not in _CASES:
         raise ValueError(f"gradcheck does not support op {op!r}")
@@ -518,7 +573,8 @@ def _case(op, seed):
         drawn = draw(seed + 7919 * attempt)
         if drawn is not None:
             arrays, analytic = drawn if isinstance(drawn, tuple) else (drawn, None)
-            return arrays, value, grads, analytic
+            kept = arrays.pop("_kept", {})
+            return arrays, value, grads, analytic, kept
     raise RuntimeError(f"could not build a well-conditioned {op} fixture")
 
 
@@ -535,13 +591,21 @@ def grad_check(op, seed=0, step=1e-3):
     taken from the 2N values it returns (a single value is broadcast to
     all 2N).
 
+    Each dense-block forward runs once per fixture: the draw keeps the
+    block outputs it conditioned on, its gradient floor and the analytic
+    gradients start from them, and in the central differences a block
+    whose inputs do not include the perturbed array takes its kept output.
+    So a batch of the ``mfe`` rows runs one block, not three. Nothing is
+    kept between calls; the results are those of running every forward.
+
     A non-finite error on any array (NaN or inf in either gradient) is
     returned as is, so it fails every ``err < bound`` test. ``step`` must
     be finite and > 0, else ValueError.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and > 0, got {step!r}")
-    arrays, value, grads, analytic = _case(op, seed)
+    arrays, value, grads, analytic, kept = _case(op, seed)
+    arrays["_kept"] = kept
     worst = 0.0
     for name, ana in (analytic or grads(arrays)).items():
         arr = arrays[name]

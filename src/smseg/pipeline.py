@@ -274,7 +274,12 @@ def loss(v, m, k_seen, targets, assignment, joint, weights):
 
 def mfe(feats, groups, seed):
     """The fusion block's map F_d of (C, H, W) ``feats``: the 1/4-, 1/2- and
-    full-size levels fused under ``init_mfe_params(C, groups, seed)``."""
+    full-size levels fused under ``init_mfe_params(C, groups, seed)``. H and
+    W must be positive multiples of 4; ``FeaturePyramid`` names a size that
+    4 does not divide."""
+    if feats.ndim != 3 or min(feats.shape[1:]) < 4:
+        raise ValueError("features must be (C, H, W) with H and W positive multiples "
+                         f"of 4, got shape {feats.shape}")
     c, h, w = feats.shape
     pyr = FeaturePyramid(f0=bilinear_resize(feats, h // 4, w // 4),
                          f1=bilinear_resize(feats, h // 2, w // 2), f2=feats)

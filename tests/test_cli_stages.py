@@ -131,6 +131,12 @@ def _mfe(d, size, *extra):
     return ["mfe", "--features", d / "O.smtf", "--out", d / "Fd.smtf", *extra]
 
 
+def _features(d, feats):
+    """mfe of the hand-made feature tensor ``feats``."""
+    save_tensor(feats, d / "O.smtf")
+    return ["mfe", "--features", d / "O.smtf", "--out", d / "Fd.smtf"]
+
+
 def _loss_of(d, assignment, targets="seen.json"):
     """loss of a hand-written assign.json against the bank's seen targets."""
     (d / "assign.json").write_text(json.dumps(assignment))
@@ -213,6 +219,10 @@ def _infer(d, queries, decoder):
      "'group' must be a string, got None"),
     (lambda d: _mfe(d, 66), "finest 66x66 not divisible by 4"),
     (lambda d: _mfe(d, 32, "--groups", "0"), "channels 8 not divisible by groups 0"),
+    (lambda d: _features(d, np.ones((8, 8), dtype=np.float32)),
+     "features must be (C, H, W) with H and W positive multiples of 4, got shape (8, 8)"),
+    (lambda d: _features(d, np.ones((8, 2, 2), dtype=np.float32)),
+     "features must be (C, H, W) with H and W positive multiples of 4, got shape (8, 2, 2)"),
     (lambda d: _infer(d, np.ones(4, dtype=np.float32), np.zeros((3, 4, 4), np.float32)),
      "queries must be"),
     (lambda d: _infer(d, np.ones((2, 4), dtype=np.float32),
@@ -254,7 +264,8 @@ def _infer(d, queries, decoder):
         "loss-seen-count",
         "loss-weights", "loss-weights-key", "match-weights-key", "loss-cost-missing", "loss-cost-nan",
         "loss-pair-no-group",
-        "mfe-features-size", "mfe-groups-zero", "infer-queries-rank", "infer-decoder-shape",
+        "mfe-features-size", "mfe-groups-zero", "mfe-features-rank", "mfe-features-2x2",
+        "infer-queries-rank", "infer-decoder-shape",
         "infer-decoder-width", "loss-no-pairs", "loss-pair-no-q", "loss-q-string",
         "loss-q-fraction", "loss-json-list", "loss-unmatched-range",
         "loss-target-no-mask", "match-weights-type", "eval-pred-directory",

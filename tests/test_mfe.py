@@ -207,6 +207,24 @@ def test_mfe_additive_linearity_in_fine_gamma():
     assert np.allclose(twice, 2.0 * base, atol=1e-12)
 
 
+def _zero_block(**kw):
+    return mfe.DenseBlockParams(np.zeros((2, 2, 3, 3)), np.zeros(2), np.ones(2), np.zeros(2),
+                                groups=1, **kw)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _zero_block(eps=0.0), "eps must be > 0"),
+    (lambda: mfe.MfeParams(blocks=(_zero_block(), _zero_block())),
+     "three dense blocks required"),
+    (lambda: mfe.bilinear_resize(np.zeros((2, 3, 4)), 0, 3), "target dims must be positive"),
+    (lambda: mfe.mfe_logits(np.ones((2, 4, 4)), np.ones((5, 3))),
+     "embedding width 3 != channels 2"),
+], ids=["eps-zero", "two-blocks", "resize-to-zero", "logits-width"])
+def test_fusion_value_errors_named(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_pyramid_shape_validation():
     with pytest.raises(ValueError):
         mfe.FeaturePyramid(f0=np.zeros((2, 3, 3)), f1=np.zeros((2, 4, 4)),
@@ -249,7 +267,8 @@ def _value_before(op, seed):
         return float(np.sum(a["_probe"] * out))
 
     def mfe_value(a):
-        fd, _ = mfe._mfe_forward_cache(mfe._pyramid(a), mfe._mfe_params(a))
+        pyr = mfe.FeaturePyramid(a["f0"], a["f1"], a["f2"])
+        fd, _ = mfe._mfe_forward_cache(pyr, mfe._mfe_params(a))
         if op == "mfe":
             return probed(a, fd)
         total = 0.0
@@ -444,6 +463,49 @@ def test_build_case_gives_up_with_named_error(op, monkeypatch):
     with pytest.raises(RuntimeError, match=f"well-conditioned {op} fixture"):
         mfe._case(op, 0)
     assert len(calls) == 512
+
+
+# ``conv2d_3x3`` calls per ``grad_check(op, seed)`` at seeds 0-2: one per
+# conditioning check of every draw tried, then one per checked array, as
+# the draw's kept block outputs stand in for every other forward.
+GRAD_CHECK_CONV_CALLS = {"dense_block": [6, 6, 6], "mfe": [25, 27, 20],
+                         "mfe_dice": [25, 27, 23]}
+
+
+def test_grad_check_conv_calls_pinned(monkeypatch):
+    calls = []
+    conv = mfe.conv2d_3x3
+    monkeypatch.setattr(mfe, "conv2d_3x3", lambda *a: calls.append(1) or conv(*a))
+    for op, want in GRAD_CHECK_CONV_CALLS.items():
+        got = []
+        for seed in range(3):
+            before = len(calls)
+            mfe.grad_check(op, seed=seed)
+            got.append(len(calls) - before)
+        assert got == want, op
+
+
+@pytest.mark.parametrize("op", ["dense_block", "mfe", "mfe_dice"])
+def test_a_draw_failing_at_level_0_draws_only_that_level(op, monkeypatch):
+    streams = []
+    draw = mfe._draw
+    monkeypatch.setattr(mfe, "_draw", lambda s, stream, *a: streams.append(stream)
+                        or draw(s, stream, *a))
+    monkeypatch.setattr(mfe, "_binary", lambda *a: pytest.fail("target drawn"))
+    monkeypatch.setattr(mfe, "_well_conditioned", lambda x, blk: None)
+    assert mfe._CASES[op][0](0) is None
+    assert streams == [0, 10, 11, 12, 13]          # the input, then the block's four
+
+
+def test_kept_block_output_needs_its_very_inputs():
+    arrays, _, _, _, kept = mfe._case("mfe", 0)
+    held = {**arrays, "_kept": kept}
+    for i in range(3):
+        assert mfe._level(held, f"f{i}", f"b{i}_") is kept[f"f{i}"][1]
+    copied = {**held, "b1_conv_b": arrays["b1_conv_b"].copy()}
+    y, cache = mfe._level(copied, "f1", "b1_")
+    assert cache is not kept["f1"][1][1]
+    assert y.tobytes() == kept["f1"][1][0].tobytes()
 
 
 def _same_as_stacked(fn, batch):
