@@ -10,7 +10,6 @@ import argparse
 import dataclasses
 import inspect
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from .embeddings import JointEmbedding, unannotated_region
 from .losses import CostWeights
 from .matcher import Assignment, Pair
 from .metrics import EvalConfig, evaluate
-from .mfe import GRADCHECK_OPS, grad_check
+from .mfe import GRADCHECK_BOUND, GRADCHECK_OPS, grad_check
 from .pipeline import (PipelineConfig, PipelineStageError, _ints, cluster,
                        decoder_params, embed, infer, loss, match, mfe, run_pipeline,
                        seen_query_count)
@@ -180,8 +179,9 @@ def _cmd_mfe(args):
 
 def _cmd_gradcheck(args):
     err = grad_check(args.op, seed=args.seed, step=args.step)
-    if not math.isfinite(err):
-        raise ValueError(f"gradcheck {args.op}: relative error is {err}")
+    if not err < GRADCHECK_BOUND:
+        raise ValueError(f"gradcheck {args.op}: relative error {err} is not below "
+                         f"{GRADCHECK_BOUND}")
     print(json.dumps({"op": args.op, "seed": args.seed, "step": args.step,
                       "max_rel_err": err}))
 

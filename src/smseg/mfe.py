@@ -13,9 +13,10 @@ analytic gradients (a VJP, or a loss kernel's ``*_grad`` twin).
 Forward ops preserve the input dtype (float32 in the pipeline, float64
 under gradcheck) and use fixed reduction orders, so outputs are bitwise
 reproducible. The forwards broadcast over leading batch dimensions of any
-input array or parameter (shapes are validated on their trailing
-dimensions), and a batched call equals the stack of per-item calls bit for
-bit: ``grad_check`` runs all perturbed copies of an array as one batch.
+input array or parameter, several at once (shapes are validated on their
+trailing dimensions), and a batched call equals the stack of per-item calls
+bit for bit: ``grad_check`` runs all perturbed copies of a group of arrays
+as one batch.
 """
 
 import functools
@@ -286,10 +287,13 @@ def init_mfe_params(channels, groups=8, seed=0, weight_scale=0.1):
 # finite-difference verification harness
 # ---------------------------------------------------------------------------
 
+# A check passes when its relative error is below this bound; the
+# fixtures' margins below are set for it at step 1e-3.
+GRADCHECK_BOUND = 1e-4
 _KINK_MARGIN = 1e-2
 # Group norm is scale invariant, so its curvature falls as the pre-norm
 # variance rises; this floor keeps the central-difference truncation term
-# h^2 * f'''/6 well below the 1e-4 relative bound at h = 1e-3.
+# h^2 * f'''/6 well below GRADCHECK_BOUND at h = 1e-3.
 _VAR_MARGIN = 0.4
 # Composed-block fixtures are redrawn until every parameter array carries
 # a macroscopic gradient; an all-but-dead array would pit pure difference
@@ -297,10 +301,20 @@ _VAR_MARGIN = 0.4
 _GRAD_NORM_FLOOR = 3e-3
 
 
+def _draws(seed, specs):
+    """One array per (stream, shape, lo, hi) of ``specs``: uniform in
+    [lo, hi) from the first entries of stream ``stream`` of ``seed``, each
+    stream 1,000,003 words long. All are hashed in one pass over their
+    stream positions; each value depends only on (seed, position)."""
+    sizes = [math.prod(shape) for _, shape, _, _ in specs]
+    u = rng.uniform01_at(seed, np.concatenate(
+        [np.arange(n) + spec[0] * 1_000_003 for spec, n in zip(specs, sizes)]))
+    return [(lo + (hi - lo) * part).reshape(shape) for (_, shape, lo, hi), part
+            in zip(specs, np.split(u, np.cumsum(sizes)[:-1]))]
+
+
 def _draw(seed, stream, shape, lo=-1.0, hi=1.0):
-    n = int(np.prod(shape))
-    u = rng.uniform01(seed, n, start=stream * 1_000_003)
-    return (lo + (hi - lo) * u).reshape(shape)
+    return _draws(seed, ((stream, shape, lo, hi),))[0]
 
 
 def _probe(seed, shape):
@@ -315,12 +329,15 @@ def _binary(seed, start, shape):
 _BLOCK_KEYS = ("conv_w", "conv_b", "gn_gamma", "gn_beta")
 
 
-def _draw_block(seed, stream, c, prefix=""):
-    """The arrays of one c-channel dense block, keyed ``{prefix}conv_w`` etc."""
-    return {prefix + "conv_w": _draw(seed, stream, (c, c, 3, 3), -0.8, 0.8),
-            prefix + "conv_b": _draw(seed, stream + 1, (c,), -0.3, 0.3),
-            prefix + "gn_gamma": _draw(seed, stream + 2, (c,), 0.5, 1.5),
-            prefix + "gn_beta": _draw(seed, stream + 3, (c,), -0.3, 0.3)}
+def _draw_level(seed, x_key, x_stream, x_shape, stream, c, prefix=""):
+    """One fixture level in one ``_draws`` pass: the input ``x_key`` in
+    [-1, 1) from stream ``x_stream``, and the four arrays of a c-channel
+    dense block, keyed ``{prefix}conv_w`` etc., from streams ``stream`` to
+    ``stream + 3``."""
+    return dict(zip((x_key, *(prefix + k for k in _BLOCK_KEYS)), _draws(seed, (
+        (x_stream, x_shape, -1.0, 1.0), (stream, (c, c, 3, 3), -0.8, 0.8),
+        (stream + 1, (c,), -0.3, 0.3), (stream + 2, (c,), 0.5, 1.5),
+        (stream + 3, (c,), -0.3, 0.3)))))
 
 
 def _block(a, prefix=""):
@@ -362,7 +379,7 @@ def _well_conditioned(x, blk):
     clear of zero and its group variances clear of collapse, else None.
 
     Both margins keep the central-difference error of the composed block
-    well under the 1e-4 acceptance bound at step 1e-3: the first stops
+    well under ``GRADCHECK_BOUND`` at step 1e-3: the first stops
     kink crossings, the second bounds the normalization curvature.
     """
     out = _dense_block_cache(x, blk)
@@ -384,8 +401,9 @@ def _keep(a, kept, x_key, prefix=""):
 def _draw_dense_block(seed, c=4, size=4):
     """One dense-block fixture that keeps its block's output under
     ``"_kept"``; None when the block is badly conditioned, before the
-    probe is drawn."""
-    a, kept = {"x": _draw(seed, 0, (c, size, size)), "_groups": 2, **_draw_block(seed, 10, c)}, {}
+    probe is drawn. ``x`` (stream 0) and the block (streams 10-13) are
+    one ``_draw_level``."""
+    a, kept = {**_draw_level(seed, "x", 0, (c, size, size), 10, c), "_groups": 2}, {}
     if not _keep(a, kept, "x"):
         return None
     return {**a, "_probe": 0.5 * _probe(seed, (c, size, size)), "_kept": kept}
@@ -394,7 +412,8 @@ def _draw_dense_block(seed, c=4, size=4):
 def _draw_mfe(seed, target, c=2, size=8):
     """One MFE fixture, drawn and conditioned one pyramid level at a time.
 
-    Level i draws ``f{i}`` and block i's four arrays, then checks the
+    Level i draws ``f{i}`` (stream i) and block i's four arrays (streams
+    10 + 10i to 13 + 10i) in one ``_draw_level`` pass, then checks the
     block with ``_well_conditioned``; the draw returns None at the first
     level that fails, before the next level is drawn. The row's fixed
     arrays, ``target(seed)``, are drawn once all three levels pass. The
@@ -408,8 +427,7 @@ def _draw_mfe(seed, target, c=2, size=8):
     """
     a, kept = {"_groups": 1}, {}
     for i, n in enumerate((size // 4, size // 2, size)):
-        a[f"f{i}"] = _draw(seed, i, (c, n, n))
-        a.update(_draw_block(seed, 10 + 10 * i, c, f"b{i}_"))
+        a.update(_draw_level(seed, f"f{i}", i, (c, n, n), 10 + 10 * i, c, f"b{i}_"))
         if not _keep(a, kept, f"f{i}", f"b{i}_"):
             return None
     return {**a, **target(seed), "_kept": kept}
@@ -578,6 +596,37 @@ def _case(op, seed):
     raise RuntimeError(f"could not build a well-conditioned {op} fixture")
 
 
+def _groups(arrays, kept, names):
+    """The checked arrays ``names`` in perturbation groups: for each kept
+    dense block, the names whose arrays are its inputs (by identity), then
+    one group of all the rest; empty groups are left out."""
+    blocks = [[n for n in names if any(arrays[n] is x for x in inputs)]
+              for inputs, _ in kept.values()]
+    rest = [n for n in names if not any(n in g for g in blocks)]
+    return [g for g in (*blocks, rest) if g]
+
+
+def _central_differences(value, arrays, group, step):
+    """name -> central-difference gradient of ``value`` for every array of
+    ``group``, from one call of ``value`` on a batch of 2N items, N the
+    group's entries in total: item k moves entry k of the group's
+    flattened arrays, taken in order, by +step, item N + k by -step, and
+    every other array of the group keeps its value in that item."""
+    sizes = [arrays[n].size for n in group]
+    total = sum(sizes)
+    batch, start = {}, 0
+    for name, n in zip(group, sizes):
+        b = np.repeat(arrays[name].reshape(1, n), 2 * total, axis=0)
+        at = np.arange(n)
+        b[start + at, at] += step
+        b[total + start + at, at] -= step
+        batch[name] = b.reshape(2 * total, *arrays[name].shape)
+        start += n
+    vals = np.broadcast_to(value({**arrays, **batch}), (2 * total,))
+    num = (vals[:total] - vals[total:]) / (2.0 * step)
+    return dict(zip(group, np.split(num, np.cumsum(sizes)[:-1])))
+
+
 def grad_check(op, seed=0, step=1e-3):
     """Max relative error between analytic and central-difference gradients.
 
@@ -585,38 +634,40 @@ def grad_check(op, seed=0, step=1e-3):
     gradient is taken in float64 and compared as |num - ana| /
     max(|num|, |ana|, 1e-8) with |.| the Euclidean norm over that array;
     the maximum across arrays is returned. The analytic gradients are
-    computed once. An array with N entries is stacked into a (2N, *shape)
-    batch of its +step and -step copies, one entry moved in each, and the
-    op's forward value runs once on the batch; N central differences are
-    taken from the 2N values it returns (a single value is broadcast to
-    all 2N).
+    computed once.
+
+    The central differences run the op's forward value once per group of
+    arrays: one group per dense block the draw kept, of the arrays that
+    are that block's inputs, and one group of all other arrays. A group
+    of N entries in all is stacked into a batch of 2N items, one entry of
+    one array moved by +step or -step in each, every array of the group
+    carrying the batch axis; N central differences come from the 2N
+    values (a single value is broadcast to all 2N). Each item's value is
+    bitwise that of its own unbatched call.
 
     Each dense-block forward runs once per fixture: the draw keeps the
     block outputs it conditioned on, its gradient floor and the analytic
-    gradients start from them, and in the central differences a block
-    whose inputs do not include the perturbed array takes its kept output.
-    So a batch of the ``mfe`` rows runs one block, not three. Nothing is
-    kept between calls; the results are those of running every forward.
+    gradients start from them, and in a group's batch every other block
+    takes its kept output. So the ``mfe`` rows make three value calls,
+    each running one block on its batch, and every other row one. Nothing
+    is kept between calls; the results are those of running every forward.
 
-    A non-finite error on any array (NaN or inf in either gradient) is
-    returned as is, so it fails every ``err < bound`` test. ``step`` must
-    be finite and > 0, else ValueError.
+    The errors are reduced in the gradients' key order, and the first
+    non-finite one (NaN or inf in either gradient) is returned as is, so
+    it fails every ``err < GRADCHECK_BOUND`` test. ``step`` must be finite and > 0,
+    else ValueError.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and > 0, got {step!r}")
     arrays, value, grads, analytic, kept = _case(op, seed)
     arrays["_kept"] = kept
+    analytic = analytic or grads(arrays)
+    numeric = {}
+    for group in _groups(arrays, kept, list(analytic)):
+        numeric.update(_central_differences(value, arrays, group, step))
     worst = 0.0
-    for name, ana in (analytic or grads(arrays)).items():
-        arr = arrays[name]
-        n = arr.size
-        batch = np.repeat(arr.reshape(1, n), 2 * n, axis=0)
-        at = np.arange(n)
-        batch[at, at] += step                   # rows [0, n): entry i + step
-        batch[n + at, at] -= step               # rows [n, 2n): entry i - step
-        vals = np.broadcast_to(value({**arrays, name: batch.reshape(2 * n, *arr.shape)}),
-                               (2 * n,))
-        num = (vals[:n] - vals[n:]) / (2.0 * step)
+    for name, ana in analytic.items():
+        num = numeric[name]
         ana_flat = np.asarray(ana, dtype=np.float64).reshape(-1)
         err = (np.linalg.norm(num - ana_flat)
                / max(np.linalg.norm(num), np.linalg.norm(ana_flat), 1e-8))

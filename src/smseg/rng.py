@@ -35,20 +35,34 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def raw64(seed, count, start=0):
-    """Words start..start+count-1 of the SplitMix64 stream for ``seed``."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK64) + idx * _GAMMA
+def _mix(seed, counter):
+    """SplitMix64 words of ``seed`` at the uint64 counters ``counter`` (i + 1)."""
+    z = np.uint64(seed & _MASK64) + counter * _GAMMA
     z = (z ^ (z >> np.uint64(30))) * _MIX1
     z = (z ^ (z >> np.uint64(27))) * _MIX2
     return z ^ (z >> np.uint64(31))
 
 
+def raw64(seed, count, start=0):
+    """Words start..start+count-1 of the SplitMix64 stream for ``seed``."""
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    return _mix(seed, np.arange(start + 1, start + count + 1, dtype=np.uint64))
+
+
+def _unit(words):
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
 def uniform01(seed, count, start=0):
     """Uniform doubles in [0, 1), one per stream word."""
-    return (raw64(seed, count, start) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return _unit(raw64(seed, count, start))
+
+
+def uniform01_at(seed, index):
+    """Uniform doubles at the non-negative integer array ``index`` of stream
+    positions: ``uniform01(seed, 1, i)[0]`` for each i, in one pass."""
+    return _unit(_mix(seed, np.asarray(index, dtype=np.uint64) + np.uint64(1)))
 
 
 def gaussians(seed, count, start_pair=0):

@@ -33,7 +33,7 @@ from smseg.clustering import (WindowConfig, fuse_masks, kmeans,
                               multi_scale_seeds, restrict_candidates)
 from smseg.decoder import DecoderParams, decode, inject_random_queries
 from smseg.matcher import hungarian, split_match
-from smseg.mfe import GRADCHECK_OPS, grad_check
+from smseg.mfe import GRADCHECK_BOUND, GRADCHECK_OPS, grad_check
 from smseg.pipeline import make_synth_run, run_pipeline
 from smseg.synth import gen_synth
 
@@ -262,7 +262,7 @@ def test_c07_gradient_checks():
         for seed in range(20):
             err = grad_check(op, seed=seed, step=1e-3)
             worst[op] = max(worst.get(op, 0.0), err)
-            assert err < 1e-4, (op, seed, err)
+            assert err < GRADCHECK_BOUND, (op, seed, err)
     elapsed = time.time() - start
     peak = max(worst, key=worst.get)
     _report(7, f"gradient checks, {len(GRADCHECK_OPS)} ops x 20 fixtures", True,

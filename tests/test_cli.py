@@ -8,7 +8,8 @@ import pytest
 from smseg import gen_synth, load_tensor, save_tensor, write_fixture
 from smseg.cli import build_parser, main
 from smseg.decoder import DecoderParams
-from smseg.mfe import FeaturePyramid, bilinear_resize, init_mfe_params, mfe_forward
+from smseg.mfe import (GRADCHECK_BOUND, FeaturePyramid, bilinear_resize, conv2d_3x3_vjp,
+                       init_mfe_params, mfe_forward)
 
 
 @pytest.fixture()
@@ -163,6 +164,18 @@ def test_gradcheck_non_finite_error_exits_1(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "bce" in captured.err and "nan" in captured.err
+
+
+def test_gradcheck_error_not_below_bound_exits_1(capsys, monkeypatch):
+    def doubled_weight_grad(x, w, dout):
+        dx, dw, db = conv2d_3x3_vjp(x, w, dout)
+        return dx, 2.0 * dw, db
+
+    monkeypatch.setattr("smseg.mfe.conv2d_3x3_vjp", doubled_weight_grad)
+    assert main(["gradcheck", "--op", "conv", "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: gradcheck conv:")
+    assert f"is not below {GRADCHECK_BOUND}" in captured.err
 
 
 def test_infer_and_eval(fixture_dir, capsys):

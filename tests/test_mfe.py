@@ -466,10 +466,11 @@ def test_build_case_gives_up_with_named_error(op, monkeypatch):
 
 
 # ``conv2d_3x3`` calls per ``grad_check(op, seed)`` at seeds 0-2: one per
-# conditioning check of every draw tried, then one per checked array, as
-# the draw's kept block outputs stand in for every other forward.
-GRAD_CHECK_CONV_CALLS = {"dense_block": [6, 6, 6], "mfe": [25, 27, 20],
-                         "mfe_dice": [25, 27, 23]}
+# conditioning check of every draw tried, then one per dense block's group
+# of perturbed arrays, as the draw's kept block outputs stand in for every
+# other forward.
+GRAD_CHECK_CONV_CALLS = {"dense_block": [2, 2, 2], "mfe": [13, 15, 8],
+                         "mfe_dice": [13, 15, 11]}
 
 
 def test_grad_check_conv_calls_pinned(monkeypatch):
@@ -487,14 +488,48 @@ def test_grad_check_conv_calls_pinned(monkeypatch):
 
 @pytest.mark.parametrize("op", ["dense_block", "mfe", "mfe_dice"])
 def test_a_draw_failing_at_level_0_draws_only_that_level(op, monkeypatch):
-    streams = []
-    draw = mfe._draw
-    monkeypatch.setattr(mfe, "_draw", lambda s, stream, *a: streams.append(stream)
-                        or draw(s, stream, *a))
+    passes = []
+    draws = mfe._draws
+    monkeypatch.setattr(mfe, "_draws", lambda s, specs: passes.append(
+        [spec[0] for spec in specs]) or draws(s, specs))
     monkeypatch.setattr(mfe, "_binary", lambda *a: pytest.fail("target drawn"))
     monkeypatch.setattr(mfe, "_well_conditioned", lambda x, blk: None)
     assert mfe._CASES[op][0](0) is None
-    assert streams == [0, 10, 11, 12, 13]          # the input, then the block's four
+    assert passes == [[0, 10, 11, 12, 13]]         # the input and the block's four, one pass
+
+
+# ``value`` calls per ``grad_check(op, seed)``: one per group of perturbed
+# arrays, that is one per dense block the draw keeps and one for the
+# arrays of an op without blocks.
+GRAD_CHECK_VALUE_CALLS = {op: 1 for op in mfe.GRADCHECK_OPS} | {"mfe": 3, "mfe_dice": 3}
+
+
+def test_grad_check_value_calls_pinned(monkeypatch):
+    calls = []
+    case = mfe._case
+
+    def counted(op, seed):
+        arrays, value, *rest = case(op, seed)
+        return (arrays, lambda a: calls.append(op) or value(a), *rest)
+
+    monkeypatch.setattr(mfe, "_case", counted)
+    for op, want in GRAD_CHECK_VALUE_CALLS.items():
+        for seed in range(2):
+            calls.clear()
+            mfe.grad_check(op, seed=seed)
+            assert len(calls) == want, (op, seed)
+
+
+def test_groups_follow_the_kept_blocks_inputs():
+    arrays, _, grads, _, kept = mfe._case("mfe", 0)
+    names = list(grads(arrays))
+    want = [[f"f{i}", *(f"b{i}_{k}" for k in mfe._BLOCK_KEYS)] for i in range(3)]
+    assert mfe._groups(arrays, kept, names) == want
+    copied = {**arrays, "b1_conv_b": arrays["b1_conv_b"].copy()}   # no longer block 1's
+    assert mfe._groups(copied, kept, names) == [want[0], want[1][:2] + want[1][3:], want[2],
+                                                ["b1_conv_b"]]
+    arrays, _, grads, _, kept = mfe._case("conv", 0)
+    assert kept == {} and mfe._groups(arrays, kept, list(grads(arrays))) == [["x", "w", "b"]]
 
 
 def test_kept_block_output_needs_its_very_inputs():
@@ -625,10 +660,20 @@ def test_loss_kernels_batch_bitwise(name):
 
 @pytest.mark.parametrize("op", mfe.GRADCHECK_OPS)
 def test_value_of_a_batch_equals_per_item_values(op):
-    arrays, value, grads = mfe._case(op, 0)[:3]
+    arrays, value, grads, _, kept = mfe._case(op, 0)
     for name in grads(arrays):
         items = [arrays[name] + 1e-3 * k for k in (-1, 0, 2)]
         got = value({**arrays, name: np.stack(items)})
         assert got.shape == (3,), name
         want = [float(value({**arrays, name: item})).hex() for item in items]
         assert [float(v).hex() for v in got] == want, name
+    # as grad_check batches a group: every array of the group stacked, each
+    # item moving one of them, the other blocks' kept outputs taken
+    held = {**arrays, "_kept": kept}
+    for group in mfe._groups(held, kept, list(grads(arrays))):
+        items = [{**{n: arrays[n] for n in group}, name: arrays[name] + 1e-3 * k}
+                 for name in group for k in (-1, 2)]
+        got = value({**held, **{n: np.stack([item[n] for item in items]) for n in group}})
+        assert got.shape == (len(items),), group
+        want = [float(value({**arrays, **item})).hex() for item in items]
+        assert [float(v).hex() for v in got] == want, group
