@@ -1,9 +1,12 @@
 """smseg command line: every pipeline stage as a subcommand.
 
-Arrays travel as SMTF files, structured results as JSON. ``match`` and
-``loss`` take one target list, seen and candidate targets in any order, as
-JSON of the form ``{"targets": [{"class_id": 3, "mask": "mask3.smtf"}, ...]}``
-with mask paths resolved against the JSON file's directory.
+The config file is the one parameter source: ``cluster``, ``fuse``, ``match``,
+``mfe``, ``infer`` and ``eval`` read the ``PipelineConfig`` of ``--config``, as
+``smseg pipeline`` does, or its defaults without the flag. Arrays travel as
+SMTF files, structured results as JSON. ``match`` and ``loss`` take one target
+list, seen and candidate targets in any order, as JSON of the form
+``{"targets": [{"class_id": 3, "mask": "mask3.smtf"}, ...]}`` with mask paths
+resolved against the JSON file's directory.
 """
 
 import argparse
@@ -27,7 +30,6 @@ from .pipeline import (PipelineConfig, PipelineStageError, _ints, cluster,
 from .synth import gen_synth, write_fixture
 from .tensor_store import load_tensor, save_tensor
 
-DEFAULTS = PipelineConfig()
 # gen_synth parameters exposed as gen-synth flags, with gen_synth's defaults
 SYNTH_FLAGS = ("seed", "blobs", "seen", "size", "dim", "noise")
 
@@ -88,15 +90,13 @@ def _cost_weights(fields, source):
     return CostWeights(**fields)
 
 
-def _weights_from_json(path):
-    if not path:
-        return CostWeights()
-    return _cost_weights(json.loads(Path(path).read_text()), path)
-
-
 def _joint_from_file(path, seen_count):
-    """The bank in ``path``; its first ``seen_count`` rows (all if None) are seen."""
+    """The (rows, C) bank in ``path``; its first ``seen_count`` rows (all if
+    None) are seen."""
     matrix = load_tensor(path)
+    if matrix.ndim != 2:
+        raise ValueError(f"embeddings {path} must be a (rows, C) matrix, got shape "
+                         f"{matrix.shape}")
     seen_count = len(matrix) if seen_count is None else seen_count
     if seen_count < 0:
         raise ValueError(f"seen count {seen_count} is negative")
@@ -106,8 +106,9 @@ def _joint_from_file(path, seen_count):
     return JointEmbedding(matrix=matrix, seen_count=seen_count)
 
 
-def _cmd_cluster(args):
-    result = cluster(load_tensor(args.features), args.windows, args.iters, args.tol)
+def _cmd_cluster(args, cfg):
+    result = cluster(load_tensor(args.features), cfg.windows, cfg.kmeans_iters,
+                     cfg.kmeans_tol)
     save_tensor(result.assignments.astype(np.float32), args.out_assign)
     save_tensor(result.centroids, args.out_centroids)
     print(json.dumps({"clusters": int(result.centroids.shape[0]),
@@ -115,12 +116,17 @@ def _cmd_cluster(args):
                       "objective": result.objective_trace[-1]}))
 
 
-def _cmd_fuse(args):
+def _cmd_fuse(args, cfg):
     clusters = ClusterResult(assignments=load_tensor(args.assign).astype(np.int32),
                              centroids=load_tensor(args.centroids), objective_trace=[])
-    region = unannotated_region(load_tensor(args.seen_labels), args.ignore, ())
-    cents, labels = fuse_masks(clusters, tau=args.tau)
-    cand = restrict_candidates(cents, labels, region, min_area=args.min_area)
+    ids, rows = clusters.assignments, len(clusters.centroids)
+    bad = ids[(ids < 0) | (ids >= rows)]
+    if bad.size:
+        raise ValueError(f"cluster id {bad[0]} is no row of the {rows} centroids")
+    region = unannotated_region(load_tensor(args.seen_labels), cfg.ignore_id,
+                                cfg.seen_ids + cfg.unseen_ids)
+    cents, labels = fuse_masks(clusters, tau=cfg.tau)
+    cand = restrict_candidates(cents, labels, region, min_area=cfg.min_area)
     if cand.count:
         save_tensor(cand.masks, args.out_masks)
         save_tensor(cand.centroids, args.out_centroids)
@@ -137,13 +143,13 @@ def _cmd_embed(args):
                       "written": bool(len(rows))}))
 
 
-def _cmd_match(args):
+def _cmd_match(args, cfg):
     v = load_tensor(args.pred_class)
     assignment, payload = match(v, load_tensor(args.pred_masks),
-                                seen_query_count(args.ksplit, len(v)),
+                                seen_query_count(cfg.ksplit, len(v)),
                                 _load_targets(args.targets),
                                 _joint_from_file(args.embeds, args.seen_count),
-                                _weights_from_json(args.weights))
+                                cfg.weights)
     _write_json(args.out, payload)
     print(json.dumps({"pairs": len(assignment.pairs),
                       "total_cost": assignment.total_cost}))
@@ -171,8 +177,8 @@ def _cmd_loss(args):
     print(json.dumps(payload))
 
 
-def _cmd_mfe(args):
-    fused = mfe(load_tensor(args.features), args.groups, args.seed)
+def _cmd_mfe(args, cfg):
+    fused = mfe(load_tensor(args.features), cfg.mfe_groups, cfg.mfe_seed)
     save_tensor(fused, args.out)
     print(json.dumps({"shape": list(fused.shape)}))
 
@@ -186,22 +192,25 @@ def _cmd_gradcheck(args):
                       "max_rel_err": err}))
 
 
-def _cmd_infer(args):
-    embeds = load_tensor(args.embeds)
+def _cmd_infer(args, cfg):
+    embeds = _joint_from_file(args.embeds, None).matrix
     queries, labels = infer(load_tensor(args.queries),
                             load_tensor(args.features),
-                            decoder_params(args.decoder, args.layers), embeds,
+                            decoder_params(args.decoder, cfg.layers), embeds,
                             args.class_ids or tuple(range(len(embeds))),
-                            args.random_queries, args.seed, args.sigma)
+                            cfg.random_queries, cfg.rq_seed, cfg.rq_sigma)
     save_tensor(labels, args.out)
     print(json.dumps({"queries": len(queries), "classes": len(embeds)}))
 
 
-def _cmd_eval(args):
-    cfg = EvalConfig(num_classes=args.classes, seen_ids=args.seen,
-                     unseen_ids=args.unseen, ignore_id=args.ignore)
-    report = evaluate(load_tensor(args.pred), load_tensor(args.gt), cfg,
-                      percent=not args.fraction)
+def _cmd_eval(args, cfg):
+    if cfg.num_classes <= 0 or not cfg.seen_ids:    # no banks to derive them from
+        raise ValueError("eval needs [eval] num_classes > 0 and seen_ids in its "
+                         f"--config, got {cfg.num_classes} and {cfg.seen_ids}")
+    ecfg = EvalConfig(num_classes=cfg.num_classes, seen_ids=cfg.seen_ids,
+                      unseen_ids=cfg.unseen_ids, ignore_id=cfg.ignore_id)
+    report = evaluate(load_tensor(args.pred), load_tensor(args.gt), ecfg,
+                      percent=cfg.percent)
     _write_json(args.out, report.to_dict())
     print(json.dumps({"sIoU": report.siou, "uIoU": report.uiou,
                       "hIoU": report.hiou}))
@@ -227,26 +236,26 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="smseg")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, *required):
-        """A subcommand running ``func``, with the ``required`` path flags."""
+    def command(name, func, help, *required, config=False):
+        """A subcommand running ``func``, with the ``required`` path flags. With
+        ``config`` it runs ``func(args, cfg)`` on the PipelineConfig of the
+        optional ``--config`` file, or on the defaults without it."""
         p = sub.add_parser(name, help=help)
         for flag in required:
             p.add_argument(flag, required=True)
         p.set_defaults(func=func)
+        if config:
+            p.add_argument("--config", default="")
+            p.set_defaults(func=lambda args: func(args, (
+                PipelineConfig.from_file(args.config) if args.config else PipelineConfig())))
         return p
 
-    p = command("cluster", _cmd_cluster, "multi-window seeded k-means over features",
-                "--features", "--out-assign", "--out-centroids")
-    p.add_argument("--windows", type=_ints, default=DEFAULTS.windows)
-    p.add_argument("--iters", type=int, default=DEFAULTS.kmeans_iters)
-    p.add_argument("--tol", type=float, default=DEFAULTS.kmeans_tol)
+    command("cluster", _cmd_cluster, "multi-window seeded k-means over features",
+            "--features", "--out-assign", "--out-centroids", config=True)
 
-    p = command("fuse", _cmd_fuse, "merge similar clusters, restrict to the pixels "
-                "whose seen label is the ignore id", "--assign", "--centroids",
-                "--seen-labels", "--out-masks", "--out-centroids")
-    p.add_argument("--ignore", type=int, default=DEFAULTS.ignore_id)
-    p.add_argument("--tau", type=float, default=DEFAULTS.tau)
-    p.add_argument("--min-area", type=int, default=DEFAULTS.min_area)
+    command("fuse", _cmd_fuse, "merge similar clusters, restrict to the pixels "
+            "whose seen label is the ignore id", "--assign", "--centroids",
+            "--seen-labels", "--out-masks", "--out-centroids", config=True)
 
     p = command("embed", _cmd_embed, "candidate region embeddings",
                 "--features", "--out")
@@ -254,18 +263,14 @@ def build_parser():
     p.add_argument("--external", default="")
 
     p = command("match", _cmd_match, "group-decoupled assignment", "--pred-class",
-                "--pred-masks", "--embeds", "--targets", "--out")
-    p.add_argument("--ksplit", type=_ints, default=())
+                "--pred-masks", "--embeds", "--targets", "--out", config=True)
     p.add_argument("--seen-count", type=int, default=None)
-    p.add_argument("--weights", default="")
 
-    p = command("loss", _cmd_loss, "losses for a stored assignment", "--pred-class",
-                "--pred-masks", "--embeds", "--targets", "--assignment", "--out")
+    command("loss", _cmd_loss, "losses for a stored assignment", "--pred-class",
+            "--pred-masks", "--embeds", "--targets", "--assignment", "--out")
 
-    p = command("mfe", _cmd_mfe, "multi-scale fusion block over a feature map",
-                "--features", "--out")
-    p.add_argument("--groups", type=int, default=DEFAULTS.mfe_groups)
-    p.add_argument("--seed", type=int, default=DEFAULTS.mfe_seed)
+    command("mfe", _cmd_mfe, "multi-scale fusion block over a feature map",
+            "--features", "--out", config=True)
 
     p = command("gradcheck", _cmd_gradcheck, "finite-difference gradient verification")
     p.add_argument("--op", required=True, choices=GRADCHECK_OPS)
@@ -273,19 +278,11 @@ def build_parser():
     p.add_argument("--step", type=float, default=1e-3)
 
     p = command("infer", _cmd_infer, "decode with random queries, emit label map",
-                "--features", "--queries", "--decoder", "--embeds", "--out")
+                "--features", "--queries", "--decoder", "--embeds", "--out", config=True)
     p.add_argument("--class-ids", type=_ints, default=())
-    p.add_argument("--layers", type=int, default=DEFAULTS.layers)
-    p.add_argument("--random-queries", type=int, default=DEFAULTS.random_queries)
-    p.add_argument("--seed", type=int, default=DEFAULTS.rq_seed)
-    p.add_argument("--sigma", type=float, default=DEFAULTS.rq_sigma)
 
-    p = command("eval", _cmd_eval, "confusion-matrix metrics", "--pred", "--gt", "--out")
-    p.add_argument("--classes", type=int, required=True)
-    p.add_argument("--seen", type=_ints, required=True)
-    p.add_argument("--unseen", type=_ints, default=())
-    p.add_argument("--ignore", type=int, default=DEFAULTS.ignore_id)
-    p.add_argument("--fraction", action="store_true")
+    command("eval", _cmd_eval, "confusion-matrix metrics", "--pred", "--gt", "--out",
+            config=True)
 
     p = command("gen-synth", _cmd_gen_synth, "write a deterministic blob fixture",
                 "--out-dir")

@@ -24,17 +24,24 @@ def _run(capsys, *argv):
     return capsys.readouterr().out
 
 
+def _config(d, text):
+    """``--config`` of a config file in ``d`` holding ``text``."""
+    (d / "stage.cfg").write_text(text)
+    return ["--config", d / "stage.cfg"]
+
+
 def test_cluster_fuse_embed_chain(fixture_dir, capsys):
     d, fix = fixture_dir
-    out = _run(capsys, "cluster", "--features", d / "O.smtf",
-               "--windows", "4,8,16", "--iters", "10", "--tol", "1e-4",
+    stage_cfg = _config(d, "[clustering]\nwindows = 4,8,16\niters = 10\ntol = 1e-4\n"
+                           "[fusion]\ntau = 0.9\nmin_area = 16\n")
+    out = _run(capsys, "cluster", "--features", d / "O.smtf", *stage_cfg,
                "--out-assign", d / "assign.smtf",
                "--out-centroids", d / "cent.smtf")
     info = json.loads(out)
     assert info["clusters"] >= 4
     out = _run(capsys, "fuse", "--assign", d / "assign.smtf",
-               "--centroids", d / "cent.smtf", "--tau", "0.9",
-               "--seen-labels", d / "Ys.smtf", "--min-area", "16",
+               "--centroids", d / "cent.smtf", *stage_cfg,
+               "--seen-labels", d / "Ys.smtf",
                "--out-masks", d / "Yu.smtf", "--out-centroids", d / "Cu_raw.smtf")
     info = json.loads(out)
     assert info["candidates"] >= 2 and info["masks_written"]
@@ -88,7 +95,8 @@ def test_match_then_loss(tmp_path, capsys):
                "--pred-masks", tmp_path / "M.smtf",
                "--embeds", tmp_path / "E.smtf",
                "--targets", tmp_path / "all.json", "--seen-count", "2",
-               "--ksplit", "2,1", "--out", tmp_path / "assign.json")
+               *_config(tmp_path, "[decoder]\nksplit = 2,1\n"),
+               "--out", tmp_path / "assign.json")
     assert json.loads(out)["pairs"] == 3
     raw = json.loads((tmp_path / "assign.json").read_text())
     assert raw["seen_count"] == 2
@@ -133,10 +141,10 @@ def test_loss_rejects_a_pair_outside_its_target_group(tmp_path, capsys, pair, me
 
 def test_mfe_and_gradcheck(fixture_dir, capsys):
     # smseg mfe fuses the features at 1/4, 1/2 and full size under the
-    # seeded fusion-block parameters that --groups and --seed select
+    # seeded fusion-block parameters that [mfe] groups and seed select
     d, fix = fixture_dir
-    out = _run(capsys, "mfe", "--features", d / "O.smtf", "--groups", "2",
-               "--seed", "1", "--out", d / "Fd.smtf")
+    out = _run(capsys, "mfe", "--features", d / "O.smtf",
+               *_config(d, "[mfe]\ngroups = 2\nseed = 1\n"), "--out", d / "Fd.smtf")
     assert json.loads(out)["shape"] == [8, 32, 32]
     pyr = FeaturePyramid(f0=bilinear_resize(fix.features, 8, 8),
                          f1=bilinear_resize(fix.features, 16, 16), f2=fix.features)
@@ -190,13 +198,14 @@ def test_infer_and_eval(fixture_dir, capsys):
     save_tensor(e_full, d / "Efull.smtf")
     _run(capsys, "infer", "--features", d / "O.smtf", "--queries", d / "Q.smtf",
          "--decoder", d / "dec.smtf", "--embeds", d / "Efull.smtf",
-         "--random-queries", "10", "--seed", "0", "--out", d / "labels.smtf")
+         *_config(d, "[inference]\nrandom_queries = 10\nseed = 0\n"),
+         "--out", d / "labels.smtf")
     labels = load_tensor(d / "labels.smtf")
     assert labels.shape == fix.gt.shape
 
+    # the fixture's run.cfg: 5 classes, seen 0..2, unseen 3 and 4, ignore 255
     out = _run(capsys, "eval", "--pred", d / "labels.smtf", "--gt", d / "gt.smtf",
-               "--classes", "5", "--seen", "0,1,2", "--unseen", "3,4",
-               "--ignore", "255", "--out", d / "report.json")
+               "--config", d / "run.cfg", "--out", d / "report.json")
     report = json.loads(out)
     assert report["uIoU"] >= 90.0
     assert report["hIoU"] >= 90.0
@@ -241,7 +250,7 @@ def test_fuse_rejects_min_area_below_one(fixture_dir, capsys, min_area):
          "--out-assign", d / "assign.smtf", "--out-centroids", d / "cent.smtf")
     assert main([str(a) for a in (
         "fuse", "--assign", d / "assign.smtf", "--centroids", d / "cent.smtf",
-        "--seen-labels", d / "Ys.smtf", "--min-area", min_area,
+        "--seen-labels", d / "Ys.smtf", *_config(d, f"[fusion]\nmin_area = {min_area}\n"),
         "--out-masks", d / "Yu.smtf", "--out-centroids", d / "Cu_raw.smtf")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

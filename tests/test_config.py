@@ -1,14 +1,14 @@
 """The config declaration: PipelineConfig fields carry their [section] key
-and parser, and from_file, the README and the CLI defaults follow it."""
+and parser, and from_file, the README and the CLI follow it."""
 
+import argparse
 import configparser
 import inspect
 from pathlib import Path
 
 import pytest
 
-from smseg import gen_synth, write_fixture
-from smseg.cli import build_parser
+from smseg import cli, gen_synth, write_fixture
 from smseg.decoder import inject_random_queries
 from smseg.mfe import mfe_logits
 from smseg.pipeline import PipelineConfig
@@ -92,21 +92,40 @@ def test_fixture_config_takes_an_appended_mfe_section(tmp_path):
     assert cfg.mfe_enabled and cfg.seen_ids == (0, 1, 2) and cfg.unseen_ids == (3, 4)
 
 
-def test_cli_defaults_are_the_config_defaults():
-    parser, default = build_parser(), PipelineConfig()
-    args = parser.parse_args(["cluster", "--features", "f", "--out-assign", "a",
-                              "--out-centroids", "c"])
-    assert (args.windows, args.iters, args.tol) == (
-        default.windows, default.kmeans_iters, default.kmeans_tol)
-    args = parser.parse_args(["fuse", "--assign", "a", "--centroids", "c",
-                              "--seen-labels", "s", "--out-masks", "m",
-                              "--out-centroids", "c"])
-    assert (args.tau, args.min_area, args.ignore) == (
-        default.tau, default.min_area, default.ignore_id)
-    args = parser.parse_args(["infer", "--features", "f", "--queries", "q",
-                              "--decoder", "d", "--embeds", "e", "--out", "o"])
-    assert (args.layers, args.random_queries, args.seed, args.sigma) == (
-        default.layers, default.random_queries, default.rq_seed, default.rq_sigma)
+STAGES = ("cluster", "fuse", "match", "mfe", "infer", "eval")
+
+
+def _subparsers(parser):
+    """{name: subparser} of ``parser``'s subcommands."""
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_cli_defaults_are_the_config_defaults(monkeypatch):
+    # without --config each stage subcommand runs on PipelineConfig()
+    ran = {}
+    for name in STAGES:
+        monkeypatch.setattr(cli, f"_cmd_{name}",
+                            lambda args, cfg, name=name: ran.setdefault(name, cfg))
+    parser = cli.build_parser()
+    for name in STAGES:
+        argv = [name] + [x for a in _subparsers(parser)[name]._actions if a.required
+                         for x in (a.option_strings[0], "x")]
+        args = parser.parse_args(argv)
+        assert args.config == ""
+        args.func(args)
+    assert ran == dict.fromkeys(STAGES, PipelineConfig())
+
+
+def test_stage_flags_restate_no_config_key():
+    # gen-synth and gradcheck aside, the optional flags name files, or hold
+    # what no config key does: the seen rows of a bank and infer's class ids
+    optional = {a.option_strings[0] for name, p in _subparsers(cli.build_parser()).items()
+                if name not in ("gen-synth", "gradcheck") for a in p._actions
+                if a.option_strings and not a.required
+                and not isinstance(a, argparse._HelpAction)}
+    assert optional == {"--config", "--masks", "--external", "--seen-count",
+                        "--class-ids"}
 
 
 def test_inference_defaults_are_the_library_defaults():
