@@ -117,12 +117,16 @@ def _cmd_cluster(args, cfg):
 
 
 def _cmd_fuse(args, cfg):
-    clusters = ClusterResult(assignments=load_tensor(args.assign).astype(np.int32),
-                             centroids=load_tensor(args.centroids), objective_trace=[])
-    ids, rows = clusters.assignments, len(clusters.centroids)
-    bad = ids[(ids < 0) | (ids >= rows)]
+    ids, centroids = load_tensor(args.assign), load_tensor(args.centroids)
+    bad = ids[ids != np.floor(ids)]
     if bad.size:
-        raise ValueError(f"cluster id {bad[0]} is no row of the {rows} centroids")
+        raise ValueError(f"cluster id {bad[0]} is not a whole number")
+    bad = ids[(ids < 0) | (ids >= len(centroids))]
+    if bad.size:
+        raise ValueError(f"cluster id {int(bad[0])} is no row of the {len(centroids)} "
+                         "centroids")
+    clusters = ClusterResult(assignments=ids.astype(np.int32), centroids=centroids,
+                             objective_trace=[])
     region = unannotated_region(load_tensor(args.seen_labels), cfg.ignore_id,
                                 cfg.seen_ids + cfg.unseen_ids)
     cents, labels = fuse_masks(clusters, tau=cfg.tau)

@@ -299,18 +299,25 @@ _VAR_MARGIN = 0.4
 # a macroscopic gradient; an all-but-dead array would pit pure difference
 # noise against the 1e-8 denominator floor instead of testing anything.
 _GRAD_NORM_FLOOR = 3e-3
+# Redraw attempts of a conditioned row tried at once, each level of a batch
+# one hash pass and one batched block forward. Most fixtures take several
+# attempts (about 11 for mfe_dice); wider batches draw more that go unused.
+_ATTEMPT_BATCH = 8
 
 
 def _draws(seed, specs):
     """One array per (stream, shape, lo, hi) of ``specs``: uniform in
     [lo, hi) from the first entries of stream ``stream`` of ``seed``, each
     stream 1,000,003 words long. All are hashed in one pass over their
-    stream positions; each value depends only on (seed, position)."""
+    stream positions; each value depends only on (seed, position). A 1-D
+    array of seeds gives every array a leading axis, one item per seed,
+    each item bitwise its own seed's draw."""
     sizes = [math.prod(shape) for _, shape, _, _ in specs]
-    u = rng.uniform01_at(seed, np.concatenate(
+    lead = np.shape(seed)
+    u = rng.uniform01_at(np.expand_dims(seed, -1) if lead else seed, np.concatenate(
         [np.arange(n) + spec[0] * 1_000_003 for spec, n in zip(specs, sizes)]))
-    return [(lo + (hi - lo) * part).reshape(shape) for (_, shape, lo, hi), part
-            in zip(specs, np.split(u, np.cumsum(sizes)[:-1]))]
+    return [(lo + (hi - lo) * part).reshape(*lead, *shape) for (_, shape, lo, hi), part
+            in zip(specs, np.split(u, np.cumsum(sizes)[:-1], axis=-1))]
 
 
 def _draw(seed, stream, shape, lo=-1.0, hi=1.0):
@@ -333,7 +340,7 @@ def _draw_level(seed, x_key, x_stream, x_shape, stream, c, prefix=""):
     """One fixture level in one ``_draws`` pass: the input ``x_key`` in
     [-1, 1) from stream ``x_stream``, and the four arrays of a c-channel
     dense block, keyed ``{prefix}conv_w`` etc., from streams ``stream`` to
-    ``stream + 3``."""
+    ``stream + 3``; batched over an array of seeds as ``_draws`` is."""
     return dict(zip((x_key, *(prefix + k for k in _BLOCK_KEYS)), _draws(seed, (
         (x_stream, x_shape, -1.0, 1.0), (stream, (c, c, 3, 3), -0.8, 0.8),
         (stream + 1, (c,), -0.3, 0.3), (stream + 2, (c,), 0.5, 1.5),
@@ -374,63 +381,73 @@ def _fused(a):
     return _fuse(lambda i: _level(a, f"f{i}", f"b{i}_"))
 
 
-def _well_conditioned(x, blk):
-    """``_dense_block_cache(x, blk)`` when the block's pre-ReLU values are
-    clear of zero and its group variances clear of collapse, else None.
+def _well_conditioned(cache, groups):
+    """Whether each item of a batch of dense-block caches ``(x, conv_out,
+    gn_out)`` has pre-ReLU values clear of zero and group variances clear
+    of collapse: one bool per item of the leading batch axis.
 
     Both margins keep the central-difference error of the composed block
     well under ``GRADCHECK_BOUND`` at step 1e-3: the first stops
     kink crossings, the second bounds the normalization curvature.
     """
-    out = _dense_block_cache(x, blk)
-    _, (_, conv_out, gn_out) = out
-    var = conv_out.reshape(blk.groups, -1).var(axis=1)
-    return out if np.abs(gn_out).min() >= _KINK_MARGIN and var.min() >= _VAR_MARGIN else None
+    _, conv_out, gn_out = cache
+    n = len(conv_out)
+    var = conv_out.reshape(n, groups, -1).var(axis=-1)
+    return ((np.abs(gn_out).reshape(n, -1).min(axis=1) >= _KINK_MARGIN)
+            & (var.min(axis=1) >= _VAR_MARGIN))
 
 
-def _keep(a, kept, x_key, prefix=""):
-    """Whether one dense block of ``a`` is ``_well_conditioned``; when it
-    is, its inputs and output go into ``kept`` under ``x_key``."""
-    inputs = _block_inputs(a, x_key, prefix)
-    out = _well_conditioned(inputs[0], _block(a, prefix))
-    if out:
-        kept[x_key] = (inputs, out)
-    return bool(out)
+def _draw_blocks(seeds, groups, levels):
+    """(seed, arrays, kept) of each attempt of the 1-D array ``seeds`` whose
+    dense blocks are all ``_well_conditioned``, in attempt order.
+
+    A level is ``_draw_level``'s arguments after the seed. Level by level,
+    one ``_draw_level`` pass draws it for every attempt still in the running
+    and one batched ``_dense_block_cache`` runs its block; an attempt whose
+    block fails its margins is drawn no further. An item of a batched draw
+    or forward, and of a margin, is bitwise its unbatched one, so each
+    fixture is the one its seed alone gives. ``arrays`` holds ``"_groups"``
+    and every level's arrays; ``kept`` maps each level's input key to
+    (inputs, output) of its block (see ``_level``).
+    """
+    running = [(s, {"_groups": groups}, {}) for s in seeds]
+    for level in levels:
+        if not running:
+            break
+        x_key, prefix = level[0], level[-1]
+        drawn = _draw_level(np.array([s for s, _, _ in running], dtype=object), *level)
+        y, cache = _dense_block_cache(drawn[x_key], _block({**drawn, "_groups": groups},
+                                                           prefix))
+        _, conv_out, gn_out = cache
+        passed = []
+        for k in np.flatnonzero(_well_conditioned(cache, groups)):
+            _, a, kept = running[k]
+            a.update((key, v[k]) for key, v in drawn.items())
+            kept[x_key] = (_block_inputs(a, x_key, prefix),
+                           (y[k], (a[x_key], conv_out[k], gn_out[k])))
+            passed.append(running[k])
+        running = passed
+    return running
 
 
-def _draw_dense_block(seed, c=4, size=4):
-    """One dense-block fixture that keeps its block's output under
-    ``"_kept"``; None when the block is badly conditioned, before the
-    probe is drawn. ``x`` (stream 0) and the block (streams 10-13) are
-    one ``_draw_level``."""
-    a, kept = {**_draw_level(seed, "x", 0, (c, size, size), 10, c), "_groups": 2}, {}
-    if not _keep(a, kept, "x"):
-        return None
-    return {**a, "_probe": 0.5 * _probe(seed, (c, size, size)), "_kept": kept}
+def _draw_dense_block(seeds, c=4, size=4):
+    """``_draw_blocks`` of the dense-block row: one level, ``x`` (stream 0)
+    and the block (streams 10-13)."""
+    return _draw_blocks(seeds, 2, [("x", 0, (c, size, size), 10, c, "")])
 
 
-def _draw_mfe(seed, target, c=2, size=8):
-    """One MFE fixture, drawn and conditioned one pyramid level at a time.
-
-    Level i draws ``f{i}`` (stream i) and block i's four arrays (streams
-    10 + 10i to 13 + 10i) in one ``_draw_level`` pass, then checks the
-    block with ``_well_conditioned``; the draw returns None at the first
-    level that fails, before the next level is drawn. The row's fixed
-    arrays, ``target(seed)``, are drawn once all three levels pass. The
-    fixture keeps the three block outputs under ``"_kept"`` (see
-    ``_level``), so neither its gradient floor nor its analytic gradients
-    run a block forward again.
+def _draw_mfe(seeds, c=2, size=8):
+    """``_draw_blocks`` of the MFE rows: level i is ``f{i}`` (stream i) and
+    block i's four arrays (streams 10 + 10i to 13 + 10i), coarsest first.
+    The fixture keeps the three block outputs (see ``_level``), so neither
+    its gradient floor nor its analytic gradients run a block forward again.
 
     Groups stay below the channel count: normalization cancels any
     per-group constant, so with one channel per group the conv bias would
     have an identically zero gradient and nothing left to verify.
     """
-    a, kept = {"_groups": 1}, {}
-    for i, n in enumerate((size // 4, size // 2, size)):
-        a.update(_draw_level(seed, f"f{i}", i, (c, n, n), 10 + 10 * i, c, f"b{i}_"))
-        if not _keep(a, kept, f"f{i}", f"b{i}_"):
-            return None
-    return {**a, **target(seed), "_kept": kept}
+    return _draw_blocks(seeds, 1, [(f"f{i}", i, (c, n, n), 10 + 10 * i, c, f"b{i}_")
+                                   for i, n in enumerate((size // 4, size // 2, size))])
 
 
 def _draw_relu(seed):
@@ -458,16 +475,26 @@ def _probed(forward, vjp):
     return value, lambda a: vjp(a, a["_probe"])
 
 
-def _conditioned(draw, value, grads):
-    """A row whose draw is also redrawn while a gradient's norm is under the
-    floor; an accepted draw returns ``(arrays, grads(arrays))``, so the
-    gradients it checked are not taken again."""
+def _conditioned(draw, target, value, grads):
+    """A row whose fixture is redrawn until it is well conditioned: attempt
+    a draws at ``seed + 7919 * a``, for a below 512, ``_ATTEMPT_BATCH``
+    attempts to one ``draw(seeds)`` (see ``_draw_blocks``). Of the attempts
+    whose blocks pass, in attempt order, each gets its fixed arrays,
+    ``target(seed)``, and is taken when every gradient's norm reaches the
+    floor. So the attempt taken is the first that passes every check, as if
+    each were tried alone. The row's draw returns ``(arrays, grads(arrays))``,
+    so the gradients it checked are not taken again, or None when no
+    attempt passes."""
     def clear(seed):
-        a = draw(seed)
-        if a is not None:
-            g = grads(a)
-            if all(np.linalg.norm(v) >= _GRAD_NORM_FLOOR for v in g.values()):
-                return a, g
+        for start in range(0, 512, _ATTEMPT_BATCH):
+            seeds = seed + 7919 * np.arange(start, min(start + _ATTEMPT_BATCH, 512),
+                                            dtype=object)
+            for s, a, kept in draw(seeds):
+                a = {**a, **target(s), "_kept": kept}
+                g = grads(a)
+                if all(np.linalg.norm(v) >= _GRAD_NORM_FLOOR for v in g.values()):
+                    return a, g
+        return None
     return clear, value, grads
 
 
@@ -532,13 +559,13 @@ _CASES = {
     "relu": (_draw_relu,
              *_probed(lambda a: relu(a["x"]), lambda a, d: {"x": d * (a["x"] > 0)})),
     "dense_block": _conditioned(
-        _draw_dense_block,
+        _draw_dense_block, lambda s: {"_probe": 0.5 * _probe(s, (4, 4, 4))},
         *_probed(lambda a: dense_block(a["x"], _block(a)), _dense_block_grads)),
     "mfe": _conditioned(
-        lambda s: _draw_mfe(s, lambda s: {"_probe": 0.5 * _probe(s, (2, 8, 8))}),
+        _draw_mfe, lambda s: {"_probe": 0.5 * _probe(s, (2, 8, 8))},
         *_probed(lambda a: _fused(a)[0], lambda a, d: _mfe_grads(a, lambda fd: d))),
     "mfe_dice": _conditioned(
-        lambda s: _draw_mfe(s, lambda s: {"_dice_y": _binary(s, 5_000_000, (2, 8, 8))}),
+        _draw_mfe, lambda s: {"_dice_y": _binary(s, 5_000_000, (2, 8, 8))},
         _dice_sum, lambda a: _mfe_grads(a, lambda fd: _dice_sum_dfd(a, fd))),
     "dice": (lambda s: _draw_target(s, "m", 0.05, 0.95),
              lambda a: dice_loss(a["m"], a["_y"]),
@@ -581,19 +608,18 @@ def _case(op, seed):
     holds the block outputs the draw ran, for a value's arrays to carry as
     ``"_kept"`` (see ``_level``); ``arrays`` comes without them, so
     ``value(arrays)`` reads nothing but the arrays, even when a caller
-    writes into one. A draw that returns None is retried at
-    ``seed + 7919 * attempt``.
+    writes into one. A conditioned row's draw returns None when none of
+    its attempts passes (see ``_conditioned``), and RuntimeError names the op.
     """
     if op not in _CASES:
         raise ValueError(f"gradcheck does not support op {op!r}")
     draw, value, grads = _CASES[op]
-    for attempt in range(512):
-        drawn = draw(seed + 7919 * attempt)
-        if drawn is not None:
-            arrays, analytic = drawn if isinstance(drawn, tuple) else (drawn, None)
-            kept = arrays.pop("_kept", {})
-            return arrays, value, grads, analytic, kept
-    raise RuntimeError(f"could not build a well-conditioned {op} fixture")
+    drawn = draw(seed)
+    if drawn is None:
+        raise RuntimeError(f"could not build a well-conditioned {op} fixture")
+    arrays, analytic = drawn if isinstance(drawn, tuple) else (drawn, None)
+    kept = arrays.pop("_kept", {})
+    return arrays, value, grads, analytic, kept
 
 
 def _groups(arrays, kept, names):

@@ -228,10 +228,18 @@ def embed(feats, masks, external):
     return pool_region_embeddings(feats, masks)
 
 
+def _same_queries(v, m):
+    """ValueError naming both shapes unless the class queries V and the mask
+    queries M have one row per query each."""
+    if len(v) != len(m):
+        raise ValueError(f"V {v.shape} and M {m.shape} hold different numbers of queries")
+
+
 def match(v, m, k_seen, targets, joint, weights):
     """Split matching of queries [0, k_seen) to the seen (joint id, mask)
     ``targets`` and the rest to the candidate ones: (Assignment, assign.json
     payload)."""
+    _same_queries(v, m)
     assignment = split_match(v, m, k_seen, targets, joint, weights)
     return assignment, {
         "pairs": [{"q": p.query, "t": p.target, "cost": p.cost, "group": p.group}
@@ -251,6 +259,7 @@ def loss(v, m, k_seen, targets, assignment, joint, weights):
     pair's group must be its target's, "seen" below ``joint.seen_count``, and
     its query's, "seen" below ``k_seen`` (ValueError naming the pair
     otherwise). A candidate pair's cosine term uses its target's class row."""
+    _same_queries(v, m)
     if not 0 <= k_seen <= len(v):
         raise ValueError(f"k_seen {k_seen} outside [0, {len(v)}] queries")
     matched = matched_loss(assignment, class_similarity(v, joint.matrix), m, targets,
@@ -273,13 +282,15 @@ def loss(v, m, k_seen, targets, assignment, joint, weights):
 
 
 def mfe(feats, groups, seed):
-    """The fusion block's map F_d of (C, H, W) ``feats``: the 1/4-, 1/2- and
-    full-size levels fused under ``init_mfe_params(C, groups, seed)``. H and
-    W must be positive multiples of 4; ``FeaturePyramid`` names a size that
-    4 does not divide."""
+    """The fusion block's map F_d of (C, H, W) float32 ``feats``: the 1/4-,
+    1/2- and full-size levels fused under ``init_mfe_params(C, groups,
+    seed)``. H and W must be positive multiples of 4; ``FeaturePyramid``
+    names a size that 4 does not divide."""
     if feats.ndim != 3 or min(feats.shape[1:]) < 4:
         raise ValueError("features must be (C, H, W) with H and W positive multiples "
                          f"of 4, got shape {feats.shape}")
+    if feats.dtype != np.float32:
+        raise ValueError(f"features must be float32, got {feats.dtype}")
     c, h, w = feats.shape
     pyr = FeaturePyramid(f0=bilinear_resize(feats, h // 4, w // 4),
                          f1=bilinear_resize(feats, h // 2, w // 2), f2=feats)

@@ -36,8 +36,14 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _mix(seed, counter):
-    """SplitMix64 words of ``seed`` at the uint64 counters ``counter`` (i + 1)."""
-    z = np.uint64(seed & _MASK64) + counter * _GAMMA
+    """SplitMix64 words of ``seed`` at the uint64 counters ``counter`` (i + 1).
+    ``seed`` is an integer, or an integer array (numpy or object dtype) that
+    broadcasts against ``counter``; each seed is taken mod 2^64."""
+    if isinstance(seed, np.ndarray):
+        seed = (seed.astype(object) & _MASK64).astype(np.uint64)
+    else:
+        seed = np.uint64(seed & _MASK64)
+    z = seed + counter * _GAMMA
     z = (z ^ (z >> np.uint64(30))) * _MIX1
     z = (z ^ (z >> np.uint64(27))) * _MIX2
     return z ^ (z >> np.uint64(31))
@@ -61,7 +67,9 @@ def uniform01(seed, count, start=0):
 
 def uniform01_at(seed, index):
     """Uniform doubles at the non-negative integer array ``index`` of stream
-    positions: ``uniform01(seed, 1, i)[0]`` for each i, in one pass."""
+    positions: ``uniform01(seed, 1, i)[0]`` for each i, in one pass. An
+    array of seeds broadcasts against ``index``: ``seeds[:, None]`` gives
+    one row of positions per seed."""
     return _unit(_mix(seed, np.asarray(index, dtype=np.uint64) + np.uint64(1)))
 
 

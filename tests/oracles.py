@@ -264,3 +264,48 @@ def naive_grad_check(arrays, value_and_grads, step=1e-3):
                / max(np.linalg.norm(num), np.linalg.norm(ana_flat), 1e-8))
         worst = max(worst, err)
     return worst
+
+
+def sequential_conditioned_case(mfe, op, seed):
+    """(arrays, kept) of the conditioned gradcheck row ``op`` at ``seed``,
+    as trying one redraw attempt at a time picks them; None when none of
+    the 512 attempts passes.
+
+    Attempt a draws at seed + 7919 a. Level by level, coarsest first, it
+    draws the level's input and dense block at its own seed and runs that
+    block alone; it is dropped at the first block whose pre-ReLU values
+    come within the kink margin of zero or whose group variances fall under
+    the variance margin. An attempt past every level draws its fixed arrays
+    and is taken when the norm of each analytic gradient reaches the floor.
+    This is the reference for which attempt is taken and what it keeps, so
+    it runs the library's own unbatched draw and block kernels.
+    """
+    keys = ("conv_w", "conv_b", "gn_gamma", "gn_beta")
+    if op == "dense_block":
+        c, size, groups, levels = 4, 4, 2, [("x", 0, 4, 10, "")]
+    else:
+        c, size, groups = 2, 8, 1
+        levels = [(f"f{i}", i, n, 10 + 10 * i, f"b{i}_") for i, n in enumerate((2, 4, 8))]
+    grads = mfe._CASES[op][2]
+    for attempt in range(512):
+        s = seed + 7919 * attempt
+        arrays, kept = {"_groups": groups}, {}
+        for x_key, x_stream, n, stream, prefix in levels:
+            arrays.update(mfe._draw_level(s, x_key, x_stream, (c, n, n), stream, c, prefix))
+            inputs = (arrays[x_key], *(arrays[prefix + k] for k in keys))
+            out = mfe._dense_block_cache(inputs[0], mfe.DenseBlockParams(*inputs[1:],
+                                                                         groups=groups))
+            _, (_, conv_out, gn_out) = out
+            if (np.abs(gn_out).min() < mfe._KINK_MARGIN
+                    or conv_out.reshape(groups, -1).var(axis=1).min() < mfe._VAR_MARGIN):
+                break
+            kept[x_key] = (inputs, out)
+        else:
+            if op == "mfe_dice":
+                arrays["_dice_y"] = mfe._binary(s, 5_000_000, (c, size, size))
+            else:
+                arrays["_probe"] = 0.5 * mfe._probe(s, (c, size, size))
+            g = grads({**arrays, "_kept": kept})
+            if all(np.linalg.norm(v) >= mfe._GRAD_NORM_FLOOR for v in g.values()):
+                return arrays, kept
+    return None

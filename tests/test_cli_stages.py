@@ -180,10 +180,10 @@ def _features(d, feats):
     return ["mfe", "--features", d / "O.smtf", "--out", d / "Fd.smtf"]
 
 
-def _loss_of(d, assignment, targets="seen.json", embeds="E.smtf"):
+def _loss_of(d, assignment, targets="seen.json", embeds="E.smtf", pred_class="V.smtf"):
     """loss of a hand-written assign.json against the bank's seen targets."""
     (d / "assign.json").write_text(json.dumps(assignment))
-    return ["loss", "--pred-class", d / "V.smtf", "--pred-masks", d / "M.smtf",
+    return ["loss", "--pred-class", d / pred_class, "--pred-masks", d / "M.smtf",
             "--embeds", d / embeds, "--targets", d / targets,
             "--assignment", d / "assign.json", "--out", d / "loss.json"]
 
@@ -214,8 +214,8 @@ def _loss_weights(d, weights):
                         "weights": weights})
 
 
-def _match(d, *extra, embeds="E.smtf"):
-    return ["match", "--pred-class", d / "V.smtf", "--pred-masks", d / "M.smtf",
+def _match(d, *extra, embeds="E.smtf", pred_class="V.smtf"):
+    return ["match", "--pred-class", d / pred_class, "--pred-masks", d / "M.smtf",
             "--embeds", d / embeds, "--targets", d / "seen.json",
             "--out", d / "assign.json", *extra]
 
@@ -240,6 +240,13 @@ def _infer(d, queries, decoder, embeds="E.smtf"):
     return ["infer", "--features", d / "F.smtf", "--queries", d / "Q.smtf",
             "--decoder", d / "dec.smtf", "--embeds", d / embeds,
             "--out", d / "labels.smtf"]
+
+
+def _three_queries(d):
+    """The name of a 3-row ``--pred-class`` written into ``d``, one row more
+    than the bank's 2 mask rows."""
+    save_tensor(np.ones((3, 4), dtype=np.float32), d / "V3.smtf")
+    return "V3.smtf"
 
 
 def _flat_bank(d):
@@ -333,6 +340,14 @@ def _flat_bank(d):
      "E1.smtf must be a (rows, C) matrix, got shape (4,)"),
     (lambda d: _mfe(d, 32, *_config(d, "[mfe]\nbogus = 1\n")),
      "unknown config key 'bogus' in [mfe]"),
+    (lambda d: _match(d, pred_class=_three_queries(d)),
+     "V (3, 4) and M (2, 4, 4) hold different numbers of queries"),
+    (lambda d: _loss_of(d, {**_pairs({**SEEN_PAIR, "q": 2, "t": 1}), "k_seen": 3},
+                        pred_class=_three_queries(d)),
+     "V (3, 4) and M (2, 4, 4) hold different numbers of queries"),
+    (lambda d: _fuse(d, "", assign=0.5), "cluster id 0.5 is not a whole number"),
+    (lambda d: _features(d, np.ones((8, 4, 4), dtype=np.uint8)),
+     "features must be float32, got uint8"),
 ], ids=["embed-no-masks", "match-ksplit", "match-seen-count", "match-seen-count-negative",
         "loss-seen-count",
         "loss-weights", "loss-weights-key", "loss-cost-missing", "loss-cost-nan",
@@ -348,7 +363,8 @@ def _flat_bank(d):
         "fuse-cluster-id-above", "fuse-cluster-id-negative", "eval-no-num-classes",
         "eval-no-seen-ids",
         "match-embeds-rank", "loss-embeds-rank", "infer-embeds-rank",
-        "mfe-config-unknown-key"])
+        "mfe-config-unknown-key", "match-query-rows", "loss-query-rows",
+        "fuse-cluster-id-fraction", "mfe-features-dtype"])
 def test_input_errors_exit_1(bank, capsys, argv, message):
     assert main([str(a) for a in argv(bank)]) == 1
     captured = capsys.readouterr()

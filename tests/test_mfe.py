@@ -9,7 +9,8 @@ from smseg import losses, mfe
 from smseg import rng as srng
 from smseg.embeddings import ClassEmbeddings, build_joint_embedding
 
-from oracles import naive_bilinear, naive_conv3x3, naive_grad_check
+from oracles import (naive_bilinear, naive_conv3x3, naive_grad_check,
+                     sequential_conditioned_case)
 
 
 def test_conv_identity_kernel():
@@ -459,18 +460,19 @@ def test_grad_check_reuses_a_conditioned_draws_gradients(op, monkeypatch):
 @pytest.mark.parametrize("op", ["dense_block", "mfe", "mfe_dice"])
 def test_build_case_gives_up_with_named_error(op, monkeypatch):
     calls = []
-    monkeypatch.setattr(mfe, "_well_conditioned", lambda x, blk: calls.append(x) and False)
+    monkeypatch.setattr(mfe, "_well_conditioned", lambda cache, groups: calls.append(
+        len(cache[0])) or np.zeros(len(cache[0]), dtype=bool))
     with pytest.raises(RuntimeError, match=f"well-conditioned {op} fixture"):
         mfe._case(op, 0)
-    assert len(calls) == 512
+    assert calls == [mfe._ATTEMPT_BATCH] * (512 // mfe._ATTEMPT_BATCH)   # 512 attempts
 
 
 # ``conv2d_3x3`` calls per ``grad_check(op, seed)`` at seeds 0-2: one per
-# conditioning check of every draw tried, then one per dense block's group
-# of perturbed arrays, as the draw's kept block outputs stand in for every
-# other forward.
-GRAD_CHECK_CONV_CALLS = {"dense_block": [2, 2, 2], "mfe": [13, 15, 8],
-                         "mfe_dice": [13, 15, 11]}
+# level of every batch of redraw attempts tried (each of these seeds takes
+# one batch), then one per dense block's group of perturbed arrays, as the
+# draw's kept block outputs stand in for every other forward.
+GRAD_CHECK_CONV_CALLS = {"dense_block": [2, 2, 2], "mfe": [6, 6, 6],
+                         "mfe_dice": [6, 6, 6]}
 
 
 def test_grad_check_conv_calls_pinned(monkeypatch):
@@ -493,9 +495,34 @@ def test_a_draw_failing_at_level_0_draws_only_that_level(op, monkeypatch):
     monkeypatch.setattr(mfe, "_draws", lambda s, specs: passes.append(
         [spec[0] for spec in specs]) or draws(s, specs))
     monkeypatch.setattr(mfe, "_binary", lambda *a: pytest.fail("target drawn"))
-    monkeypatch.setattr(mfe, "_well_conditioned", lambda x, blk: None)
+    monkeypatch.setattr(mfe, "_well_conditioned",
+                        lambda cache, groups: np.zeros(len(cache[0]), dtype=bool))
     assert mfe._CASES[op][0](0) is None
-    assert passes == [[0, 10, 11, 12, 13]]         # the input and the block's four, one pass
+    # the input and the block's four, one pass per batch of attempts
+    assert passes == [[0, 10, 11, 12, 13]] * (512 // mfe._ATTEMPT_BATCH)
+
+
+def _leaves(obj):
+    """(dtype, shape, bytes) of every array in nested tuples and dicts, in
+    order; any other leaf as itself."""
+    if isinstance(obj, dict):
+        return [(k, *_leaves(v)) for k, v in sorted(obj.items())]
+    if isinstance(obj, tuple):
+        return [leaf for item in obj for leaf in _leaves(item)]
+    if isinstance(obj, np.ndarray):
+        return [(obj.dtype.str, obj.shape, obj.tobytes())]
+    return [obj]
+
+
+@pytest.mark.parametrize("op", ["dense_block", "mfe", "mfe_dice"])
+def test_batched_attempts_take_the_sequential_attempt(op):
+    # each item of a batch of attempts is drawn and run bitwise as its seed
+    # alone gives it, and the first attempt passing every check is taken
+    for seed in (*range(200), -123_457):
+        arrays, _, _, _, kept = mfe._case(op, seed)
+        want, want_kept = sequential_conditioned_case(mfe, op, seed)
+        assert _leaves(arrays) == _leaves(want), seed
+        assert _leaves(kept) == _leaves(want_kept), seed
 
 
 # ``value`` calls per ``grad_check(op, seed)``: one per group of perturbed

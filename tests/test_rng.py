@@ -15,6 +15,17 @@ def test_uniform01_at_equals_uniform01():
     assert rng.uniform01_at(seed, index).tobytes() == want.tobytes()
 
 
+def test_uniform01_at_takes_an_array_of_seeds():
+    # each row is bitwise its seed's own call; seeds are taken mod 2^64
+    index = np.arange(40, 140)
+    seeds = [3, -5, 2**64 - 3, -(2**70) + 9]
+    want = np.stack([rng.uniform01_at(s, index) for s in seeds])
+    got = rng.uniform01_at(np.array(seeds, dtype=object)[:, None], index)
+    assert got.shape == (4, 100) and got.tobytes() == want.tobytes()
+    got = rng.uniform01_at(np.array(seeds[:2])[:, None], index)         # int64 seeds
+    assert got.tobytes() == want[:2].tobytes()
+
+
 def test_raw64_rejects_a_negative_count():
     with pytest.raises(ValueError, match="count must be non-negative"):
         rng.raw64(0, -1)
